@@ -3,7 +3,9 @@
 Subcommands: fit (grow a tree from CSV), stabtest (instability report
 for one variable), simulate (run a seeded experiment spec).  Exit
 codes: 0 success, 2 data errors (unreadable or malformed input files),
-3 configuration errors (bad flags), 4 malformed experiment specs.
+3 configuration errors (bad flags), 4 malformed experiment specs, 5 model
+fit failures (a fit that did not converge or a singular information
+matrix).
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ from .dataio import (
     save_tree,
     write_csv_rows,
 )
-from .errors import DataError, SpecParseError, UnknownVariableError
+from .errors import (
+    DataError,
+    DegenerateComponentError,
+    SpecParseError,
+    SurvcartError,
+    UnknownVariableError,
+)
 from .families import CENSOR, EVENT, fit
-from .errors import DegenerateComponentError
 from .simlab import parse_spec, run_spec
 from .stability import variable_test
 from .tree import TreeConfig, grow
@@ -33,6 +40,7 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_SPEC = 4
+EXIT_FIT = 5
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "SURVCART_SEED"
@@ -343,6 +351,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except SurvcartError as exc:
+        print(f"error: model fit failed: {exc}", file=sys.stderr)
+        return EXIT_FIT
 
 
 if __name__ == "__main__":

@@ -16,9 +16,15 @@ values is a candidate and the whole sweep is evaluated incrementally:
 the numerator is the running sum of martingale residuals
 d_i - H(t_i) in covariate order (H the Nelson-Aalen cumulative
 hazard), and the variance reuses running at-risk counts per event
-time.  For a factor with more than two levels the levels are ordered
-by their within-level product-limit median and the k - 1 ordered
-prefixes are scanned, mirroring the continuous case.
+time.  One vector of those counts for the subjects already on the
+left is updated subject by subject and copied out once per boundary
+into a block of a fixed number of cells, where the variance terms of
+the whole block are summed at once.  The sweep takes O(N * D) time and
+O(block * D) memory for N subjects and D distinct event times; it never
+holds an N x D table.
+For a factor with more than two levels the levels are ordered by their
+within-level product-limit median and the k - 1 ordered prefixes are
+scanned, mirroring the continuous case.
 """
 
 from __future__ import annotations
@@ -98,6 +104,12 @@ def _effective_events(events, mode):
     return events if mode == EVENT else ~events
 
 
+# Cells per block of the boundary x event-time tables in the variance
+# sweep: 512 KiB of float64, which stays in cache; any size gives the
+# same numbers.
+_BLOCK_CELLS = 1 << 16
+
+
 def _continuous_candidates(variable, times, events, x, mode, minbucket):
     ev = _effective_events(events, mode)
     n = times.size
@@ -105,9 +117,11 @@ def _continuous_candidates(variable, times, events, x, mode, minbucket):
     if values.size < 2 or not ev.any():
         return []
     bounds = np.cumsum(counts)[:-1]  # left sizes at each boundary
-    admissible = (bounds >= minbucket) & (n - bounds >= minbucket)
-    if not admissible.any():
+    admissible = np.nonzero((bounds >= minbucket) & (n - bounds >= minbucket))[0]
+    if admissible.size == 0:
         return []
+    # bounds increase, so the admissible boundaries are one range
+    first, stop = admissible[0], admissible[-1] + 1
 
     grid, d, n_risk = _risk_table(times, ev)
     cumhaz = np.cumsum(d / n_risk)
@@ -117,21 +131,16 @@ def _continuous_candidates(variable, times, events, x, mode, minbucket):
 
     order = np.argsort(inverse, kind="stable")  # subjects in covariate order
     numer = np.cumsum(resid[order])[bounds - 1]
-
-    # at-risk counts on the left of each boundary, per event time
-    k = pos[order]  # subject at risk for grid[j] iff j < k
-    at_risk_rows = np.arange(grid.size)[None, :] < k[:, None]
-    n_left = np.cumsum(at_risk_rows, axis=0)[bounds - 1].astype(float)
-    frac = n_left / n_risk
     with np.errstate(invalid="ignore", divide="ignore"):
         a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
-    variance = (a * frac * (1.0 - frac)).sum(axis=1)
+    variance = _boundary_variances(pos[order], bounds, first, stop, a, n_risk)
 
     out = []
-    for g in np.nonzero(admissible)[0]:
-        if variance[g] <= 0.0:
+    for g in range(first, stop):
+        v = variance[g - first]
+        if v <= 0.0:
             continue
-        stat = numer[g] / np.sqrt(variance[g])
+        stat = numer[g] / np.sqrt(v)
         cut = 0.5 * (values[g] + values[g + 1])
         out.append(
             SplitCandidate(
@@ -144,6 +153,36 @@ def _continuous_candidates(variable, times, events, x, mode, minbucket):
                 right_n=int(n - bounds[g]),
             )
         )
+    return out
+
+
+def _boundary_variances(k, bounds, first, stop, a, n_risk):
+    """Log-rank variance at boundaries first .. stop - 1.
+
+    k lists the subjects in covariate order, each as the number of event
+    times it is at risk for; boundary g puts the first bounds[g] of them
+    on the left.  The running at-risk counts n_left are exact integers
+    (held as floats), and each boundary's terms are the same D values in
+    the same order as in a full N x D table, so the sums match that
+    table's bit for bit.
+    """
+    width = n_risk.size
+    rows = max(1, _BLOCK_CELLS // width)
+    starts = np.concatenate(([0], bounds))  # first subject of each value
+    # subjects left of the first boundary at risk for grid[j]: count of k > j
+    hist = np.bincount(k[: starts[first]], minlength=width + 1)
+    n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
+    block = np.empty((rows, width))
+    out = np.empty(stop - first)
+    k = k.tolist()
+    for g0 in range(first, stop, rows):
+        g1 = min(g0 + rows, stop)
+        for g in range(g0, g1):
+            for k_i in k[starts[g] : starts[g + 1]]:
+                n_left[:k_i] += 1.0
+            block[g - g0] = n_left
+        frac = block[: g1 - g0] / n_risk
+        out[g0 - first : g1 - first] = (a * frac * (1.0 - frac)).sum(axis=1)
     return out
 
 

@@ -2,6 +2,8 @@
 
 The oracles here are deliberately naive (per-risk-set tallies, explicit
 product-limit recursion) so they share no code path with the package.
+The one exception, `dense_continuous_candidates`, is the package's
+former continuous split search, kept as a bit-exact reference.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from survcart import CovariateSpec, SurvivalDataset
+from survcart.splitting import SplitCandidate, _effective_events, _risk_table
 
 
 def rng_for(*key):
@@ -80,6 +83,60 @@ def brute_best_continuous(times, events, x, minbucket):
     band = m - TIE_RTOL * max(1.0, m)
     ties = sorted((c, r) for a, c, r in entries if a >= band)
     return ties[0]
+
+
+def dense_continuous_candidates(variable, times, events, x, mode, minbucket):
+    """Unsorted continuous candidates from a full N x D at-risk table.
+
+    The split search before it was blocked, kept verbatim: the blocked
+    sweep must reproduce every statistic bit for bit.
+    """
+    ev = _effective_events(events, mode)
+    n = times.size
+    values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    if values.size < 2 or not ev.any():
+        return []
+    bounds = np.cumsum(counts)[:-1]  # left sizes at each boundary
+    admissible = (bounds >= minbucket) & (n - bounds >= minbucket)
+    if not admissible.any():
+        return []
+
+    grid, d, n_risk = _risk_table(times, ev)
+    cumhaz = np.cumsum(d / n_risk)
+    pos = np.searchsorted(grid, times, side="right")
+    haz_at = np.concatenate(([0.0], cumhaz))[pos]
+    resid = ev.astype(float) - haz_at
+
+    order = np.argsort(inverse, kind="stable")  # subjects in covariate order
+    numer = np.cumsum(resid[order])[bounds - 1]
+
+    # at-risk counts on the left of each boundary, per event time
+    k = pos[order]  # subject at risk for grid[j] iff j < k
+    at_risk_rows = np.arange(grid.size)[None, :] < k[:, None]
+    n_left = np.cumsum(at_risk_rows, axis=0)[bounds - 1].astype(float)
+    frac = n_left / n_risk
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
+    variance = (a * frac * (1.0 - frac)).sum(axis=1)
+
+    out = []
+    for g in np.nonzero(admissible)[0]:
+        if variance[g] <= 0.0:
+            continue
+        stat = numer[g] / np.sqrt(variance[g])
+        cut = 0.5 * (values[g] + values[g + 1])
+        out.append(
+            SplitCandidate(
+                variable=variable,
+                kind="continuous",
+                cutpoint=float(cut),
+                mode=mode,
+                statistic=float(stat),
+                left_n=int(bounds[g]),
+                right_n=int(n - bounds[g]),
+            )
+        )
+    return out
 
 
 def brute_best_categorical(times, events, x, minbucket):

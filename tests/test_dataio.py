@@ -20,7 +20,7 @@ from survcart import (
     save_tree,
     tree_to_document,
 )
-from survcart.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_SPEC, main
+from survcart.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_SPEC, main
 from survcart.dataio import km_leaf_rows, rows_to_csv_text, tree_to_dot
 from survcart.datasets import CovariateSpec
 from survcart.km import km_fit
@@ -229,6 +229,30 @@ def test_cli_fit_missing_file_is_data_error(tmp_path, capsys):
     code = main(FIT_ARGS + ["--data", str(tmp_path / "nope.csv")])
     assert code == EXIT_DATA
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_fit_model_failure_is_fit_error(tmp_path, capsys):
+    # small random data on which a lognormal information matrix comes
+    # out singular: a one-line error and exit code 5, not a traceback
+    rng = np.random.default_rng(0)
+    n = rng.integers(8, 120)
+    t = rng.exponential(1.0, n)
+    e = rng.random(n) < 0.6
+    x = rng.normal(size=n)
+    path = tmp_path / "fail.csv"
+    path.write_text("time,status,x\n" + "".join(
+        f"{ti!r},{int(ei)},{xi!r}\n"
+        for ti, ei, xi in zip(t.tolist(), e.tolist(), x.tolist())))
+    code = main([
+        "fit", "--data", str(path), "--time", "time", "--event", "status",
+        "--vars", "x:cont", "--alpha", "0.5", "--minsplit", "4",
+        "--minbucket", "2", "--time-dist", "lognormal",
+        "--cens-dist", "lognormal",
+    ])
+    assert code == EXIT_FIT
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_cli_fit_bad_flag_value_is_config_error(demo_csv, capsys):

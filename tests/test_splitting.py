@@ -1,9 +1,22 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survcart import CENSOR, EVENT, EmptyGroupError, best_split, logrank
+from survcart import (
+    CENSOR,
+    EVENT,
+    EmptyGroupError,
+    TreeRecoveryDesign,
+    best_split,
+    logrank,
+    replicate_rng,
+)
+from survcart import splitting
+from survcart.simlab import generate_tree_data
 from survcart.splitting import candidate_splits
 
 from conftest import (
@@ -12,6 +25,7 @@ from conftest import (
     brute_best_continuous,
     brute_logrank,
     censored_exponential,
+    dense_continuous_candidates,
     one_var_dataset,
     rng_for,
 )
@@ -206,3 +220,55 @@ def test_constant_variable_yields_no_candidates():
     data = one_var_dataset(t, e, np.full(4, 7.0), "continuous")
     assert candidate_splits(data, "x", EVENT, 1) == []
     assert best_split(data, "x", EVENT, 1) is None
+
+
+# --- blocked variance sweep -------------------------------------------------
+
+@given(
+    rows=st.integers(1, 8),
+    blocks=st.integers(1, 5),
+    extra=st.sampled_from([0, 1]),
+    minbucket=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_blocked_split_search_equals_dense_table(rows, blocks, extra,
+                                                 minbucket, seed):
+    rng = rng_for(408, seed)
+    # rows * blocks (+ 1) admissible boundaries between tied values, and
+    # minbucket - 1 singleton values at each end whose boundaries are cut
+    ends = np.ones(minbucket - 1, int)
+    counts = np.concatenate(
+        [ends, rng.integers(1, 4, rows * blocks + extra + 1), ends])
+    x = np.repeat(np.cumsum(rng.integers(1, 4, counts.size)) * 0.5, counts)
+    x = np.concatenate([x, np.full(int(rng.integers(0, 4)), np.nan)])
+    rng.shuffle(x)
+    t = np.round(rng.exponential(2.0, x.size), 1) + 0.1  # tied times
+    e = rng.random(x.size) < 0.7
+    data = one_var_dataset(t, e, x, "continuous")
+    keep = ~np.isnan(x)
+    for mode in (EVENT, CENSOR):
+        want = dense_continuous_candidates(
+            "x", t[keep], e[keep], x[keep], mode, minbucket)
+        ev = e[keep] if mode == EVENT else ~e[keep]
+        width = np.unique(t[keep][ev]).size  # distinct event times
+        with patch.object(splitting, "_BLOCK_CELLS", rows * width):
+            blocked = candidate_splits(data, "x", mode, minbucket)
+        default = candidate_splits(data, "x", mode, minbucket)
+        for got in (blocked, default):
+            assert sorted(got, key=lambda c: c.cutpoint) == want
+
+
+def test_split_search_memory_stays_bounded():
+    # 12,000 rows, about 5,200 distinct event times: the former N x D
+    # at-risk table peaked at 1.96 GiB here
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=3000),
+                                 replicate_rng(1, 0))
+    tracemalloc.start()
+    try:
+        cands = candidate_splits(data, "X2", EVENT, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cands
+    assert peak < 128 * 2**20
