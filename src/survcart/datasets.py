@@ -3,13 +3,24 @@
 A dataset holds one observed time per subject, the event indicator
 (True = event observed, False = right censored), and any number of
 partitioning covariates, each declared categorical or continuous.
-Continuous columns are float arrays with NaN marking a missing value;
-categorical columns are object arrays of labels with None missing.
-Missing covariate values are legal, missing times or indicators are not.
+Continuous columns are float arrays with NaN marking a missing value.
+Categorical columns are given as labels, with None or a float NaN (as
+pandas writes it) marking a missing value; the labels of one column
+must be hashable and mutually orderable.  Each factor is encoded once, when the
+dataset is built, as integer codes into its sorted distinct labels
+(-1 for missing), and subsets slice the codes without re-encoding.
+Because codes follow label order, grouping by code groups exactly as
+grouping by label would.  Missing covariate values are legal, missing
+times or indicators are not.
+
+A dataset is treated as immutable: ``grouping`` caches, per covariate,
+the distinct values of the subjects that have one, for the instability
+tests and the split search of a tree node to share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +56,54 @@ class SurvivalRecord:
     subject_id: object = None
 
 
+@dataclass(frozen=True)
+class Grouping:
+    """Subjects with a value on one covariate, grouped by that value."""
+
+    include: np.ndarray   # True where the value is present; None for bare values
+    values: np.ndarray    # present values in subject order (floats, or codes)
+    distinct: np.ndarray  # distinct values, ascending
+    inverse: np.ndarray   # index into distinct of each present value
+    counts: np.ndarray    # group sizes
+
+    @classmethod
+    def of(cls, values, include=None) -> "Grouping":
+        distinct, inverse, counts = np.unique(
+            values, return_inverse=True, return_counts=True
+        )
+        return cls(include, values, distinct, inverse, counts)
+
+
+def is_missing_value(value) -> bool:
+    """True for None and for a float NaN, the two missing-value markers."""
+    return value is None or (
+        isinstance(value, (float, np.floating)) and math.isnan(value)
+    )
+
+
+def _encode(name, labels):
+    """Sorted distinct labels and one code per subject, -1 where missing.
+
+    Labels are numbered in order of first appearance, which takes one
+    hashing pass, and only the distinct ones are sorted.
+    """
+    first_seen = {}
+    try:
+        seen = np.fromiter(
+            (first_seen.setdefault(v, len(first_seen)) for v in labels),
+            dtype=np.intp,
+            count=labels.size,
+        )
+        levels = sorted(v for v in first_seen if not is_missing_value(v))
+    except TypeError as exc:
+        raise SchemaMismatchError(
+            f"column {name!r}: labels must be hashable and orderable ({exc})"
+        ) from None
+    code = {v: c for c, v in enumerate(levels)}
+    recode = np.array([code.get(v, -1) for v in first_seen], dtype=np.intp)
+    return np.array(levels, dtype=object), recode[seen]
+
+
 class SurvivalDataset:
     """Column-oriented survival sample with a fixed covariate schema."""
 
@@ -59,32 +118,41 @@ class SurvivalDataset:
             raise EmptyDatasetError("dataset has no subjects")
         if not np.all(np.isfinite(times)):
             raise SchemaMismatchError("times must be finite")
-        self.times = times
-        self.events = events
-        self.meta = tuple(meta)
+        meta = tuple(meta)
         columns = {} if columns is None else dict(columns)
-        names = [m.name for m in self.meta]
+        names = [m.name for m in meta]
         if len(set(names)) != len(names):
             raise SchemaMismatchError("duplicate covariate names in schema")
         if set(columns) != set(names):
             raise SchemaMismatchError(
                 f"columns {sorted(columns)} do not match schema {sorted(names)}"
             )
-        self.columns = {}
-        for m in self.meta:
+        stored = {}
+        levels = {}
+        for m in meta:
             col = columns[m.name]
-            if m.kind == CONTINUOUS:
-                col = np.asarray(col, dtype=float)
-            else:
-                col = np.asarray(col, dtype=object)
+            col = np.asarray(col, dtype=float if m.kind == CONTINUOUS else object)
             if col.shape != times.shape:
                 raise SchemaMismatchError(f"column {m.name!r} has wrong length")
-            self.columns[m.name] = col
+            if m.kind == CATEGORICAL:
+                levels[m.name], col = _encode(m.name, col)
+            stored[m.name] = col
         if subject_ids is None:
             subject_ids = np.arange(times.size)
-        self.subject_ids = np.asarray(subject_ids)
-        if self.subject_ids.shape != times.shape:
+        subject_ids = np.asarray(subject_ids)
+        if subject_ids.shape != times.shape:
             raise SchemaMismatchError("subject_ids has wrong length")
+        self._assign(times, events, meta, stored, levels, subject_ids)
+
+    def _assign(self, times, events, meta, stored, levels, subject_ids):
+        self.times = times
+        self.events = events
+        self.meta = meta
+        # float column, or int codes into levels[name] for a factor
+        self._stored = stored
+        self.levels = levels  # factor name -> its sorted distinct labels
+        self.subject_ids = subject_ids
+        self._groupings = {}
 
     @classmethod
     def from_records(cls, records, meta, subject_ids=None):
@@ -109,6 +177,11 @@ class SurvivalDataset:
     def n_events(self) -> int:
         return int(np.count_nonzero(self.events))
 
+    @property
+    def columns(self) -> dict:
+        """Every covariate column as ``covariate`` returns it."""
+        return {m.name: self.covariate(m.name) for m in self.meta}
+
     def spec_for(self, name: str) -> CovariateSpec:
         for m in self.meta:
             if m.name == name:
@@ -116,23 +189,49 @@ class SurvivalDataset:
         raise UnknownVariableError(f"no partitioning variable named {name!r}")
 
     def covariate(self, name: str) -> np.ndarray:
-        self.spec_for(name)
-        return self.columns[name]
+        """Floats with NaN missing, or a factor's labels with None missing."""
+        if self.spec_for(name).kind == CONTINUOUS:
+            return self._stored[name]
+        # code -1 picks the trailing None
+        return np.append(self.levels[name], None)[self._stored[name]]
 
     def missing_mask(self, name: str) -> np.ndarray:
         """Boolean mask, True where the covariate value is missing."""
-        spec = self.spec_for(name)
-        col = self.columns[name]
-        if spec.kind == CONTINUOUS:
+        col = self._stored[name]
+        if self.spec_for(name).kind == CONTINUOUS:
             return np.isnan(col)
-        return np.fromiter((v is None for v in col), dtype=bool, count=col.size)
+        return col < 0
+
+    def grouping(self, name: str) -> Grouping:
+        """The present values of one covariate grouped by value.
+
+        Computed on first use and kept until ``drop_groupings``, so the
+        instability test and the split search of a node group each
+        covariate once.  A factor is grouped by its codes.
+        """
+        grouped = self._groupings.get(name)
+        if grouped is None:
+            include = ~self.missing_mask(name)
+            grouped = Grouping.of(self._stored[name][include], include)
+            self._groupings[name] = grouped
+        return grouped
+
+    def drop_groupings(self) -> None:
+        """Release the groupings cached by ``grouping``."""
+        self._groupings.clear()
 
     def subset(self, index) -> "SurvivalDataset":
         index = np.asarray(index)
-        return SurvivalDataset(
-            self.times[index],
+        times = self.times[index]
+        if times.size == 0:
+            raise EmptyDatasetError("dataset has no subjects")
+        out = object.__new__(type(self))
+        out._assign(
+            times,
             self.events[index],
             self.meta,
-            {name: col[index] for name, col in self.columns.items()},
+            {name: col[index] for name, col in self._stored.items()},
+            self.levels,
             self.subject_ids[index],
         )
+        return out

@@ -25,6 +25,10 @@ holds an N x D table.
 For a factor with more than two levels the levels are ordered by their
 within-level product-limit median and the k - 1 ordered prefixes are
 scanned, mirroring the continuous case.
+
+Both searches take the variable's values grouped by the node's dataset
+(``SurvivalDataset.grouping``), the same grouping the node's
+instability tests used; a factor is grouped by its integer codes.
 """
 
 from __future__ import annotations
@@ -110,10 +114,10 @@ def _effective_events(events, mode):
 _BLOCK_CELLS = 1 << 16
 
 
-def _continuous_candidates(variable, times, events, x, mode, minbucket):
+def _continuous_candidates(variable, times, events, grouping, mode, minbucket):
     ev = _effective_events(events, mode)
     n = times.size
-    values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    values, counts = grouping.distinct, grouping.counts
     if values.size < 2 or not ev.any():
         return []
     bounds = np.cumsum(counts)[:-1]  # left sizes at each boundary
@@ -129,31 +133,32 @@ def _continuous_candidates(variable, times, events, x, mode, minbucket):
     haz_at = np.concatenate(([0.0], cumhaz))[pos]
     resid = ev.astype(float) - haz_at
 
-    order = np.argsort(inverse, kind="stable")  # subjects in covariate order
+    order = np.argsort(grouping.inverse, kind="stable")  # covariate order
     numer = np.cumsum(resid[order])[bounds - 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
     variance = _boundary_variances(pos[order], bounds, first, stop, a, n_risk)
 
-    out = []
-    for g in range(first, stop):
-        v = variance[g - first]
-        if v <= 0.0:
-            continue
-        stat = numer[g] / np.sqrt(v)
-        cut = 0.5 * (values[g] + values[g + 1])
-        out.append(
-            SplitCandidate(
-                variable=variable,
-                kind="continuous",
-                cutpoint=float(cut),
-                mode=mode,
-                statistic=float(stat),
-                left_n=int(bounds[g]),
-                right_n=int(n - bounds[g]),
-            )
+    kept = np.nonzero(variance > 0.0)[0]
+    g = first + kept
+    stats = numer[g] / np.sqrt(variance[kept])
+    cuts = 0.5 * (values[g] + values[g + 1])
+    left = bounds[g]
+    ranked = _tolerance_order(stats, cuts)
+    return [
+        SplitCandidate(
+            variable=variable,
+            kind="continuous",
+            cutpoint=cut,
+            mode=mode,
+            statistic=stat,
+            left_n=left_n,
+            right_n=n - left_n,
         )
-    return out
+        for cut, stat, left_n in zip(
+            cuts[ranked].tolist(), stats[ranked].tolist(), left[ranked].tolist()
+        )
+    ]
 
 
 def _boundary_variances(k, bounds, first, stop, a, n_risk):
@@ -186,31 +191,38 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
     return out
 
 
-def _ordered_levels(times, events, x, mode):
-    """Levels sorted by within-level product-limit median (None sorts last)."""
-    levels = np.unique(x)
+def _median_order(times, events, inverse, n_groups, mode):
+    """Groups sorted by within-group product-limit median (None sorts last)."""
     keyed = []
-    for idx, level in enumerate(levels):
-        mask = x == level
+    for idx in range(n_groups):
+        mask = inverse == idx
         med = km_median(km_fit(times[mask], events[mask], flavor=mode))
-        keyed.append((np.inf if med is None else med, idx, level))
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    return [item[2] for item in keyed]
+        keyed.append((np.inf if med is None else med, idx))
+    keyed.sort()
+    return [idx for _, idx in keyed]
 
 
-def _categorical_candidates(variable, times, events, x, mode, minbucket):
-    levels = np.unique(x)
-    if levels.size < 2:
+def _categorical_candidates(variable, times, events, grouping, labels, mode,
+                            minbucket):
+    """Prefix splits of the levels present, ordered by their medians.
+
+    The grouping is by code and codes follow label order, so group
+    indices order the levels present as their labels would.
+    """
+    n_groups = grouping.distinct.size
+    if n_groups < 2:
         return []
-    if levels.size == 2:
-        prefixes = [(levels[0],)]
+    if n_groups == 2:
+        ordered = [0, 1]
     else:
-        ordered = _ordered_levels(times, events, x, mode)
-        prefixes = [tuple(ordered[: i + 1]) for i in range(len(ordered) - 1)]
+        ordered = _median_order(times, events, grouping.inverse, n_groups, mode)
     ev = _effective_events(events, mode)
+    group_labels = labels[grouping.distinct]
+    on_left = np.zeros(n_groups, dtype=bool)
     out = []
-    for left_levels in prefixes:
-        mask = np.isin(x, np.array(left_levels, dtype=object))
+    for i, idx in enumerate(ordered[:-1]):
+        on_left[idx] = True
+        mask = on_left[grouping.inverse]
         left_n = int(np.count_nonzero(mask))
         right_n = times.size - left_n
         if left_n < minbucket or right_n < minbucket:
@@ -222,34 +234,38 @@ def _categorical_candidates(variable, times, events, x, mode, minbucket):
             SplitCandidate(
                 variable=variable,
                 kind=CATEGORICAL,
-                cutpoint=left_levels,
+                cutpoint=tuple(group_labels[ordered[: i + 1]]),
                 mode=mode,
                 statistic=res.statistic,
                 left_n=left_n,
                 right_n=right_n,
             )
         )
-    return out
+    # prefix order breaks ties
+    stats = np.array([c.statistic for c in out])
+    return [out[i] for i in _tolerance_order(stats, range(len(out)))]
 
 
 def candidate_splits(data, variable, mode, minbucket) -> list:
     """All admissible splits on one variable, best |statistic| first.
 
     Ties go to the smaller cutpoint (earlier prefix for factors).
-    Subjects missing the variable are left out of the tally.
+    Subjects missing the variable are left out of the tally.  The
+    variable's values come grouped from ``data``, which keeps the
+    grouping its instability test already made.
     """
     spec = data.spec_for(variable)
-    include = ~data.missing_mask(variable)
-    times = data.times[include]
-    events = data.events[include]
-    x = data.covariate(variable)[include]
+    grouping = data.grouping(variable)
+    times = data.times[grouping.include]
+    events = data.events[grouping.include]
     if times.size == 0:
         return []
     if spec.kind == CATEGORICAL:
-        cands = _categorical_candidates(variable, times, events, x, mode, minbucket)
-        return _tolerance_ranked(cands, lambda item: item[0])
-    cands = _continuous_candidates(variable, times, events, x, mode, minbucket)
-    return _tolerance_ranked(cands, lambda item: item[1].cutpoint)
+        return _categorical_candidates(
+            variable, times, events, grouping, data.levels[variable], mode,
+            minbucket,
+        )
+    return _continuous_candidates(variable, times, events, grouping, mode, minbucket)
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at
@@ -259,24 +275,40 @@ def candidate_splits(data, variable, mode, minbucket) -> list:
 _TIE_RTOL = 1e-9
 
 
-def _tolerance_ranked(cands, cluster_key):
-    ranked = sorted(
-        enumerate(cands), key=lambda item: (-abs(item[1].statistic), item[0])
-    )
-    out = []
-    i = 0
-    while i < len(ranked):
-        scale = max(1.0, abs(ranked[i][1].statistic))
-        j = i + 1
-        while (
-            j < len(ranked)
-            and abs(ranked[j - 1][1].statistic) - abs(ranked[j][1].statistic)
-            <= _TIE_RTOL * scale
-        ):
-            j += 1
-        out.extend(sorted(ranked[i:j], key=cluster_key))
-        i = j
-    return [c for _, c in out]
+def _tolerance_order(stats, keys):
+    """Candidate indices by |statistic| descending, ties by ascending key.
+
+    Walking down the sorted magnitudes, a candidate joins the tie
+    cluster of the one before it when their gap is within _TIE_RTOL of
+    the cluster's first (largest) value; each cluster is ordered by key.
+    """
+    mags = np.abs(stats)
+    ranked = np.argsort(-mags, kind="stable")
+    out = ranked.tolist()
+    if len(out) < 2:
+        return out
+    mags = mags[ranked]
+    # the largest magnitude bounds every cluster's band, so only these
+    # gaps can join two candidates; the walk visits them alone
+    near = np.nonzero(mags[:-1] - mags[1:] <= _TIE_RTOL * max(1.0, mags[0]))[0]
+    mags = mags.tolist()
+    keys = np.asarray(keys).tolist()
+    clusters = []
+    i = j = 0  # the current cluster is out[i:j]
+    for p in near.tolist():
+        if p != j - 1:  # p is not in the current cluster: it starts one
+            clusters.append((i, j))
+            i, j = p, p + 1
+        if mags[p] - mags[p + 1] <= _TIE_RTOL * max(1.0, mags[i]):
+            j = p + 2
+        else:
+            clusters.append((i, j))
+            i, j = p + 1, p + 2
+    clusters.append((i, j))
+    for i, j in clusters:
+        if j - i > 1:
+            out[i:j] = sorted(out[i:j], key=keys.__getitem__)
+    return out
 
 
 def best_split(data, variable, mode, minbucket):

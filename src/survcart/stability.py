@@ -27,6 +27,10 @@ distribution of the bridge supremum,
 one raw p-value per parameter, combined within a component by
 Hochberg's step-up adjustment.  A variable's overall p-value applies
 the same adjustment once more across the tested components.
+
+Within a tree node, a covariate is grouped once
+(``SurvivalDataset.grouping``, by integer code for a factor) and that
+grouping serves both components' tests and the node's split search.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
-from .datasets import CATEGORICAL
+from .datasets import CATEGORICAL, Grouping
 from .errors import (
     EmptyInputError,
     SingularInformationError,
@@ -160,18 +164,22 @@ class GroupedScores:
 
     @classmethod
     def from_values(cls, x, scores) -> "GroupedScores":
+        """Sum score rows per distinct value of x, in subject order.
+
+        x is the covariate values, or their ``Grouping``: a tree node
+        groups each covariate once and passes that grouping to both
+        components' tests.
+        """
+        grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
-        if scores.shape[0] == 1 and np.asarray(x).size != 1:
+        if scores.shape[0] == 1 and grouping.values.size != 1:
             scores = scores.T
-        values, inverse, counts = np.unique(
-            np.asarray(x), return_inverse=True, return_counts=True
-        )
-        sums = np.zeros((values.size, scores.shape[1]))
-        np.add.at(sums, inverse, scores)
+        sums = np.zeros((grouping.distinct.size, scores.shape[1]))
+        np.add.at(sums, grouping.inverse, scores)
         return cls(
-            values=values,
-            counts=counts,
-            boundaries=np.cumsum(counts),
+            values=grouping.distinct,
+            counts=grouping.counts,
+            boundaries=np.cumsum(grouping.counts),
             sums=sums,
             cumsums=np.cumsum(sums, axis=0),
         )
@@ -204,7 +212,10 @@ def _check_information(info):
 
 
 def categorical_test(scores, info, labels) -> CategoricalResult:
-    """Joint chi-square instability test over the levels of a factor."""
+    """Joint chi-square instability test over the levels of a factor.
+
+    labels are the factor's values, or their ``Grouping``.
+    """
     grouped = GroupedScores.from_values(labels, scores)
     if grouped.n_groups < 2:
         raise TooFewGroupsError("categorical test needs at least 2 levels")
@@ -216,13 +227,16 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
     return CategoricalResult(
         statistic=stat,
         df=df,
-        p=float(chi2.sf(stat, df)),
+        p=float(chdtrc(df, stat)),  # the chi-square upper tail
         small_groups=bool(grouped.counts.min() < 5),
     )
 
 
 def continuous_test(scores, info, x, param_names=None) -> ContinuousResult:
-    """Per-parameter bridge-supremum instability test along an ordering."""
+    """Per-parameter bridge-supremum instability test along an ordering.
+
+    x is the covariate values, or their ``Grouping``.
+    """
     grouped = GroupedScores.from_values(x, scores)
     if grouped.n_groups < 2:
         raise TooFewGroupsError("continuous test needs at least 2 distinct values")
@@ -314,13 +328,15 @@ def variable_test(
     component whose model is None is skipped (p = 1): "degenerate" when
     the node had no contributing observations, "disabled" when the
     censoring side is not modeled at all.  Skipped components do not
-    enter the across-component Hochberg family.
+    enter the across-component Hochberg family.  Both components use
+    the grouping that ``data`` keeps for the variable, which the split
+    search of the node reuses.
     """
     spec = data.spec_for(variable)
-    include = ~data.missing_mask(variable)
-    x = data.covariate(variable)[include]
-    n_used = int(np.count_nonzero(include))
-    distinct = np.unique(x)
+    grouping = data.grouping(variable)
+    include = grouping.include
+    n_used = int(grouping.values.size)
+    distinct = grouping.distinct
 
     event_ct = _skipped(EVENT, "degenerate")
     censor_ct = _skipped(CENSOR, "disabled" if not censor_enabled else "degenerate")
@@ -341,10 +357,14 @@ def variable_test(
 
     if event_model is not None:
         scores = score_contributions(event_model, data)[include]
-        event_ct = _component_test(EVENT, event_model, scores, spec.kind, x)
+        event_ct = _component_test(
+            EVENT, event_model, scores, spec.kind, grouping
+        )
     if censor_enabled and censor_model is not None:
         scores = score_contributions(censor_model, data)[include]
-        censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, x)
+        censor_ct = _component_test(
+            CENSOR, censor_model, scores, spec.kind, grouping
+        )
 
     tested = [ct for ct in (event_ct, censor_ct) if ct.tested]
     cross = {EVENT: 1.0, CENSOR: 1.0}

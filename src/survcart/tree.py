@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import CATEGORICAL, SurvivalDataset
+from .datasets import CATEGORICAL, SurvivalDataset, is_missing_value
 from .errors import (
     DegenerateComponentError,
     MissingValueError,
@@ -144,17 +144,16 @@ def _fit_pair(config: TreeConfig, subset: SurvivalDataset):
 
 def _split_masks(subset: SurvivalDataset, split: SplitInfo):
     """Left/right membership among the node's subjects; missing joins neither."""
-    present = ~subset.missing_mask(split.variable)
-    x = subset.covariate(split.variable)
+    grouping = subset.grouping(split.variable)
     if split.kind == CATEGORICAL:
-        left = np.zeros(subset.n, dtype=bool)
-        members = np.isin(
-            x[present], np.array(split.cutpoint, dtype=object)
-        )
-        left[np.nonzero(present)[0][members]] = True
+        labels = subset.levels[split.variable]
+        left_codes = [c for c, label in enumerate(labels) if label in split.cutpoint]
+        goes_left = np.isin(grouping.values, left_codes)
     else:
-        left = present & (np.where(present, x, np.inf) <= split.cutpoint)
-    right = present & ~left
+        goes_left = grouping.values <= split.cutpoint
+    left = np.zeros(subset.n, dtype=bool)
+    left[grouping.include] = goes_left
+    right = grouping.include & ~left
     return left, right
 
 
@@ -206,6 +205,7 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
         adjusted = hochberg(per_variable)
         best = int(np.argmin(adjusted))
         if adjusted[best] > config.alpha or not reports[var_names[best]].testable:
+            subset.drop_groupings()
             leaf(node, STOP_NO_SIGNIFICANT_VARIABLE)
             return
 
@@ -233,6 +233,9 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             accepted = (split, left_mask, right_mask, left_subset, right_subset,
                         left_models, right_models)
             break
+        # release the groupings shared by the tests and the split search
+        # of this node; they would otherwise live while its subtree grows
+        subset.drop_groupings()
         if accepted is None:
             leaf(node, STOP_NO_ADMISSIBLE_SPLIT)
             return
@@ -283,17 +286,13 @@ def predict_node(tree: SurvTree, covariates: dict) -> int:
                 f"covariate {split.variable!r} absent from input"
             )
         value = covariates[split.variable]
+        if is_missing_value(value):
+            raise MissingValueError(
+                f"missing value for {split.variable!r}; no surrogate splits"
+            )
         if split.kind == CATEGORICAL:
-            if value is None:
-                raise MissingValueError(
-                    f"missing value for {split.variable!r}; no surrogate splits"
-                )
             go_left = value in split.cutpoint
         else:
-            if value is None or (isinstance(value, float) and np.isnan(value)):
-                raise MissingValueError(
-                    f"missing value for {split.variable!r}; no surrogate splits"
-                )
             go_left = float(value) <= split.cutpoint
         node = tree.nodes[node.children[0] if go_left else node.children[1]]
     return node.node_id

@@ -2,8 +2,11 @@
 
 The oracles here are deliberately naive (per-risk-set tallies, explicit
 product-limit recursion) so they share no code path with the package.
-The one exception, `dense_continuous_candidates`, is the package's
-former continuous split search, kept as a bit-exact reference.
+The exceptions are bit-exact references kept from earlier versions of
+the package: `dense_continuous_candidates` (the split search before it
+was blocked), and `sort_ranked`, `label_categorical_candidates` and
+`label_variable_test` (the ranking, factor split search and variable
+test before factors were encoded, working on the raw labels).
 """
 
 import numpy as np
@@ -11,7 +14,20 @@ import pytest
 from numpy.random import Generator, Philox
 
 from survcart import CovariateSpec, SurvivalDataset
-from survcart.splitting import SplitCandidate, _effective_events, _risk_table
+from survcart.families import CENSOR, EVENT, score_contributions
+from survcart.km import km_fit, km_median
+from survcart.splitting import (
+    SplitCandidate,
+    _effective_events,
+    _risk_table,
+    logrank,
+)
+from survcart.stability import (
+    StabilityReport,
+    _component_test,
+    _skipped,
+    hochberg,
+)
 
 
 def rng_for(*key):
@@ -171,6 +187,181 @@ def brute_best_categorical(times, events, x, minbucket):
         (scan, pref, r) for a, scan, pref, r in entries if a >= band
     )
     return ties[0][1], ties[0][2]
+
+
+def sort_ranked(cands, cluster_key):
+    """Candidates by |statistic| with the tie band, by Python sorting."""
+    ranked = sorted(
+        enumerate(cands), key=lambda item: (-abs(item[1].statistic), item[0])
+    )
+    out = []
+    i = 0
+    while i < len(ranked):
+        scale = max(1.0, abs(ranked[i][1].statistic))
+        j = i + 1
+        while (
+            j < len(ranked)
+            and abs(ranked[j - 1][1].statistic) - abs(ranked[j][1].statistic)
+            <= TIE_RTOL * scale
+        ):
+            j += 1
+        out.extend(sorted(ranked[i:j], key=cluster_key))
+        i = j
+    return [c for _, c in out]
+
+
+def missing_labels(labels):
+    return np.array(
+        [v is None or (isinstance(v, float) and np.isnan(v)) for v in labels],
+        dtype=bool,
+    )
+
+
+def label_categorical_candidates(variable, times, events, x, mode, minbucket):
+    """Unsorted factor candidates grouped by np.unique on the labels x."""
+    levels = np.unique(x)
+    if levels.size < 2:
+        return []
+    if levels.size == 2:
+        prefixes = [(levels[0],)]
+    else:
+        keyed = []
+        for idx, level in enumerate(levels):
+            mask = x == level
+            med = km_median(km_fit(times[mask], events[mask], flavor=mode))
+            keyed.append((np.inf if med is None else med, idx, level))
+        keyed.sort(key=lambda item: (item[0], item[1]))
+        ordered = [item[2] for item in keyed]
+        prefixes = [tuple(ordered[: i + 1]) for i in range(len(ordered) - 1)]
+    ev = _effective_events(events, mode)
+    out = []
+    for left_levels in prefixes:
+        mask = np.isin(x, np.array(left_levels, dtype=object))
+        left_n = int(np.count_nonzero(mask))
+        right_n = times.size - left_n
+        if left_n < minbucket or right_n < minbucket:
+            continue
+        res = logrank(times, ev, mask)
+        if not res.defined:
+            continue
+        out.append(
+            SplitCandidate(
+                variable=variable,
+                kind="categorical",
+                cutpoint=left_levels,
+                mode=mode,
+                statistic=res.statistic,
+                left_n=left_n,
+                right_n=right_n,
+            )
+        )
+    return out
+
+
+def label_variable_test(data, labels, variable, event_model, censor_model,
+                        censor_enabled=True):
+    """variable_test on the raw values ``labels`` (None or NaN missing).
+
+    Both components group the labels through GroupedScores.from_values,
+    that is np.unique on the labels themselves.
+    """
+    spec = data.spec_for(variable)
+    include = ~missing_labels(labels)
+    x = labels[include]
+    n_used = int(np.count_nonzero(include))
+    distinct = np.unique(x)
+
+    event_ct = _skipped(EVENT, "degenerate")
+    censor_ct = _skipped(CENSOR, "disabled" if not censor_enabled else "degenerate")
+
+    if distinct.size < 2:
+        return StabilityReport(
+            variable=variable,
+            kind=spec.kind,
+            testable=False,
+            n_used=n_used,
+            n_groups=int(distinct.size),
+            event=event_ct,
+            censor=censor_ct,
+            cross_adjusted=(1.0, 1.0),
+            variable_p=1.0,
+            more_heterogeneous=EVENT,
+        )
+
+    if event_model is not None:
+        scores = score_contributions(event_model, data)[include]
+        event_ct = _component_test(EVENT, event_model, scores, spec.kind, x)
+    if censor_enabled and censor_model is not None:
+        scores = score_contributions(censor_model, data)[include]
+        censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, x)
+
+    tested = [ct for ct in (event_ct, censor_ct) if ct.tested]
+    cross = {EVENT: 1.0, CENSOR: 1.0}
+    if tested:
+        adj = hochberg([ct.component_p for ct in tested])
+        for ct, a in zip(tested, adj):
+            cross[ct.component] = float(a)
+        variable_p = float(adj.min())
+    else:
+        variable_p = 1.0
+
+    if event_ct.tested and censor_ct.tested:
+        mode = EVENT if event_ct.component_p <= censor_ct.component_p else CENSOR
+    elif censor_ct.tested:
+        mode = CENSOR
+    else:
+        mode = EVENT
+
+    return StabilityReport(
+        variable=variable,
+        kind=spec.kind,
+        testable=bool(tested),
+        n_used=n_used,
+        n_groups=int(distinct.size),
+        event=event_ct,
+        censor=censor_ct,
+        cross_adjusted=(cross[EVENT], cross[CENSOR]),
+        variable_p=variable_p,
+        more_heterogeneous=mode,
+    )
+
+
+# listed out of sort order, which is Alpha < B < a10 < a9 < b < zeta
+FACTOR_LEVELS = ("zeta", "b", "Alpha", "a10", "a9", "B")
+
+
+def factor_child_node(seed):
+    """A subset() child of a dataset with a factor "g" and a float "x".
+
+    Returns the child and the raw "g" labels and "x" values of its
+    subjects.  Labels follow no sort order, missing ones are None or
+    NaN, the child can lack some of the parent's levels, and the node
+    can have a single level, or none.
+    """
+    rng = rng_for(409, seed)
+    n = int(rng.integers(8, 60))
+    n_levels = int(rng.integers(1, len(FACTOR_LEVELS) + 1))
+    draws = rng.integers(0, n_levels, n)
+    labels = np.array([FACTOR_LEVELS[v] for v in draws], dtype=object)
+    miss = rng.random(n) < rng.choice([0.0, 0.1, 0.3])
+    for i in np.nonzero(miss)[0]:
+        labels[i] = (None, float("nan"), np.nan)[i % 3]
+    x = np.round(rng.uniform(0.0, 3.0, n), 1)  # tied values
+    x[rng.random(n) < 0.1] = np.nan
+    t = np.round(rng.exponential(2.0, n), 1) + 0.1  # tied times
+    e = rng.random(n) < 0.7
+    parent = SurvivalDataset(
+        t, e,
+        meta=(CovariateSpec("g", "categorical"), CovariateSpec("x", "continuous")),
+        columns={"g": labels, "x": x},
+    )
+    # drop a random level (possibly every subject of it) and a few others
+    keep = (draws != rng.integers(0, n_levels)) | (rng.random(n) < 0.2)
+    keep &= rng.random(n) < 0.9
+    if not keep.any():
+        keep[0] = True
+    index = np.nonzero(keep)[0]
+    return parent.subset(index), labels[index], x[index]
 
 
 def censored_exponential(rng, n, rate, censored_fraction):

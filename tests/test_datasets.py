@@ -43,6 +43,15 @@ def test_missing_mask_covers_nan_and_none():
     ds = make()
     assert list(ds.missing_mask("age")) == [False, True, False, False]
     assert list(ds.missing_mask("arm")) == [False, False, True, False]
+    # a factor may mark missing labels with a float NaN, as pandas does
+    nan_marked = SurvivalDataset(
+        np.arange(1.0, 5.0),
+        np.ones(4, bool),
+        meta=(CovariateSpec("arm", CATEGORICAL),),
+        columns={"arm": np.array([np.nan, "b", None, float("nan")], object)},
+    )
+    assert list(nan_marked.missing_mask("arm")) == [True, False, True, True]
+    assert list(nan_marked.covariate("arm")) == [None, "b", None, None]
 
 
 def test_unknown_variable():
@@ -98,6 +107,40 @@ def test_subset_by_mask_and_index():
     assert list(sub.covariate("arm")) == ["a", None]
     sub2 = ds.subset(np.array([3, 0]))
     assert list(sub2.times) == [4.0, 1.0]
+
+
+def test_subset_keeps_codes_and_labels_aligned():
+    rng = np.random.default_rng(3)
+    labels = np.array(["zeta", "b", None, "Alpha", np.nan, "b", "a10"] * 5,
+                      object)
+    ds = SurvivalDataset(
+        np.arange(1.0, labels.size + 1.0),
+        np.ones(labels.size, bool),
+        meta=(CovariateSpec("g", CATEGORICAL),),
+        columns={"g": labels},
+    )
+    assert list(ds.levels["g"]) == ["Alpha", "a10", "b", "zeta"]
+    decoded = [None if v is None or v != v else v for v in labels]
+    for _ in range(20):
+        index = rng.choice(labels.size, size=int(rng.integers(1, 12)),
+                           replace=False)
+        sub = ds.subset(index)
+        assert list(sub.covariate("g")) == [decoded[i] for i in index]
+        assert list(sub.missing_mask("g")) == [decoded[i] is None for i in index]
+        assert sub.levels["g"] is ds.levels["g"]  # never re-encoded
+        grouping = sub.grouping("g")
+        assert list(ds.levels["g"][grouping.distinct]) == sorted(
+            {decoded[i] for i in index} - {None})
+
+
+def test_unorderable_labels_rejected():
+    with pytest.raises(SchemaMismatchError, match="'g'"):
+        SurvivalDataset(
+            np.arange(1.0, 5.0),
+            np.ones(4, bool),
+            meta=(CovariateSpec("g", CATEGORICAL),),
+            columns={"g": np.array([1, "a", 1, "a"], object)},
+        )
 
 
 def test_from_records_round_trip():

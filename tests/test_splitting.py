@@ -17,7 +17,7 @@ from survcart import (
 )
 from survcart import splitting
 from survcart.simlab import generate_tree_data
-from survcart.splitting import candidate_splits
+from survcart.splitting import SplitCandidate, candidate_splits
 
 from conftest import (
     TIE_RTOL,
@@ -26,8 +26,12 @@ from conftest import (
     brute_logrank,
     censored_exponential,
     dense_continuous_candidates,
+    factor_child_node,
+    label_categorical_candidates,
+    missing_labels,
     one_var_dataset,
     rng_for,
+    sort_ranked,
 )
 
 
@@ -257,6 +261,46 @@ def test_blocked_split_search_equals_dense_table(rows, blocks, extra,
         default = candidate_splits(data, "x", mode, minbucket)
         for got in (blocked, default):
             assert sorted(got, key=lambda c: c.cutpoint) == want
+
+
+@given(seed=st.integers(0, 2**31 - 1), minbucket=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_coded_split_search_equals_label_oracle(seed, minbucket):
+    # factor codes and the shared node grouping give the same ranked
+    # candidates as grouping the raw labels, in both modes
+    node, labels, x = factor_child_node(seed)
+    present = ~missing_labels(labels)
+    finite = ~np.isnan(x)
+    t, e = node.times, node.events
+    for mode in (EVENT, CENSOR):
+        want = sort_ranked(
+            label_categorical_candidates(
+                "g", t[present], e[present], labels[present], mode, minbucket),
+            lambda item: item[0],
+        )
+        assert candidate_splits(node, "g", mode, minbucket) == want
+        want = sort_ranked(
+            dense_continuous_candidates(
+                "x", t[finite], e[finite], x[finite], mode, minbucket),
+            lambda item: item[1].cutpoint,
+        )
+        assert candidate_splits(node, "x", mode, minbucket) == want
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=300, deadline=None)
+def test_tolerance_order_equals_sorted_ranking(seed):
+    # magnitudes on and around the edge of the tie band, some chained
+    rng = rng_for(410, seed)
+    n = int(rng.integers(0, 30))
+    base = rng.choice([1e-10, 0.5, 1.0, 3.0, 50.0], size=n)
+    jitter = rng.choice([0.0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8], size=n)
+    stats = (base + jitter * np.maximum(1.0, base)) * rng.choice([-1, 1], n)
+    cuts = np.round(rng.uniform(0.0, 3.0, n), 1)
+    cands = [SplitCandidate("x", "continuous", float(c), EVENT, float(s), 1, 1)
+             for c, s in zip(cuts, stats)]
+    want = sort_ranked(cands, lambda item: item[1].cutpoint)
+    assert [cands[i] for i in splitting._tolerance_order(stats, cuts)] == want
 
 
 def test_split_search_memory_stays_bounded():

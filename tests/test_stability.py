@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
+from scipy.stats import chi2
 
 from survcart import (
     CENSOR,
@@ -19,9 +21,20 @@ from survcart import (
     score_contributions,
     variable_test,
 )
+from survcart.errors import (
+    DegenerateComponentError,
+    NonConvergenceError,
+    SingularInformationError,
+)
 from survcart.stability import GroupedScores
 
-from conftest import censored_exponential, one_var_dataset, rng_for
+from conftest import (
+    censored_exponential,
+    factor_child_node,
+    label_variable_test,
+    one_var_dataset,
+    rng_for,
+)
 
 
 # --- limiting distribution -------------------------------------------------
@@ -164,6 +177,20 @@ def test_categorical_simplified_equals_generic():
         assert abs(simplified - generic) <= 1e-10
 
 
+def test_chi_square_tail_is_scipy_stats_tail():
+    # categorical_test takes its p-value from chdtrc, the function behind
+    # scipy.stats.chi2.sf; the two must agree bit for bit
+    rng = rng_for(212, 0)
+    dfs = [1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 50, 100, 250]
+    xs = np.concatenate([
+        [0.0, 1e-300, 1e-12, 0.5, 1.0, 3.84, 10.0, 100.0, 1e3, 1e6, np.inf],
+        rng.exponential(20.0, 200),
+    ])
+    for df in dfs:
+        for x in xs:
+            assert chdtrc(df, x) == chi2.sf(x, df), (df, x)
+
+
 def test_categorical_label_permutation_invariance():
     rng = rng_for(202, 0)
     t, e = censored_exponential(rng, 100, 0.1, 0.3)
@@ -258,6 +285,45 @@ def test_grouped_scores_totals():
 
 
 # --- per-variable combination ----------------------------------------------
+
+def _fit_or_none(family, component, data):
+    try:
+        return fit(family, component, data)
+    except (DegenerateComponentError, NonConvergenceError, OverflowError):
+        # fit failures are not what these tests check; a Weibull fit on
+        # one distinct time overflows instead of failing cleanly
+        return None
+
+
+def _report_or_error(run):
+    try:
+        return run()
+    except SingularInformationError:
+        return "singular"
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    families=st.sampled_from(
+        [("exponential", "exponential"), ("weibull", "exponential"),
+         ("exponential", "weibull")]),
+    censor_enabled=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_coded_variable_test_equals_label_oracle(seed, families,
+                                                 censor_enabled):
+    # the shared per-node grouping on factor codes reports exactly what
+    # grouping the raw labels and values does
+    node, labels, x = factor_child_node(seed)
+    ev = _fit_or_none(families[0], EVENT, node)
+    ce = _fit_or_none(families[1], CENSOR, node)
+    for name, raw in (("g", labels), ("x", x)):
+        want = _report_or_error(lambda: label_variable_test(
+            node, raw, name, ev, ce, censor_enabled))
+        got = _report_or_error(lambda: variable_test(
+            node, name, ev, ce, censor_enabled=censor_enabled))
+        assert got == want
+
 
 def grown_models(data):
     return fit("exponential", EVENT, data), fit("exponential", CENSOR, data)

@@ -1,5 +1,9 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcart import (
     CENSOR,
@@ -16,15 +20,19 @@ from survcart import (
     predict_node,
     tree_metrics,
 )
+from survcart import datasets
 from survcart.datasets import CovariateSpec
+from survcart.splitting import candidate_splits
 from survcart.tree import (
     STOP_MAX_DEPTH,
     STOP_NO_SIGNIFICANT_VARIABLE,
     STOP_NO_TESTABLE_COMPONENT,
     STOP_TOO_SMALL,
+    SplitInfo,
+    _split_masks,
 )
 
-from conftest import rng_for
+from conftest import factor_child_node, missing_labels, rng_for
 
 
 def two_group_data(rng, n=300, rate_a=0.2, rate_b=0.02, censor_rate=0.05,
@@ -209,6 +217,87 @@ def test_predict_unseen_categorical_level_goes_right():
     assert not tree.root.is_leaf
     nid = predict_node(tree, {"grp": "zz"})
     assert nid == tree.root.children[1]
+
+
+def test_grow_treats_nan_labels_as_missing():
+    # pandas marks a missing factor value with a float NaN
+    rng = rng_for(513, 0)
+    n = 200
+    g = np.array([np.nan if i % 7 == 0 else str(i % 3) for i in range(n)],
+                 object)
+    rates = np.array([0.02 if v == "1" else 0.2 for v in g])
+    t = rng.exponential(1.0 / rates)
+    e = rng.random(n) < 0.8
+    meta = (CovariateSpec("g", "categorical"),)
+    tree = grow(SurvivalDataset(t, e, meta=meta, columns={"g": g}),
+                TreeConfig(minsplit=20, minbucket=5, alpha=0.5))
+    none_marked = np.array([None if v != v else v for v in g], object)
+    same = grow(SurvivalDataset(t, e, meta=meta, columns={"g": none_marked}),
+                TreeConfig(minsplit=20, minbucket=5, alpha=0.5))
+    assert not tree.root.is_leaf
+    assert tree.root.n == n
+    assert tree.root.split.cutpoint == same.root.split.cutpoint
+    assert partition_signature(tree) == partition_signature(same)
+    with pytest.raises(MissingValueError):
+        predict_node(tree, {"g": float("nan")})
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_split_masks_match_raw_values(seed):
+    # children are routed by factor codes; the raw labels must agree,
+    # also where the node lacks some of the dataset's levels
+    node, labels, x = factor_child_node(seed)
+    present = {"g": ~missing_labels(labels), "x": ~np.isnan(x)}
+    for name in ("g", "x"):
+        for cand in candidate_splits(node, name, EVENT, 1):
+            split = SplitInfo(name, cand.kind, cand.cutpoint, cand.mode,
+                              cand.statistic, 0.0, 0.0)
+            left, right = _split_masks(node, split)
+            if name == "g":
+                want = np.array([v in cand.cutpoint for v in labels])
+            else:
+                want = np.where(present[name], x, np.inf) <= cand.cutpoint
+            want &= present[name]
+            assert np.array_equal(left, want)
+            assert np.array_equal(right, present[name] & ~want)
+            assert left.sum() == cand.left_n and right.sum() == cand.right_n
+
+
+def test_grow_groups_each_covariate_once_per_node():
+    rng = rng_for(514, 0)
+    n = 400
+    lv = np.array([("zeta", "b", "Alpha")[v] for v in rng.integers(0, 3, n)],
+                  object)
+    x = rng.uniform(0.0, 1.0, n)
+    t = rng.exponential(np.where(lv == "b", 2.0, 20.0)
+                        * np.where(x < 0.5, 1.0, 8.0))
+    data = SurvivalDataset(
+        t, rng.random(n) < 0.8,
+        meta=(CovariateSpec("grp", "categorical"),
+              CovariateSpec("x", "continuous")),
+        columns={"grp": lv, "x": x},
+    )
+    groupings = []
+    sorted_dtypes = []
+    real_of, real_unique = datasets.Grouping.of, np.unique
+
+    def counting_of(values, include=None):
+        groupings.append(values.size)
+        return real_of(values, include)
+
+    def spying_unique(ar, *args, **kwargs):
+        sorted_dtypes.append(np.asarray(ar).dtype)
+        return real_unique(ar, *args, **kwargs)
+
+    with patch.object(datasets.Grouping, "of", counting_of), \
+            patch.object(np, "unique", spying_unique):
+        tree = grow(data, TreeConfig(minsplit=40, minbucket=10, alpha=0.5))
+    tested = [node for node in tree.nodes.values()
+              if node.stop_reason not in (STOP_TOO_SMALL, STOP_MAX_DEPTH)]
+    assert tree.n_leaves > 2
+    assert len(groupings) == 2 * len(tested)
+    assert object not in sorted_dtypes  # labels are never sorted while growing
 
 
 # --- recovery metrics -------------------------------------------------------
