@@ -26,15 +26,13 @@ from .dataio import (
 )
 from .errors import (
     DataError,
-    DegenerateComponentError,
     SpecParseError,
     SurvcartError,
     UnknownVariableError,
 )
-from .families import CENSOR, EVENT, fit
 from .simlab import parse_spec, run_spec
 from .stability import variable_test
-from .tree import TreeConfig, grow
+from .tree import TreeConfig, _fit_pair, grow
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -188,21 +186,18 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _fit_or_none(family, component, data):
-    try:
-        return fit(family, component, data)
-    except DegenerateComponentError:
-        return None
-
-
 def _cmd_stabtest(args) -> int:
     schema, data = _load(args)
     if args.var not in {v.name for v in schema.variables}:
         raise _ConfigError(f"--var {args.var!r} is not among --vars")
-    event_model = _fit_or_none(args.time_dist, EVENT, data)
     censor_enabled = not args.no_censor_heterogeneity
-    censor_model = (
-        _fit_or_none(args.cens_dist, CENSOR, data) if censor_enabled else None
+    event_model, censor_model = _fit_pair(
+        TreeConfig(
+            event_dist=args.time_dist,
+            censor_dist=args.cens_dist,
+            censor_heterogeneity=censor_enabled,
+        ),
+        data,
     )
     report = variable_test(
         data, args.var, event_model, censor_model, censor_enabled=censor_enabled

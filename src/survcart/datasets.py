@@ -15,7 +15,8 @@ times or indicators are not.
 
 A dataset is treated as immutable: ``grouping`` caches, per covariate,
 the distinct values of the subjects that have one, for the instability
-tests and the split search of a tree node to share.
+tests and the split search of a tree node to share, and ``workspace``
+keeps what those tests derive from a fitted model at the node.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ class SurvivalDataset:
         self.levels = levels  # factor name -> its sorted distinct labels
         self.subject_ids = subject_ids
         self._groupings = {}
+        self._workspaces = {}
 
     @classmethod
     def from_records(cls, records, meta, subject_ids=None):
@@ -216,9 +218,22 @@ class SurvivalDataset:
             self._groupings[name] = grouped
         return grouped
 
+    def workspace(self, key, owner, make):
+        """Per-node state derived from ``owner``, kept like a grouping.
+
+        Returns the value last made under ``key`` if it was made for
+        this same ``owner`` object, and otherwise stores and returns
+        ``make()``.  Kept until ``drop_groupings``.
+        """
+        held = self._workspaces.get(key)
+        if held is None or held[0] is not owner:
+            held = self._workspaces[key] = (owner, make())
+        return held[1]
+
     def drop_groupings(self) -> None:
-        """Release the groupings cached by ``grouping``."""
+        """Release the groupings and the workspaces cached so far."""
         self._groupings.clear()
+        self._workspaces.clear()
 
     def subset(self, index) -> "SurvivalDataset":
         index = np.asarray(index)

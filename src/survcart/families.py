@@ -113,6 +113,15 @@ class _Weibull:
 
     @classmethod
     def fit_params(cls, times, w):
+        try:
+            return cls._profile_fit(times, w)
+        except OverflowError as exc:
+            # tied contributing times have no finite MLE: the shape grows
+            # without bound until a power or the rate overflows
+            raise NonConvergenceError("weibull shape diverged") from exc
+
+    @classmethod
+    def _profile_fit(cls, times, w):
         logt = np.log(times)
         d = float(w.sum())
         swl = float(w @ logt)

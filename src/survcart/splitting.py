@@ -29,10 +29,18 @@ scanned, mirroring the continuous case.
 Both searches take the variable's values grouped by the node's dataset
 (``SurvivalDataset.grouping``), the same grouping the node's
 instability tests used; a factor is grouped by its integer codes.
+
+A search ranks its candidates as arrays of cutpoints, statistics and
+left-side sizes and returns them as ``Candidates``, a read-only
+sequence that builds each ``SplitCandidate`` only when that position
+is read.  ``grow`` reads the ranking best first and stops at the first
+split whose children can be fitted, so it builds about one candidate
+per search instead of one per admissible boundary.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +50,14 @@ from .errors import EmptyGroupError
 from .families import EVENT
 from .km import km_fit, km_median
 
-__all__ = ["LogrankResult", "SplitCandidate", "logrank", "candidate_splits", "best_split"]
+__all__ = [
+    "LogrankResult",
+    "SplitCandidate",
+    "Candidates",
+    "logrank",
+    "candidate_splits",
+    "best_split",
+]
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,49 @@ class SplitCandidate:
     statistic: float
     left_n: int
     right_n: int
+
+
+class Candidates(Sequence):
+    """The admissible splits of one search, best |statistic| first.
+
+    Holds the ranked cutpoints, statistics and left-side sizes and
+    builds the ``SplitCandidate`` at a position when it is read.
+    Compares equal to a list of the same candidates in the same order.
+    """
+
+    def __init__(self, variable, kind, mode, n, cutpoints, statistics, left_n):
+        self._variable = variable
+        self._kind = kind
+        self._mode = mode
+        self._n = n  # subjects with a value: left_n + right_n
+        self._cutpoints = cutpoints
+        self._statistics = statistics
+        self._left_n = left_n
+
+    def __len__(self):
+        return len(self._statistics)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        left_n = self._left_n[i]
+        return SplitCandidate(
+            variable=self._variable,
+            kind=self._kind,
+            cutpoint=self._cutpoints[i],
+            mode=self._mode,
+            statistic=self._statistics[i],
+            left_n=left_n,
+            right_n=self._n - left_n,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Candidates)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"Candidates({list(self)!r})"
 
 
 def _risk_table(times, events):
@@ -114,16 +172,21 @@ def _effective_events(events, mode):
 _BLOCK_CELLS = 1 << 16
 
 
-def _continuous_candidates(variable, times, events, grouping, mode, minbucket):
+# no admissible split: ranked (cutpoints, statistics, left sizes)
+_NONE = ((), (), ())
+
+
+def _continuous_candidates(times, events, grouping, mode, minbucket):
+    """Ranked cutpoints, statistics and left sizes of the midpoints."""
     ev = _effective_events(events, mode)
     n = times.size
     values, counts = grouping.distinct, grouping.counts
     if values.size < 2 or not ev.any():
-        return []
+        return _NONE
     bounds = np.cumsum(counts)[:-1]  # left sizes at each boundary
     admissible = np.nonzero((bounds >= minbucket) & (n - bounds >= minbucket))[0]
     if admissible.size == 0:
-        return []
+        return _NONE
     # bounds increase, so the admissible boundaries are one range
     first, stop = admissible[0], admissible[-1] + 1
 
@@ -145,20 +208,7 @@ def _continuous_candidates(variable, times, events, grouping, mode, minbucket):
     cuts = 0.5 * (values[g] + values[g + 1])
     left = bounds[g]
     ranked = _tolerance_order(stats, cuts)
-    return [
-        SplitCandidate(
-            variable=variable,
-            kind="continuous",
-            cutpoint=cut,
-            mode=mode,
-            statistic=stat,
-            left_n=left_n,
-            right_n=n - left_n,
-        )
-        for cut, stat, left_n in zip(
-            cuts[ranked].tolist(), stats[ranked].tolist(), left[ranked].tolist()
-        )
-    ]
+    return cuts[ranked].tolist(), stats[ranked].tolist(), left[ranked].tolist()
 
 
 def _boundary_variances(k, bounds, first, stop, a, n_risk):
@@ -177,7 +227,9 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
     # subjects left of the first boundary at risk for grid[j]: count of k > j
     hist = np.bincount(k[: starts[first]], minlength=width + 1)
     n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
-    block = np.empty((rows, width))
+    # a * frac * (1.0 - frac), evaluated in place in two block buffers
+    frac = np.empty((rows, width))
+    terms = np.empty((rows, width))
     out = np.empty(stop - first)
     k = k.tolist()
     for g0 in range(first, stop, rows):
@@ -185,9 +237,12 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
         for g in range(g0, g1):
             for k_i in k[starts[g] : starts[g + 1]]:
                 n_left[:k_i] += 1.0
-            block[g - g0] = n_left
-        frac = block[: g1 - g0] / n_risk
-        out[g0 - first : g1 - first] = (a * frac * (1.0 - frac)).sum(axis=1)
+            np.divide(n_left, n_risk, out=frac[g - g0])
+        f, t = frac[: g1 - g0], terms[: g1 - g0]
+        np.multiply(a, f, out=t)
+        np.subtract(1.0, f, out=f)
+        np.multiply(t, f, out=t)
+        t.sum(axis=1, out=out[g0 - first : g1 - first])
     return out
 
 
@@ -202,16 +257,15 @@ def _median_order(times, events, inverse, n_groups, mode):
     return [idx for _, idx in keyed]
 
 
-def _categorical_candidates(variable, times, events, grouping, labels, mode,
-                            minbucket):
-    """Prefix splits of the levels present, ordered by their medians.
+def _categorical_candidates(times, events, grouping, labels, mode, minbucket):
+    """Ranked prefix splits of the levels present, ordered by their medians.
 
     The grouping is by code and codes follow label order, so group
     indices order the levels present as their labels would.
     """
     n_groups = grouping.distinct.size
     if n_groups < 2:
-        return []
+        return _NONE
     if n_groups == 2:
         ordered = [0, 1]
     else:
@@ -219,53 +273,47 @@ def _categorical_candidates(variable, times, events, grouping, labels, mode,
     ev = _effective_events(events, mode)
     group_labels = labels[grouping.distinct]
     on_left = np.zeros(n_groups, dtype=bool)
-    out = []
+    cuts, stats, left = [], [], []
     for i, idx in enumerate(ordered[:-1]):
         on_left[idx] = True
         mask = on_left[grouping.inverse]
         left_n = int(np.count_nonzero(mask))
-        right_n = times.size - left_n
-        if left_n < minbucket or right_n < minbucket:
+        if left_n < minbucket or times.size - left_n < minbucket:
             continue
         res = logrank(times, ev, mask)
         if not res.defined:
             continue
-        out.append(
-            SplitCandidate(
-                variable=variable,
-                kind=CATEGORICAL,
-                cutpoint=tuple(group_labels[ordered[: i + 1]]),
-                mode=mode,
-                statistic=res.statistic,
-                left_n=left_n,
-                right_n=right_n,
-            )
-        )
+        cuts.append(tuple(group_labels[ordered[: i + 1]]))
+        stats.append(res.statistic)
+        left.append(left_n)
     # prefix order breaks ties
-    stats = np.array([c.statistic for c in out])
-    return [out[i] for i in _tolerance_order(stats, range(len(out)))]
+    ranked = _tolerance_order(np.array(stats), range(len(stats)))
+    return ([cuts[i] for i in ranked], [stats[i] for i in ranked],
+            [left[i] for i in ranked])
 
 
-def candidate_splits(data, variable, mode, minbucket) -> list:
+def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     """All admissible splits on one variable, best |statistic| first.
 
     Ties go to the smaller cutpoint (earlier prefix for factors).
     Subjects missing the variable are left out of the tally.  The
     variable's values come grouped from ``data``, which keeps the
-    grouping its instability test already made.
+    grouping its instability test already made.  Each candidate is
+    built when it is read.
     """
     spec = data.spec_for(variable)
     grouping = data.grouping(variable)
     times = data.times[grouping.include]
     events = data.events[grouping.include]
     if times.size == 0:
-        return []
-    if spec.kind == CATEGORICAL:
-        return _categorical_candidates(
-            variable, times, events, grouping, data.levels[variable], mode,
-            minbucket,
+        ranked = _NONE
+    elif spec.kind == CATEGORICAL:
+        ranked = _categorical_candidates(
+            times, events, grouping, data.levels[variable], mode, minbucket
         )
-    return _continuous_candidates(variable, times, events, grouping, mode, minbucket)
+    else:
+        ranked = _continuous_candidates(times, events, grouping, mode, minbucket)
+    return Candidates(variable, spec.kind, mode, times.size, *ranked)
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at

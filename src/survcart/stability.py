@@ -31,12 +31,20 @@ the same adjustment once more across the tested components.
 Within a tree node, a covariate is grouped once
 (``SurvivalDataset.grouping``, by integer code for a factor) and that
 grouping serves both components' tests and the node's split search.
+Each fitted component likewise gets one workspace per node, kept by the
+node's dataset next to its groupings: the component's score
+contributions at the node's data, computed once, and its information
+matrix, checked once, with the inverse (categorical tests) and the
+inverse square root (continuous tests) each made on first use.  Every
+variable's test reads that workspace, so a node with K variables
+evaluates each component's scores once instead of K times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtrc
@@ -55,6 +63,7 @@ __all__ = [
     "fd_quantile",
     "hochberg",
     "GroupedScores",
+    "CheckedInformation",
     "CategoricalResult",
     "ContinuousResult",
     "ComponentTest",
@@ -174,8 +183,13 @@ class GroupedScores:
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
         if scores.shape[0] == 1 and grouping.values.size != 1:
             scores = scores.T
-        sums = np.zeros((grouping.distinct.size, scores.shape[1]))
-        np.add.at(sums, grouping.inverse, scores)
+        n_groups = grouping.distinct.size
+        sums = np.empty((n_groups, scores.shape[1]))
+        for q in range(scores.shape[1]):
+            # adds in subject order from 0.0, as np.add.at would
+            sums[:, q] = np.bincount(
+                grouping.inverse, weights=scores[:, q], minlength=n_groups
+            )
         return cls(
             values=grouping.distinct,
             counts=grouping.counts,
@@ -203,27 +217,47 @@ class ContinuousResult:
     entries: tuple
 
 
-def _check_information(info):
-    info = np.atleast_2d(np.asarray(info, dtype=float))
-    vals = np.linalg.eigvalsh(info)
-    if vals[0] <= 1e-12 * max(abs(vals[-1]), 1e-300):
-        raise SingularInformationError("information matrix is singular")
-    return info
+class CheckedInformation:
+    """An average information matrix that is positive definite.
+
+    Raises ``SingularInformationError`` otherwise.  The inverse and the
+    inverse square root are each made on first use, so a tree node that
+    tests many variables against one fitted component makes them once.
+    """
+
+    def __init__(self, info):
+        info = np.atleast_2d(np.asarray(info, dtype=float))
+        vals = np.linalg.eigvalsh(info)
+        if vals[0] <= 1e-12 * max(abs(vals[-1]), 1e-300):
+            raise SingularInformationError("information matrix is singular")
+        self.matrix = info
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.matrix)
+
+    @cached_property
+    def inverse_sqrt(self) -> np.ndarray:
+        return inv_sqrt(self.matrix)
+
+
+def _checked(info) -> CheckedInformation:
+    return info if isinstance(info, CheckedInformation) else CheckedInformation(info)
 
 
 def categorical_test(scores, info, labels) -> CategoricalResult:
     """Joint chi-square instability test over the levels of a factor.
 
+    info is the information matrix, or its ``CheckedInformation``;
     labels are the factor's values, or their ``Grouping``.
     """
     grouped = GroupedScores.from_values(labels, scores)
     if grouped.n_groups < 2:
         raise TooFewGroupsError("categorical test needs at least 2 levels")
-    info = _check_information(info)
-    inv = np.linalg.inv(info)
-    quad = np.einsum("gi,ij,gj->g", grouped.sums, inv, grouped.sums)
+    info = _checked(info)
+    quad = np.einsum("gi,ij,gj->g", grouped.sums, info.inverse, grouped.sums)
     stat = float(np.sum(quad / grouped.counts))
-    df = info.shape[0] * (grouped.n_groups - 1)
+    df = info.matrix.shape[0] * (grouped.n_groups - 1)
     return CategoricalResult(
         statistic=stat,
         df=df,
@@ -235,15 +269,16 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
 def continuous_test(scores, info, x, param_names=None) -> ContinuousResult:
     """Per-parameter bridge-supremum instability test along an ordering.
 
-    x is the covariate values, or their ``Grouping``.
+    info is the information matrix, or its ``CheckedInformation``; x is
+    the covariate values, or their ``Grouping``.
     """
     grouped = GroupedScores.from_values(x, scores)
     if grouped.n_groups < 2:
         raise TooFewGroupsError("continuous test needs at least 2 distinct values")
-    info = _check_information(info)
+    info = _checked(info)
     n = int(grouped.counts.sum())
     partial = grouped.cumsums[:-1]  # boundaries g = 1 .. G-1
-    standardized = (partial @ inv_sqrt(info)) / math.sqrt(n)
+    standardized = (partial @ info.inverse_sqrt) / math.sqrt(n)
     d_stats = np.max(np.abs(standardized), axis=0)
     if param_names is None:
         param_names = tuple(f"param{q}" for q in range(d_stats.size))
@@ -290,10 +325,10 @@ def _skipped(component, reason):
     )
 
 
-def _component_test(component, model, scores, kind, x):
+def _component_test(component, model, scores, kind, x, info):
     names = get_family(model.family).param_names
     if kind == CATEGORICAL:
-        res = categorical_test(scores, model.info, x)
+        res = categorical_test(scores, info, x)
         return ComponentTest(
             component=component,
             tested=True,
@@ -303,7 +338,7 @@ def _component_test(component, model, scores, kind, x):
             df=res.df,
             small_groups=res.small_groups,
         )
-    res = continuous_test(scores, model.info, x, param_names=names)
+    res = continuous_test(scores, info, x, param_names=names)
     raw = [e[2] for e in res.entries]
     adjusted = hochberg(raw)
     return ComponentTest(
@@ -312,6 +347,19 @@ def _component_test(component, model, scores, kind, x):
         component_p=float(adjusted.min()),
         entries=res.entries,
         adjusted=tuple(float(a) for a in adjusted),
+    )
+
+
+def _workspace(data, model):
+    """Scores of ``model`` at ``data`` and its checked information.
+
+    Made on the first test of a node and kept by ``data`` (one per
+    component, for this model object) until ``drop_groupings``.
+    """
+    return data.workspace(
+        model.component,
+        model,
+        lambda: (score_contributions(model, data), CheckedInformation(model.info)),
     )
 
 
@@ -330,7 +378,8 @@ def variable_test(
     censoring side is not modeled at all.  Skipped components do not
     enter the across-component Hochberg family.  Both components use
     the grouping that ``data`` keeps for the variable, which the split
-    search of the node reuses.
+    search of the node reuses, and each component's workspace that
+    ``data`` keeps for the node's other variables.
     """
     spec = data.spec_for(variable)
     grouping = data.grouping(variable)
@@ -356,14 +405,14 @@ def variable_test(
         )
 
     if event_model is not None:
-        scores = score_contributions(event_model, data)[include]
+        scores, info = _workspace(data, event_model)
         event_ct = _component_test(
-            EVENT, event_model, scores, spec.kind, grouping
+            EVENT, event_model, scores[include], spec.kind, grouping, info
         )
     if censor_enabled and censor_model is not None:
-        scores = score_contributions(censor_model, data)[include]
+        scores, info = _workspace(data, censor_model)
         censor_ct = _component_test(
-            CENSOR, censor_model, scores, spec.kind, grouping
+            CENSOR, censor_model, scores[include], spec.kind, grouping, info
         )
 
     tested = [ct for ct in (event_ct, censor_ct) if ct.tested]

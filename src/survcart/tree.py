@@ -234,7 +234,8 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
                         left_models, right_models)
             break
         # release the groupings shared by the tests and the split search
-        # of this node; they would otherwise live while its subtree grows
+        # of this node, and its test workspaces; they would otherwise
+        # live while its subtree grows
         subset.drop_groupings()
         if accepted is None:
             leaf(node, STOP_NO_ADMISSIBLE_SPLIT)

@@ -304,6 +304,21 @@ def test_cli_stabtest_reports_components(demo_csv, capsys):
     assert "component_p" in header and "variable_p" in header
 
 
+def test_cli_stabtest_weibull_on_tied_times_is_fit_error(tmp_path, capsys):
+    # every event at one time: the Weibull fit has no MLE, which used to
+    # escape as an OverflowError traceback
+    path = tmp_path / "tied.csv"
+    path.write_text("time,status,x\n" + "".join(
+        f"0.3,1,{i}\n" for i in range(6)))
+    code = main(["stabtest", "--data", str(path), "--time", "time",
+                 "--event", "status", "--vars", "x:cont", "--var", "x",
+                 "--time-dist", "weibull"])
+    assert code == EXIT_FIT
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_cli_stabtest_unknown_variable_is_config_error(demo_csv, capsys):
     code = main(["stabtest", "--data", demo_csv, "--time", "time",
                  "--event", "status", "--vars", "age:cont",

@@ -11,6 +11,7 @@ from survcart import (
     DegenerateComponentError,
     FittedModel,
     InvalidTimeError,
+    NonConvergenceError,
     SurvivalDataset,
     fit,
     get_family,
@@ -56,6 +57,15 @@ def test_weibull_recovers_exponential_sample():
     alpha, lam = m.params
     assert 0.95 <= alpha <= 1.05
     assert 0.045 <= lam <= 0.055
+
+
+@pytest.mark.parametrize("n_tied", [1, 2, 3, 5])
+def test_weibull_tied_times_do_not_converge(n_tied):
+    # all times tied: the profile likelihood rises without bound in the
+    # shape, so there is no MLE (1, 2 and 5 tied times used to overflow
+    # instead of failing cleanly)
+    with pytest.raises(NonConvergenceError):
+        fit("weibull", EVENT, ds(np.full(n_tied, 0.3), np.ones(n_tied)))
 
 
 def test_weibull_nests_exponential_loglik():

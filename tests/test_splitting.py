@@ -17,7 +17,7 @@ from survcart import (
 )
 from survcart import splitting
 from survcart.simlab import generate_tree_data
-from survcart.splitting import SplitCandidate, candidate_splits
+from survcart.splitting import Candidates, SplitCandidate, candidate_splits
 
 from conftest import (
     TIE_RTOL,
@@ -301,6 +301,38 @@ def test_tolerance_order_equals_sorted_ranking(seed):
              for c, s in zip(cuts, stats)]
     want = sort_ranked(cands, lambda item: item[1].cutpoint)
     assert [cands[i] for i in splitting._tolerance_order(stats, cuts)] == want
+
+
+@given(seed=st.integers(0, 2**31 - 1), minbucket=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_candidates_read_as_their_ranked_list(seed, minbucket):
+    # the lazy sequence reads as the list the label and dense oracles rank
+    node, labels, x = factor_child_node(seed)
+    present = ~missing_labels(labels)
+    finite = ~np.isnan(x)
+    t, e = node.times, node.events
+    for name, want in (
+        ("g", sort_ranked(label_categorical_candidates(
+            "g", t[present], e[present], labels[present], EVENT, minbucket),
+            lambda item: item[0])),
+        ("x", sort_ranked(dense_continuous_candidates(
+            "x", t[finite], e[finite], x[finite], EVENT, minbucket),
+            lambda item: item[1].cutpoint)),
+    ):
+        cands = candidate_splits(node, name, EVENT, minbucket)
+        assert isinstance(cands, Candidates)
+        assert len(cands) == len(want)
+        assert bool(cands) == bool(want)
+        assert list(cands) == want
+        assert cands == want and want == cands
+        assert cands == candidate_splits(node, name, EVENT, minbucket)
+        assert (cands != want[:-1]) == bool(want)
+        assert cands[1:3] == want[1:3]
+        for i in range(-len(want), len(want)):
+            assert cands[i] == want[i]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                cands[i]
 
 
 def test_split_search_memory_stays_bounded():

@@ -1,3 +1,6 @@
+import dataclasses
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +24,14 @@ from survcart import (
     score_contributions,
     variable_test,
 )
+from survcart import stability
 from survcart.errors import (
     DegenerateComponentError,
     NonConvergenceError,
     SingularInformationError,
 )
-from survcart.stability import GroupedScores
+from survcart.datasets import Grouping
+from survcart.stability import CheckedInformation, GroupedScores
 
 from conftest import (
     censored_exponential,
@@ -284,14 +289,48 @@ def test_grouped_scores_totals():
     assert g.cumsums[-1, 0] == pytest.approx(10.0)
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 60),
+    n_values=st.integers(1, 6),
+    width=st.sampled_from([1, 2]),
+)
+@settings(max_examples=150, deadline=None)
+def test_grouped_sums_equal_add_at(seed, n, n_values, width):
+    # per-column bincount adds in subject order from 0.0, like np.add.at
+    rng = rng_for(309, seed)
+    x = rng.integers(0, n_values, n).astype(float)  # tied; one group at 1
+    scores = rng.normal(0.0, 1.0, (n, width)) * rng.choice([1e-8, 1.0, 1e8], n)[:, None]
+    grouping = Grouping.of(x)
+    want = np.zeros((grouping.distinct.size, width))
+    np.add.at(want, grouping.inverse, scores)
+    got = GroupedScores.from_values(x, scores)
+    assert np.array_equal(got.sums, want)
+    assert np.array_equal(got.cumsums, np.cumsum(want, axis=0))
+
+
+def test_tests_take_checked_information():
+    rng = rng_for(310, 0)
+    t, e = censored_exponential(rng, 80, 0.1, 0.3)
+    data = SurvivalDataset(t, e)
+    m = fit("weibull", EVENT, data)
+    u = score_contributions(m, data)
+    checked = CheckedInformation(m.info)
+    x = rng.normal(0.0, 1.0, 80)
+    labels = np.array(["a", "b", "c"], object)[rng.integers(0, 3, 80)]
+    assert continuous_test(u, checked, x) == continuous_test(u, m.info, x)
+    assert categorical_test(u, checked, labels) == categorical_test(u, m.info, labels)
+    with pytest.raises(SingularInformationError):
+        CheckedInformation(np.diag([1.0, 0.0]))
+
+
 # --- per-variable combination ----------------------------------------------
 
 def _fit_or_none(family, component, data):
     try:
         return fit(family, component, data)
-    except (DegenerateComponentError, NonConvergenceError, OverflowError):
-        # fit failures are not what these tests check; a Weibull fit on
-        # one distinct time overflows instead of failing cleanly
+    except (DegenerateComponentError, NonConvergenceError):
+        # fit failures are not what these tests check
         return None
 
 
@@ -323,6 +362,37 @@ def test_coded_variable_test_equals_label_oracle(seed, families,
         got = _report_or_error(lambda: variable_test(
             node, name, ev, ce, censor_enabled=censor_enabled))
         assert got == want
+
+
+def test_node_workspace_follows_the_model_object():
+    # variable_test reuses a node's workspace only for the model object
+    # that made it, and drop_groupings releases it
+    rng = rng_for(311, 0)
+    t, e = censored_exponential(rng, 120, 0.1, 0.3)
+    x = rng.normal(0.0, 1.0, 120)
+    data = one_var_dataset(t, e, x, "continuous")
+    first = fit("exponential", EVENT, data)
+    other = dataclasses.replace(first, params=first.params * 3.0)
+
+    def fresh(model):
+        return variable_test(data.subset(np.arange(data.n)), "x", model, None)
+
+    want = {id(first): fresh(first), id(other): fresh(other)}
+    assert want[id(first)] != want[id(other)]
+    scored = []
+    real_scores = stability.score_contributions
+
+    def counting_scores(model, node):
+        scored.append(model)
+        return real_scores(model, node)
+
+    with patch.object(stability, "score_contributions", counting_scores):
+        for model, calls in ((first, 1), (first, 1), (other, 2), (first, 3)):
+            assert variable_test(data, "x", model, None) == want[id(model)]
+            assert len(scored) == calls
+        data.drop_groupings()
+        assert variable_test(data, "x", first, None) == want[id(first)]
+        assert len(scored) == 4
 
 
 def grown_models(data):

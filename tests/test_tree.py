@@ -14,16 +14,21 @@ from survcart import (
     SurvivalDataset,
     TreeConfig,
     TreeMetrics,
+    TreeRecoveryDesign,
     TruthMismatchError,
     TruthSpec,
     grow,
     predict_node,
+    replicate_rng,
     tree_metrics,
 )
-from survcart import datasets
+from survcart import datasets, splitting, stability
+from survcart import tree as tree_module
 from survcart.datasets import CovariateSpec
+from survcart.simlab import generate_tree_data
 from survcart.splitting import candidate_splits
 from survcart.tree import (
+    STOP_FIT_FAILURE,
     STOP_MAX_DEPTH,
     STOP_NO_SIGNIFICANT_VARIABLE,
     STOP_NO_TESTABLE_COMPONENT,
@@ -298,6 +303,85 @@ def test_grow_groups_each_covariate_once_per_node():
     assert tree.n_leaves > 2
     assert len(groupings) == 2 * len(tested)
     assert object not in sorted_dtypes  # labels are never sorted while growing
+
+
+def four_subgroup_data():
+    return generate_tree_data(TreeRecoveryDesign(n_per_subgroup=150),
+                              replicate_rng(7, 0))[0]
+
+
+def test_grow_scores_each_component_once_per_node():
+    # every variable's test at a node reads one workspace per component
+    scored, tested = [], []
+    real_scores = stability.score_contributions
+    real_test = tree_module.variable_test
+
+    def counting_scores(model, node):
+        scored.append((node, model.component))
+        return real_scores(model, node)
+
+    def recording_test(node, *args, **kwargs):
+        if not any(node is seen for seen in tested):
+            tested.append(node)
+        return real_test(node, *args, **kwargs)
+
+    with patch.object(stability, "score_contributions", counting_scores), \
+            patch.object(tree_module, "variable_test", recording_test):
+        grown = grow(four_subgroup_data(), TreeConfig())
+    assert grown.n_leaves > 2
+    assert 0 < len(scored) <= 2 * len(tested)
+    for i, (node, component) in enumerate(scored):
+        assert not any(seen is node and c == component
+                       for seen, c in scored[:i])
+
+
+def test_grow_builds_only_the_candidates_it_reads():
+    built, read, returned = [], [], []
+    real_candidate = splitting.SplitCandidate
+    real_masks = tree_module._split_masks
+    real_search = tree_module.candidate_splits
+
+    def counting_candidate(*args, **kwargs):
+        built.append(1)
+        return real_candidate(*args, **kwargs)
+
+    def counting_masks(node, split):
+        read.append(split)
+        return real_masks(node, split)
+
+    def counting_search(*args, **kwargs):
+        cands = real_search(*args, **kwargs)
+        returned.append(len(cands))
+        return cands
+
+    with patch.object(splitting, "SplitCandidate", counting_candidate), \
+            patch.object(tree_module, "_split_masks", counting_masks), \
+            patch.object(tree_module, "candidate_splits", counting_search):
+        grown = grow(four_subgroup_data(), TreeConfig())
+    assert grown.n_leaves > 2
+    assert len(built) == len(read)
+    assert grown.n_leaves - 1 <= len(read) < sum(returned)
+
+
+def test_grow_survives_weibull_fits_on_tied_times():
+    # the best split puts the two earliest events, tied, alone on the
+    # left, where the Weibull fit has no MLE; grow used to abort with an
+    # OverflowError there instead of trying the next candidate
+    rng = rng_for(515, 2)
+    n = 62
+    t = np.concatenate([[0.05, 0.05], 0.2 + rng.exponential(1.0, n - 2)])
+    e = np.concatenate([[True, True], rng.random(n - 2) < 0.7])
+    data = SurvivalDataset(t, e, meta=(CovariateSpec("x", "continuous"),),
+                           columns={"x": np.arange(n, dtype=float)})
+    config = TreeConfig(alpha=0.5, minsplit=4, minbucket=2,
+                        event_dist="weibull")
+    grown = grow(data, config)
+    split = grown.root.split
+    assert candidate_splits(data, "x", split.mode, 2)[0].cutpoint == 1.5
+    assert split.cutpoint == 2.5
+    # no MLE at the root: a recorded stop, not an exception
+    tied = SurvivalDataset(np.full(5, 0.3), np.ones(5, bool))
+    assert grow(tied, config).root.stop_reason == STOP_FIT_FAILURE
 
 
 # --- recovery metrics -------------------------------------------------------
