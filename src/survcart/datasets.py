@@ -69,10 +69,40 @@ class Grouping:
 
     @classmethod
     def of(cls, values, include=None) -> "Grouping":
-        distinct, inverse, counts = np.unique(
-            values, return_inverse=True, return_counts=True
-        )
-        return cls(include, values, distinct, inverse, counts)
+        """Group a 1-d array of floats, integer codes or orderable labels.
+
+        The result is exactly ``np.unique(values, return_inverse=True,
+        return_counts=True)``, built from the same single argsort (the
+        default quicksort, so even which of -0.0 and 0.0 stands for their
+        group agrees): one pass flags where the sorted values change,
+        the running count of those flags scattered back through the sort
+        order is the inverse, and the gaps between flagged positions are
+        the counts.  As in ``np.unique``, all float NaNs form one group,
+        the last.
+        """
+        order = values.argsort()
+        ordered = values[order]
+        n = ordered.size
+        if n == 0:
+            empty = np.empty(0, dtype=np.intp)
+            return cls(include, values, ordered, empty, empty)
+        starts_group = np.empty(n, dtype=bool)
+        starts_group[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
+        last = ordered[-1]
+        if ordered.dtype.kind == "f" and last != last:
+            first_nan = np.searchsorted(ordered, last)
+            starts_group[first_nan] = True
+            starts_group[first_nan + 1:] = False
+        starts = starts_group.nonzero()[0]
+        codes = np.cumsum(starts_group)
+        codes -= 1
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = codes
+        counts = np.empty(starts.size, dtype=np.intp)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = n - starts[-1]
+        return cls(include, values, ordered[starts], inverse, counts)
 
 
 def is_missing_value(value) -> bool:

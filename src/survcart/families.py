@@ -66,7 +66,17 @@ def _mills_ratio(y):
     return np.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(-y))
 
 
-class _Exponential:
+class _Family:
+    """What ``fit`` asks of a family, given times and 0/1 weights w."""
+
+    @classmethod
+    def fitted(cls, times, w, d):
+        """MLE, log likelihood and information; d is ``float(w.sum())``."""
+        params = cls.fit_params(times, w)
+        return params, cls.loglik(times, w, params), cls.information(times, w, params)
+
+
+class _Exponential(_Family):
     name = "exponential"
     param_names = ("rate",)
     positive_time = True
@@ -93,8 +103,17 @@ class _Exponential:
         frac = float(w.sum()) / times.size
         return np.array([[frac / lam**2]])
 
+    @staticmethod
+    def fitted(times, w, d):
+        # the three methods above in one pass: D and sum(t) summed once
+        st = float(times.sum())
+        params = np.array([d / st])
+        lam = params[0]
+        frac = d / times.size
+        return params, d * math.log(lam) - lam * st, np.array([[frac / lam**2]])
 
-class _Weibull:
+
+class _Weibull(_Family):
     name = "weibull"
     param_names = ("shape", "rate")
     positive_time = True
@@ -177,7 +196,7 @@ class _Weibull:
         return np.array([[j_aa, j_al], [j_al, j_ll]])
 
 
-class _LocationScale:
+class _LocationScale(_Family):
     """Shared Newton machinery for the lognormal and normal families."""
 
     param_names = ("mu", "sigma")
@@ -368,18 +387,19 @@ def fit(family: str, component: str, data) -> FittedModel:
     times = np.asarray(data.times, dtype=float)
     _check_times(fam, times)
     w = _effective_indicator(data.events, component)
-    n_contributing = int(round(float(w.sum())))
+    d = float(w.sum())
+    n_contributing = int(round(d))
     if n_contributing == 0:
         raise DegenerateComponentError(
             f"no contributing observations for the {component} component"
         )
-    params = fam.fit_params(times, w)
+    params, loglik, info = fam.fitted(times, w, d)
     return FittedModel(
         family=fam.name,
         component=component,
         params=params,
-        loglik=fam.loglik(times, w, params),
-        info=fam.information(times, w, params),
+        loglik=loglik,
+        info=info,
         n_used=times.size,
         n_contributing=n_contributing,
     )
@@ -412,7 +432,14 @@ def loglik_and_aic(leaves) -> tuple:
 
 
 def inv_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Symmetric inverse square root with eigenvalues clipped at ``floor``."""
-    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    """Symmetric inverse square root with eigenvalues clipped at ``floor``.
+
+    A 1 x 1 matrix is its own eigenvalue with eigenvector 1.0, as LAPACK
+    returns it, so its inverse square root is written out directly.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape == (1, 1):
+        return 1.0 / np.sqrt(np.maximum(matrix, floor))
+    vals, vecs = np.linalg.eigh(matrix)
     vals = np.maximum(vals, floor)
     return (vecs / np.sqrt(vals)) @ vecs.T

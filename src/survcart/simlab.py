@@ -93,6 +93,8 @@ class SizeDesign:
             raise ValueError("censoring_rate must lie in [0, 1)")
         if self.n < 2 or self.replicates < 1:
             raise ValueError("n and replicates must be positive")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
 
     @property
     def rate_censor(self) -> float:
@@ -116,6 +118,8 @@ class PowerDesign:
             raise ValueError("rates must be positive (censor rate nonnegative)")
         if self.n1 < 1 or self.n2 < 1 or self.replicates < 1:
             raise ValueError("sample sizes and replicates must be positive")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
 
 
 # Per-subgroup (event rate, censor rate): X1 separates {1,2} from {3,4},
@@ -245,67 +249,57 @@ class RejectionResult:
         return row
 
 
-def run_size(design: SizeDesign, seed: int, threads: int = 1) -> RejectionResult:
-    """Rejection rate of the event-rate test under homogeneity."""
+def _censoring(rate: float, n: int, rng) -> np.ndarray:
+    """Censoring times at ``rate``; none (all infinite) at rate 0."""
+    return gen_exponential(rate, n, rng) if rate > 0 else np.full(n, np.inf)
+
+
+def _run_rejection(kind, design, seed: int, threads: int, draw) -> RejectionResult:
+    """Rejection rate of the event-rate test over one cell's replicates.
+
+    ``draw(rng)`` makes one replicate's latent event times, censoring
+    times and covariate from that replicate's stream.
+    """
     threshold = fd_quantile(1.0 - design.level)
-    lam_c = design.rate_censor
-    n = design.n
-    half = n // 2
 
     def one(rep: int) -> bool:
-        rng = replicate_rng(seed, rep)
-        tstar = gen_exponential(design.rate_event, n, rng)
-        cens = (
-            gen_exponential(lam_c, n, rng) if lam_c > 0 else np.full(n, np.inf)
-        )
-        u = rng.random(n)
-        x = np.where(np.arange(n) < half, 10.0 * u, 10.0 + 10.0 * u)
-        times = np.minimum(tstar, cens)
-        events = tstar <= cens
-        return event_rate_instability_p(times, events, x) < design.level
+        tstar, cens, x = draw(replicate_rng(seed, rep))
+        p = event_rate_instability_p(np.minimum(tstar, cens), tstar <= cens, x)
+        return p < design.level
 
     hits = _map_replicates(one, design.replicates, threads)
     return RejectionResult(
-        kind="size",
-        design=design,
-        seed=seed,
-        replicates=design.replicates,
-        n_reject=int(sum(hits)),
-        threshold=threshold,
+        kind, design, seed, design.replicates, int(sum(hits)), threshold
     )
+
+
+def run_size(design: SizeDesign, seed: int, threads: int = 1) -> RejectionResult:
+    """Rejection rate of the event-rate test under homogeneity."""
+    n = design.n
+    rate_censor = design.rate_censor
+    first_half = np.arange(n) < n // 2
+
+    def draw(rng):
+        tstar = gen_exponential(design.rate_event, n, rng)
+        cens = _censoring(rate_censor, n, rng)
+        u = rng.random(n)
+        return tstar, cens, np.where(first_half, 10.0 * u, 10.0 + 10.0 * u)
+
+    return _run_rejection("size", design, seed, threads, draw)
 
 
 def run_power(design: PowerDesign, seed: int, threads: int = 1) -> RejectionResult:
     """Rejection rate of the event-rate test across two true subgroups."""
-    threshold = fd_quantile(1.0 - design.level)
+    n1, n2 = design.n1, design.n2
 
-    def one(rep: int) -> bool:
-        rng = replicate_rng(seed, rep)
-        t1 = gen_exponential(design.rate_event_1, design.n1, rng)
-        t2 = gen_exponential(design.rate_event_2, design.n2, rng)
-        tstar = np.concatenate([t1, t2])
-        n = design.n1 + design.n2
-        cens = (
-            gen_exponential(design.rate_censor, n, rng)
-            if design.rate_censor > 0
-            else np.full(n, np.inf)
-        )
-        x = np.concatenate(
-            [10.0 * rng.random(design.n1), 10.0 + 10.0 * rng.random(design.n2)]
-        )
-        times = np.minimum(tstar, cens)
-        events = tstar <= cens
-        return event_rate_instability_p(times, events, x) < design.level
+    def draw(rng):
+        t1 = gen_exponential(design.rate_event_1, n1, rng)
+        t2 = gen_exponential(design.rate_event_2, n2, rng)
+        cens = _censoring(design.rate_censor, n1 + n2, rng)
+        x = np.concatenate([10.0 * rng.random(n1), 10.0 + 10.0 * rng.random(n2)])
+        return np.concatenate([t1, t2]), cens, x
 
-    hits = _map_replicates(one, design.replicates, threads)
-    return RejectionResult(
-        kind="power",
-        design=design,
-        seed=seed,
-        replicates=design.replicates,
-        n_reject=int(sum(hits)),
-        threshold=threshold,
-    )
+    return _run_rejection("power", design, seed, threads, draw)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,9 @@ contributions at the node's data, computed once, and its information
 matrix, checked once, with the inverse (categorical tests) and the
 inverse square root (continuous tests) each made on first use.  Every
 variable's test reads that workspace, so a node with K variables
-evaluates each component's scores once instead of K times.
+evaluates each component's scores once instead of K times.  A
+one-parameter family's 1 x 1 information is checked and inverted in
+closed form, with the bits LAPACK would give.
 """
 
 from __future__ import annotations
@@ -144,10 +146,23 @@ def hochberg(pvalues) -> np.ndarray:
 
     With ascending p_(1) <= ... <= p_(m): adj_(m) = p_(m) and
     adj_(i) = min(adj_(i+1), (m - i + 1) p_(i)), capped at 1.
+
+    One or two p-values, the usual case inside a tree, take the same
+    steps in plain Python: the same products, the same tie order as the
+    stable argsort (NaN sorting last) and the same NaN-keeping minima.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.size == 0:
         raise EmptyInputError("hochberg needs at least one p-value")
+    if p.size == 1:
+        return np.minimum(p, 1.0)
+    if p.size == 2:
+        a, b = p.tolist()
+        swapped = b < a or (a != a and b == b)
+        low, high = (b, a) if swapped else (a, b)
+        low = min(min(high, 2 * low), 1.0)
+        high = min(high, 1.0)
+        return np.array([high, low] if swapped else [low, high])
     order = np.argsort(p, kind="stable")
     sp = p[order]
     m = p.size
@@ -163,13 +178,15 @@ def hochberg(pvalues) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupedScores:
-    """Score sums grouped by the distinct values of one covariate."""
+    """Score sums grouped by the distinct values of one covariate.
+
+    The cumulative sizes and the running sums are made on first read:
+    only the continuous test reads the running sums.
+    """
 
     values: np.ndarray      # distinct covariate values, ascending
     counts: np.ndarray      # group sizes m_g
-    boundaries: np.ndarray  # cumulative sizes M_g
     sums: np.ndarray        # G x p per-group score sums
-    cumsums: np.ndarray     # G x p running sums in value order
 
     @classmethod
     def from_values(cls, x, scores) -> "GroupedScores":
@@ -183,20 +200,28 @@ class GroupedScores:
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
         if scores.shape[0] == 1 and grouping.values.size != 1:
             scores = scores.T
-        n_groups = grouping.distinct.size
-        sums = np.empty((n_groups, scores.shape[1]))
-        for q in range(scores.shape[1]):
-            # adds in subject order from 0.0, as np.add.at would
-            sums[:, q] = np.bincount(
-                grouping.inverse, weights=scores[:, q], minlength=n_groups
-            )
+        n_groups, width = grouping.distinct.size, scores.shape[1]
+        # one bincount over (group, parameter) cells of the row-major
+        # scores: each cell adds in subject order from 0.0, as np.add.at would
+        cells = grouping.inverse
+        if width > 1:
+            cells = (cells[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(cells, weights=scores.ravel(), minlength=n_groups * width)
         return cls(
             values=grouping.distinct,
             counts=grouping.counts,
-            boundaries=np.cumsum(grouping.counts),
-            sums=sums,
-            cumsums=np.cumsum(sums, axis=0),
+            sums=sums.reshape(n_groups, width),
         )
+
+    @cached_property
+    def boundaries(self) -> np.ndarray:
+        """Cumulative group sizes M_g."""
+        return np.cumsum(self.counts)
+
+    @cached_property
+    def cumsums(self) -> np.ndarray:
+        """G x p running score sums in value order."""
+        return np.cumsum(self.sums, axis=0)
 
     @property
     def n_groups(self) -> int:
@@ -223,11 +248,13 @@ class CheckedInformation:
     Raises ``SingularInformationError`` otherwise.  The inverse and the
     inverse square root are each made on first use, so a tree node that
     tests many variables against one fitted component makes them once.
+    A 1 x 1 matrix (a one-parameter family) is its own eigenvalue, which
+    is exactly what LAPACK returns for it, so it skips the eigensolver.
     """
 
     def __init__(self, info):
         info = np.atleast_2d(np.asarray(info, dtype=float))
-        vals = np.linalg.eigvalsh(info)
+        vals = info[0] if info.shape == (1, 1) else np.linalg.eigvalsh(info)
         if vals[0] <= 1e-12 * max(abs(vals[-1]), 1e-300):
             raise SingularInformationError("information matrix is singular")
         self.matrix = info
@@ -279,7 +306,7 @@ def continuous_test(scores, info, x, param_names=None) -> ContinuousResult:
     n = int(grouped.counts.sum())
     partial = grouped.cumsums[:-1]  # boundaries g = 1 .. G-1
     standardized = (partial @ info.inverse_sqrt) / math.sqrt(n)
-    d_stats = np.max(np.abs(standardized), axis=0)
+    d_stats = np.abs(standardized, out=standardized).max(axis=0)
     if param_names is None:
         param_names = tuple(f"param{q}" for q in range(d_stats.size))
     entries = tuple(

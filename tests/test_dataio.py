@@ -380,6 +380,24 @@ def test_cli_simulate_malformed_spec_exit(tmp_path, capsys):
     assert main(["simulate", "--spec", str(zero), "--reps", "0"]) == EXIT_SPEC
 
 
+@pytest.mark.parametrize("design, level", [
+    ("experiment = size\nn = 100\n", "1.5"),
+    ("experiment = size\nn = 100\n", "0"),
+    ("experiment = power\nrate_event_1 = 0.05\nrate_event_2 = 0.025\n"
+     "rate_censor = 0.03\n", "0"),
+    ("experiment = power\nrate_event_1 = 0.05\nrate_event_2 = 0.025\n"
+     "rate_censor = 0.03\n", "1.5"),
+])
+def test_cli_simulate_out_of_range_level_is_spec_error(tmp_path, capsys,
+                                                      design, level):
+    spec = tmp_path / "level.spec"
+    spec.write_text(f"{design}replicates = 5\nlevel = {level}\n")
+    assert main(["simulate", "--spec", str(spec)]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("error: level must lie in (0, 1)")
+    assert "Traceback" not in err
+
+
 def test_cli_simulate_writes_csv_file(tmp_path, capsys):
     spec = tmp_path / "s.spec"
     spec.write_text("experiment = size\nn = 100\nreplicates = 10\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcart import (
     CATEGORICAL,
@@ -11,6 +13,7 @@ from survcart import (
     SurvivalRecord,
     UnknownVariableError,
 )
+from survcart.datasets import Grouping
 from survcart.errors import EmptyDatasetError
 
 
@@ -155,3 +158,65 @@ def test_from_records_round_trip():
     assert ds.n == 2
     assert np.isnan(ds.covariate("age")[1])
     assert ds.subject_ids[0] == "p1"
+
+
+# --- Grouping.of against np.unique -----------------------------------------
+
+def assert_groups_like_unique(values):
+    got = Grouping.of(values)
+    distinct, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    assert got.values is values
+    assert got.distinct.dtype == distinct.dtype
+    if distinct.dtype.kind == "f":
+        assert np.array_equal(got.distinct, distinct, equal_nan=True)
+        # which of -0.0 and 0.0 stands for their group agrees too
+        assert np.array_equal(np.signbit(got.distinct), np.signbit(distinct))
+    else:
+        assert list(got.distinct) == list(distinct)
+    for mine, theirs in ((got.inverse, inverse), (got.counts, counts)):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+
+
+FLOAT_POOL = (0.0, -0.0, 1.5, -2.0, 1e-300, 7.0, np.nan, -np.nan, np.inf)
+
+
+@given(st.lists(st.sampled_from(FLOAT_POOL) | st.floats(), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_grouping_of_floats_matches_unique(values):
+    assert_groups_like_unique(np.array(values, dtype=float))
+
+
+@given(st.lists(st.integers(-1, 6), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_grouping_of_codes_matches_unique(codes):
+    assert_groups_like_unique(np.array(codes, dtype=np.intp))
+
+
+@given(st.lists(st.sampled_from(["b", "a", "Z", "a1", ""]), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_grouping_of_labels_matches_unique(labels):
+    assert_groups_like_unique(np.array(labels, dtype=object))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3.5]),
+    np.array([np.nan]),
+    np.array([-0.0]),
+    np.array([], dtype=float),
+    np.array([np.nan, 1.0, np.nan, -0.0, 0.0, 1.0]),
+])
+def test_grouping_of_small_cases_match_unique(values):
+    assert_groups_like_unique(values)
+
+
+def test_grouping_of_large_tied_floats_match_unique():
+    # long enough for the sort's vectorized paths
+    rng = np.random.default_rng(111)
+    values = np.round(rng.normal(0.0, 2.0, 5000))
+    values[rng.random(5000) < 0.1] = -0.0
+    values[rng.random(5000) < 0.05] = np.nan
+    assert_groups_like_unique(values)
+    assert_groups_like_unique(rng.random(5000))

@@ -228,3 +228,26 @@ def test_inv_sqrt_inverts():
     m = a @ a.T + 3.0 * np.eye(3)
     r = inv_sqrt(m)
     assert np.allclose(r @ m @ r, np.eye(3), atol=1e-10)
+
+
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from([EVENT, CENSOR]))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_exponential_fit_matches_family_formulas(times, seed, component):
+    # fit sums D and the exposure once; the three formulas sum them apiece
+    events = rng_for(111, seed).random(len(times)) < 0.6
+    data = ds(times, events)
+    t = np.asarray(times, float)
+    w = events.astype(float) if component == EVENT else 1.0 - events
+    if not w.any():
+        with pytest.raises(DegenerateComponentError):
+            fit("exponential", component, data)
+        return
+    m = fit("exponential", component, data)
+    params = _Exponential.fit_params(t, w)
+    loglik = _Exponential.loglik(t, w, params)
+    assert np.array_equal(m.params, params)
+    assert m.loglik == loglik and type(m.loglik) is type(loglik)
+    assert np.array_equal(m.info, _Exponential.information(t, w, params))
+    assert m.n_contributing == int(w.sum())

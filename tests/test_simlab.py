@@ -279,6 +279,9 @@ def test_parse_spec_default_configs():
     "experiment = size\nn = many\n",                        # bad int
     "experiment = size\nseed = soon\n",                     # bad seed
     "experiment = size\nn 100\n",                           # missing '='
+    "experiment = size\nlevel = 1.5\n",                     # level above 1
+    "experiment = power\nrate_event_1 = 0.05\nrate_event_2 = 0.025\n"
+    "rate_censor = 0.03\nlevel = 0\n",                       # level of 0
     "experiment = size\nn =\n",                             # empty value
     "experiment = tree_recovery\nrates = 0.05, 0.02\nreplicates = 1\n",
     "experiment = tree_recovery\nrates = a/b, c/d, e/f, g/h\nreplicates = 1\n",

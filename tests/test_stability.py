@@ -123,6 +123,39 @@ def test_hochberg_permutation_equivariant(pvals, rand):
     assert np.allclose([base[i] for i in perm], shuffled, atol=1e-15)
 
 
+def hochberg_loop(pvalues):
+    """The step-up loop over a stable argsort, for every m."""
+    p = np.asarray(pvalues, dtype=float)
+    order = np.argsort(p, kind="stable")
+    sp = p[order]
+    m = p.size
+    adj = np.empty(m)
+    adj[m - 1] = sp[m - 1]
+    for i in range(m - 2, -1, -1):
+        adj[i] = min(adj[i + 1], (m - i) * sp[i])
+    np.minimum(adj, 1.0, out=adj)
+    out = np.empty(m)
+    out[order] = adj
+    return out
+
+
+P_POOL = (0.0, 0.0, 0.02, 0.02, 0.3, 0.5, 0.5, 0.75, 1.0, 1.5, np.nan)
+
+
+@given(st.lists(st.sampled_from(P_POOL) | st.floats(0.0, 2.0), min_size=1,
+                max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_hochberg_matches_step_up_loop(pvals):
+    # ties, zeros, products above 1 and NaN, in both input orders
+    for values in (pvals, pvals[::-1]):
+        got = hochberg(values)
+        want = hochberg_loop(values)
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_hochberg_ties_share_adjusted_value():
     adj = hochberg([0.02, 0.02, 0.5])
     assert adj[0] == adj[1]
@@ -307,6 +340,40 @@ def test_grouped_sums_equal_add_at(seed, n, n_values, width):
     got = GroupedScores.from_values(x, scores)
     assert np.array_equal(got.sums, want)
     assert np.array_equal(got.cumsums, np.cumsum(want, axis=0))
+
+
+def eigh_checked(entry):
+    """CheckedInformation and inv_sqrt of [[entry]] through LAPACK."""
+    info = np.array([[entry]])
+    vals = np.linalg.eigvalsh(info)
+    if vals[0] <= 1e-12 * max(abs(vals[-1]), 1e-300):
+        raise SingularInformationError("information matrix is singular")
+    vals, vecs = np.linalg.eigh(info)
+    return (vecs / np.sqrt(np.maximum(vals, 1e-12))) @ vecs.T
+
+
+INFO_POOL = (5e-324, 1e-300, 1e-13, 1e-12, 0.25, 1e300, np.inf, 0.0, -0.0,
+             -1.0, -np.inf, np.nan)
+
+
+@given(st.sampled_from(INFO_POOL) | st.floats())
+@settings(max_examples=300, deadline=None)
+def test_one_by_one_information_matches_eigensolver(entry):
+    try:
+        want = eigh_checked(entry)
+    except SingularInformationError:
+        with pytest.raises(SingularInformationError):
+            CheckedInformation([[entry]])
+    else:
+        checked = CheckedInformation([[entry]])
+        assert np.array_equal(checked.inverse_sqrt, want, equal_nan=True)
+    # inv_sqrt itself, singular or not
+    for floor in (1e-12, 0.5):
+        vals, vecs = np.linalg.eigh(np.array([[entry]]))
+        want = (vecs / np.sqrt(np.maximum(vals, floor))) @ vecs.T
+        got = stability.inv_sqrt(np.array([[entry]]), floor)
+        assert got.shape == (1, 1)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_tests_take_checked_information():

@@ -289,6 +289,7 @@ def test_grow_groups_each_covariate_once_per_node():
 
     def counting_of(values, include=None):
         groupings.append(values.size)
+        sorted_dtypes.append(values.dtype)
         return real_of(values, include)
 
     def spying_unique(ar, *args, **kwargs):
