@@ -8,7 +8,7 @@ power should rise down each column and to the right along each row.
 
 Usage:
     python3 scripts/run_power_table.py
-    python3 scripts/run_power_table.py --reps 1000 --threads 4
+    python3 scripts/run_power_table.py --reps 1000
 """
 
 import argparse
@@ -33,7 +33,7 @@ def main(argv=None):
     parser.add_argument("--reps", type=int, default=400,
                         help="replicates per cell (default 400)")
     parser.add_argument("--seed", type=int, default=20260821)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--full", action="store_true",
                         help="use the larger sample-size grid")
     args = parser.parse_args(argv)

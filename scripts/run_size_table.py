@@ -8,7 +8,7 @@ undersized at N=50, converging toward the nominal 5 percent as N grows.
 
 Usage:
     python3 scripts/run_size_table.py
-    python3 scripts/run_size_table.py --reps 2000 --full --threads 4
+    python3 scripts/run_size_table.py --reps 2000 --full
 """
 
 import argparse
@@ -27,7 +27,7 @@ def main(argv=None):
     parser.add_argument("--reps", type=int, default=500,
                         help="replicates per cell (default 500)")
     parser.add_argument("--seed", type=int, default=20260821)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--rate", type=float, default=1.0 / 20.0,
                         help="event hazard rate (default 1/20)")
     parser.add_argument("--full", action="store_true",

@@ -16,7 +16,7 @@ up relative to the full config.
 
 Usage:
     python3 scripts/run_tree_recovery.py
-    python3 scripts/run_tree_recovery.py --reps 200 --threads 4 --weibull
+    python3 scripts/run_tree_recovery.py --reps 200 --weibull
 """
 
 import argparse
@@ -32,7 +32,7 @@ def main(argv=None):
                         help="replicates (default 50)")
     parser.add_argument("--n-per-subgroup", type=int, default=300)
     parser.add_argument("--seed", type=int, default=424242)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--weibull", action="store_true",
                         help="also run weibull-event configs")
     args = parser.parse_args(argv)

@@ -219,42 +219,32 @@ def _cmd_stabtest(args) -> int:
     rows = []
     for ct, cross in zip((report.event, report.censor), report.cross_adjusted):
         if ct.tested:
-            for (label, stat, raw), adj in zip(ct.entries, ct.adjusted):
-                rows.append(
-                    {
-                        "variable": report.variable,
-                        "kind": report.kind,
-                        "component": ct.component,
-                        "tested": True,
-                        "label": label,
-                        "statistic": stat,
-                        "raw_p": raw,
-                        "within_adjusted_p": adj,
-                        "component_p": ct.component_p,
-                        "cross_adjusted_p": cross,
-                        "variable_p": report.variable_p,
-                        "mode": report.more_heterogeneous,
-                    }
-                )
-        else:
-            rows.append(
-                {
-                    "variable": report.variable,
-                    "kind": report.kind,
-                    "component": ct.component,
-                    "tested": False,
-                    "label": ct.skip_reason,
-                    "statistic": "",
-                    "raw_p": "",
-                    "within_adjusted_p": "",
-                    "component_p": ct.component_p,
-                    "cross_adjusted_p": cross,
-                    "variable_p": report.variable_p,
-                    "mode": report.more_heterogeneous,
-                }
+            rows.extend(
+                _stabtest_row(report, ct, cross, label, stat, raw, adj)
+                for (label, stat, raw), adj in zip(ct.entries, ct.adjusted)
             )
+        else:
+            rows.append(_stabtest_row(report, ct, cross, ct.skip_reason))
     print(rows_to_csv_text(rows), end="")
     return EXIT_OK
+
+
+def _stabtest_row(report, ct, cross, label, stat="", raw="", adj=""):
+    """One CSV row of a component's test; a skipped one has no statistic."""
+    return {
+        "variable": report.variable,
+        "kind": report.kind,
+        "component": ct.component,
+        "tested": ct.tested,
+        "label": label,
+        "statistic": stat,
+        "raw_p": raw,
+        "within_adjusted_p": adj,
+        "component_p": ct.component_p,
+        "cross_adjusted_p": cross,
+        "variable_p": report.variable_p,
+        "mode": report.more_heterogeneous,
+    }
 
 
 def _resolve_seed(args, spec) -> int:
@@ -334,10 +324,7 @@ def main(argv=None) -> int:
         if args.command == "stabtest":
             return _cmd_stabtest(args)
         return _cmd_simulate(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, UnknownVariableError) as exc:
+    except (_ConfigError, ValueError, UnknownVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SpecParseError as exc:

@@ -55,9 +55,18 @@ CENSOR = "censor"
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _check_component(component):
-    if component not in (EVENT, CENSOR):
-        raise ValueError(f"component must be {EVENT!r} or {CENSOR!r}")
+def exact_mask(events, component) -> np.ndarray:
+    """Where a subject's time is exact for ``component``.
+
+    The events for "event" and the censorings for "censor": the one
+    place the indicator is flipped for the censoring side.
+    """
+    events = np.asarray(events, dtype=bool)
+    if component == EVENT:
+        return events
+    if component == CENSOR:
+        return ~events
+    raise ValueError(f"component must be {EVENT!r} or {CENSOR!r}")
 
 
 def _mills_ratio(y):
@@ -358,18 +367,18 @@ class FittedModel:
         return dict(zip(get_family(self.family).param_names, self.params))
 
 
-def _effective_indicator(events, component):
-    w = np.asarray(events, dtype=float)
-    if component == CENSOR:
-        w = 1.0 - w
-    return w
+def _times_and_weights(fam, component, data):
+    """Float times and the 0/1 weights of the times exact for ``component``.
 
-
-def _check_times(fam, times):
+    Raises InvalidTimeError when ``fam`` needs positive times and one is not.
+    """
+    w = exact_mask(data.events, component).astype(float)
+    times = np.asarray(data.times, dtype=float)
     if fam.positive_time and np.any(times <= 0.0):
         raise InvalidTimeError(
             f"{fam.name} requires strictly positive times"
         )
+    return times, w
 
 
 def fit(family: str, component: str, data) -> FittedModel:
@@ -383,10 +392,7 @@ def fit(family: str, component: str, data) -> FittedModel:
     the censor side).
     """
     fam = get_family(family)
-    _check_component(component)
-    times = np.asarray(data.times, dtype=float)
-    _check_times(fam, times)
-    w = _effective_indicator(data.events, component)
+    times, w = _times_and_weights(fam, component, data)
     d = float(w.sum())
     n_contributing = int(round(d))
     if n_contributing == 0:
@@ -408,9 +414,7 @@ def fit(family: str, component: str, data) -> FittedModel:
 def score_contributions(model: FittedModel, data) -> np.ndarray:
     """Per-subject score vectors at the model's parameters, N x dim."""
     fam = get_family(model.family)
-    times = np.asarray(data.times, dtype=float)
-    _check_times(fam, times)
-    w = _effective_indicator(data.events, model.component)
+    times, w = _times_and_weights(fam, model.component, data)
     return fam.scores(times, w, model.params)
 
 

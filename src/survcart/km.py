@@ -1,8 +1,10 @@
 """Product-limit (Kaplan-Meier) estimation for either flavor of time.
 
 The "event" flavor estimates event-time survival treating censorings as
-incomplete; the "censor" flavor flips the indicator and estimates the
-censoring-time distribution the same way.
+incomplete; the "censor" flavor takes the censorings as the exact times
+(``families.exact_mask``) and estimates the censoring-time distribution
+the same way.  ``risk_table`` is the one risk table of the package: the
+log-rank statistic and the split search read it too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError
-from .families import CENSOR, EVENT
+from .families import EVENT, exact_mask
 
 
 @dataclass(frozen=True)
@@ -31,18 +33,26 @@ class KMCurve:
         return 1.0 if idx == 0 else float(self.survival[idx - 1])
 
 
-def km_fit(times, events, flavor: str = EVENT) -> KMCurve:
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    if times.size == 0:
-        raise EmptyInputError("km_fit needs at least one subject")
-    if flavor not in (EVENT, CENSOR):
-        raise ValueError(f"flavor must be {EVENT!r} or {CENSOR!r}")
-    w = events if flavor == EVENT else ~events
+def risk_table(times, exact) -> tuple:
+    """Distinct exact times, their counts and the numbers at risk.
+
+    ``times`` is a float array and ``exact`` a boolean mask of the times
+    that are exact.  Returns the ascending grid of distinct exact times,
+    the integer count of exact times at each and the integer number of
+    subjects whose time is at least it.
+    """
     order = np.argsort(times, kind="stable")
     ts = times[order]
-    grid, d = np.unique(ts[w[order]], return_counts=True)
-    at_risk = times.size - np.searchsorted(ts, grid, side="left")
+    grid, d = np.unique(ts[exact[order]], return_counts=True)
+    n_risk = times.size - np.searchsorted(ts, grid, side="left")
+    return grid, d, n_risk
+
+
+def km_fit(times, events, flavor: str = EVENT) -> KMCurve:
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise EmptyInputError("km_fit needs at least one subject")
+    grid, d, at_risk = risk_table(times, exact_mask(events, flavor))
     surv = np.cumprod(1.0 - d / at_risk)
     return KMCurve(
         flavor=flavor,

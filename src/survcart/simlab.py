@@ -25,6 +25,7 @@ in every result row.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -402,37 +403,11 @@ def run_tree_recovery(
 # --- experiment spec files -------------------------------------------------
 #
 # Flat "key = value" lines, '#' comments, case-sensitive keys.  The
-# experiment key picks the design; remaining keys fill its fields.
-# tree_recovery adds: rates (four lambda_t/lambda_c pairs separated by
-# commas), configs (event_dist/censor_dist pairs, censor "na" disabling
-# censoring heterogeneity), and the tree controls alpha, minsplit,
-# minbucket.
-
-_SPEC_FIELDS = {
-    "size": {
-        "rate_event": float,
-        "censoring_rate": float,
-        "n": int,
-        "replicates": int,
-        "level": float,
-    },
-    "power": {
-        "rate_event_1": float,
-        "rate_event_2": float,
-        "rate_censor": float,
-        "n1": int,
-        "n2": int,
-        "replicates": int,
-        "level": float,
-    },
-    "tree_recovery": {
-        "rates": "rates",
-        "n_per_subgroup": int,
-        "cut_x2": float,
-        "cut_x3": float,
-        "replicates": int,
-    },
-}
+# experiment key picks the design; remaining keys fill its fields, each
+# read by the parser for the field's annotated type.  tree_recovery
+# adds: rates (four lambda_t/lambda_c pairs separated by commas), configs
+# (event_dist/censor_dist pairs, censor "na" disabling censoring
+# heterogeneity), and the tree controls alpha, minsplit, minbucket.
 
 _TREE_CONTROL_FIELDS = {"alpha": float, "minsplit": int, "minbucket": int}
 
@@ -472,23 +447,43 @@ def _parse_configs(text: str, controls: dict):
                 f"configs entry {chunk.strip()!r} is not event/censor"
             )
         event_dist, censor_dist = parts[0].strip(), parts[1].strip()
+        blind = censor_dist == "na"
         try:
-            if censor_dist == "na":
-                config = TreeConfig(
-                    event_dist=event_dist,
-                    censor_heterogeneity=False,
-                    **controls,
-                )
-            else:
-                config = TreeConfig(
-                    event_dist=event_dist, censor_dist=censor_dist, **controls
-                )
+            config = TreeConfig(
+                event_dist=event_dist,
+                censor_dist=TreeConfig.censor_dist if blind else censor_dist,
+                censor_heterogeneity=not blind,
+                **controls,
+            )
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
         configs[chunk.strip()] = config
     if not configs:
         raise SpecParseError("configs list is empty")
     return configs
+
+
+# design fields' annotations (strings, under the __future__ import) ->
+# the parser of their spec values; the one tuple field is the rates
+_FIELD_PARSERS = {"float": float, "int": int, "tuple": _parse_rates}
+
+# experiment kind -> (design class, runner returning its results)
+_EXPERIMENTS = {
+    "size": (
+        SizeDesign,
+        lambda spec, seed, threads: [run_size(spec.design, seed, threads)],
+    ),
+    "power": (
+        PowerDesign,
+        lambda spec, seed, threads: [run_power(spec.design, seed, threads)],
+    ),
+    "tree_recovery": (
+        TreeRecoveryDesign,
+        lambda spec, seed, threads: run_tree_recovery(
+            spec.design, spec.configs, seed, threads
+        ).values(),
+    ),
+}
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -510,10 +505,11 @@ def parse_spec(text: str) -> ExperimentSpec:
     kind = entries.pop("experiment", None)
     if kind is None:
         raise SpecParseError("missing required key 'experiment'")
-    if kind not in _SPEC_FIELDS:
+    if kind not in _EXPERIMENTS:
         raise SpecParseError(
-            f"unknown experiment {kind!r}; choose from {sorted(_SPEC_FIELDS)}"
+            f"unknown experiment {kind!r}; choose from {sorted(_EXPERIMENTS)}"
         )
+    design_cls, _ = _EXPERIMENTS[kind]
 
     seed = None
     if "seed" in entries:
@@ -522,7 +518,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         except ValueError as exc:
             raise SpecParseError("seed must be an integer") from exc
 
-    fields = _SPEC_FIELDS[kind]
+    fields = {
+        f.name: _FIELD_PARSERS[f.type] for f in dataclasses.fields(design_cls)
+    }
     kwargs = {}
     controls = {}
     configs_text = None
@@ -538,21 +536,13 @@ def parse_spec(text: str) -> ExperimentSpec:
             continue
         if key not in fields:
             raise SpecParseError(f"unknown key {key!r} for experiment {kind!r}")
-        if fields[key] == "rates":
-            kwargs[key] = _parse_rates(value)
-            continue
         try:
             kwargs[key] = fields[key](value)
         except ValueError as exc:
             raise SpecParseError(f"bad value for {key!r}: {value!r}") from exc
 
     try:
-        if kind == "size":
-            design = SizeDesign(**kwargs)
-        elif kind == "power":
-            design = PowerDesign(**kwargs)
-        else:
-            design = TreeRecoveryDesign(**kwargs)
+        design = design_cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise SpecParseError(str(exc)) from exc
 
@@ -566,9 +556,5 @@ def parse_spec(text: str) -> ExperimentSpec:
 
 def run_spec(spec: ExperimentSpec, seed: int, threads: int = 1) -> list:
     """Execute a parsed experiment; returns result rows for CSV output."""
-    if spec.kind == "size":
-        return [run_size(spec.design, seed, threads).to_row()]
-    if spec.kind == "power":
-        return [run_power(spec.design, seed, threads).to_row()]
-    results = run_tree_recovery(spec.design, spec.configs, seed, threads)
-    return [res.to_row() for res in results.values()]
+    _, runner = _EXPERIMENTS[spec.kind]
+    return [res.to_row() for res in runner(spec, seed, threads)]

@@ -8,8 +8,9 @@ with d_j events, n_j subjects at risk and n_1j of them in group 1,
     V  = sum d_j (n_1j/n_j)(1 - n_1j/n_j)(n_j - d_j)/(n_j - 1),
 
 positive when group 1 carries more events than expected.  In "censor"
-mode the indicator is flipped first so the comparison is between
-censoring-time distributions.
+mode the censorings are the exact times (``families.exact_mask``), so
+the comparison is between censoring-time distributions.  The tallies
+d_j and n_j come from ``km.risk_table``.
 
 For a continuous variable every midpoint between consecutive distinct
 values is a candidate and the whole sweep is evaluated incrementally:
@@ -47,8 +48,8 @@ import numpy as np
 
 from .datasets import CATEGORICAL
 from .errors import EmptyGroupError
-from .families import EVENT
-from .km import km_fit, km_median
+from .families import exact_mask
+from .km import km_fit, km_median, risk_table
 
 __all__ = [
     "LogrankResult",
@@ -122,15 +123,6 @@ class Candidates(Sequence):
         return f"Candidates({list(self)!r})"
 
 
-def _risk_table(times, events):
-    """Distinct event times with event counts and at-risk counts."""
-    order = np.argsort(times, kind="stable")
-    ts = times[order]
-    grid, d = np.unique(ts[events[order]], return_counts=True)
-    n_risk = times.size - np.searchsorted(ts, grid, side="left")
-    return grid, d.astype(float), n_risk.astype(float)
-
-
 def logrank(times, events, group) -> LogrankResult:
     """Standardized log-rank statistic; group is a boolean membership mask."""
     times = np.asarray(times, dtype=float)
@@ -141,7 +133,7 @@ def logrank(times, events, group) -> LogrankResult:
         raise EmptyGroupError("both groups need at least one subject")
     if not events.any():
         return LogrankResult(0.0, False)
-    grid, d, n_risk = _risk_table(times, events)
+    grid, d, n_risk = risk_table(times, events)
     t1 = np.sort(times[group])
     n1_risk = t1.size - np.searchsorted(t1, grid, side="left")
     vals1, c1 = np.unique(times[group & events], return_counts=True)
@@ -161,11 +153,6 @@ def logrank(times, events, group) -> LogrankResult:
     )
 
 
-def _effective_events(events, mode):
-    events = np.asarray(events, dtype=bool)
-    return events if mode == EVENT else ~events
-
-
 # Cells per block of the boundary x event-time tables in the variance
 # sweep: 512 KiB of float64, which stays in cache; any size gives the
 # same numbers.
@@ -176,9 +163,11 @@ _BLOCK_CELLS = 1 << 16
 _NONE = ((), (), ())
 
 
-def _continuous_candidates(times, events, grouping, mode, minbucket):
-    """Ranked cutpoints, statistics and left sizes of the midpoints."""
-    ev = _effective_events(events, mode)
+def _continuous_candidates(times, ev, grouping, minbucket):
+    """Ranked cutpoints, statistics and left sizes of the midpoints.
+
+    ``ev`` marks the times exact for the search's mode.
+    """
     n = times.size
     values, counts = grouping.distinct, grouping.counts
     if values.size < 2 or not ev.any():
@@ -190,7 +179,7 @@ def _continuous_candidates(times, events, grouping, mode, minbucket):
     # bounds increase, so the admissible boundaries are one range
     first, stop = admissible[0], admissible[-1] + 1
 
-    grid, d, n_risk = _risk_table(times, ev)
+    grid, d, n_risk = risk_table(times, ev)
     cumhaz = np.cumsum(d / n_risk)
     pos = np.searchsorted(grid, times, side="right")
     haz_at = np.concatenate(([0.0], cumhaz))[pos]
@@ -221,6 +210,8 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
     the same order as in a full N x D table, so the sums match that
     table's bit for bit.
     """
+    # the same values as floats: each boundary's divide then needs no cast
+    n_risk = n_risk.astype(float)
     width = n_risk.size
     rows = max(1, _BLOCK_CELLS // width)
     starts = np.concatenate(([0], bounds))  # first subject of each value
@@ -246,22 +237,26 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
     return out
 
 
-def _median_order(times, events, inverse, n_groups, mode):
-    """Groups sorted by within-group product-limit median (None sorts last)."""
+def _median_order(times, ev, inverse, n_groups):
+    """Groups sorted by within-group product-limit median (None sorts last).
+
+    ``ev`` marks the exact times, so each curve is of the search's mode.
+    """
     keyed = []
     for idx in range(n_groups):
         mask = inverse == idx
-        med = km_median(km_fit(times[mask], events[mask], flavor=mode))
+        med = km_median(km_fit(times[mask], ev[mask]))
         keyed.append((np.inf if med is None else med, idx))
     keyed.sort()
     return [idx for _, idx in keyed]
 
 
-def _categorical_candidates(times, events, grouping, labels, mode, minbucket):
+def _categorical_candidates(times, ev, grouping, labels, minbucket):
     """Ranked prefix splits of the levels present, ordered by their medians.
 
-    The grouping is by code and codes follow label order, so group
-    indices order the levels present as their labels would.
+    ``ev`` marks the times exact for the search's mode.  The grouping is
+    by code and codes follow label order, so group indices order the
+    levels present as their labels would.
     """
     n_groups = grouping.distinct.size
     if n_groups < 2:
@@ -269,8 +264,7 @@ def _categorical_candidates(times, events, grouping, labels, mode, minbucket):
     if n_groups == 2:
         ordered = [0, 1]
     else:
-        ordered = _median_order(times, events, grouping.inverse, n_groups, mode)
-    ev = _effective_events(events, mode)
+        ordered = _median_order(times, ev, grouping.inverse, n_groups)
     group_labels = labels[grouping.distinct]
     on_left = np.zeros(n_groups, dtype=bool)
     cuts, stats, left = [], [], []
@@ -299,20 +293,20 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     Subjects missing the variable are left out of the tally.  The
     variable's values come grouped from ``data``, which keeps the
     grouping its instability test already made.  Each candidate is
-    built when it is read.
+    built when it is read.  ``mode`` must be "event" or "censor".
     """
     spec = data.spec_for(variable)
     grouping = data.grouping(variable)
     times = data.times[grouping.include]
-    events = data.events[grouping.include]
+    ev = exact_mask(data.events[grouping.include], mode)
     if times.size == 0:
         ranked = _NONE
     elif spec.kind == CATEGORICAL:
         ranked = _categorical_candidates(
-            times, events, grouping, data.levels[variable], mode, minbucket
+            times, ev, grouping, data.levels[variable], minbucket
         )
     else:
-        ranked = _continuous_candidates(times, events, grouping, mode, minbucket)
+        ranked = _continuous_candidates(times, ev, grouping, minbucket)
     return Candidates(variable, spec.kind, mode, times.size, *ranked)
 
 

@@ -64,7 +64,6 @@ __all__ = [
     "fd_sf",
     "fd_quantile",
     "hochberg",
-    "GroupedScores",
     "CheckedInformation",
     "CategoricalResult",
     "ContinuousResult",
@@ -82,8 +81,11 @@ def fd_cdf(x: float) -> float:
     Alternating series for x >= 0.2; below that the terms cancel to
     roundoff, so the equivalent theta-series form
     sqrt(2 pi)/x * sum exp(-(2l-1)^2 pi^2 / (8 x^2)) is used instead.
+    Below 0.04 even its first term underflows to 0.0, so the CDF is
+    exactly 0.0 there; returning it directly also keeps 8 x^2 from
+    underflowing to a zero divisor for tiny x.
     """
-    if x <= 0.0:
+    if x < 0.04:
         return 0.0
     if x < 0.2:
         total = 0.0
@@ -176,56 +178,25 @@ def hochberg(pvalues) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GroupedScores:
-    """Score sums grouped by the distinct values of one covariate.
+def _grouped_sums(x, scores):
+    """The grouping of x and the G x p score sums of its groups.
 
-    The cumulative sizes and the running sums are made on first read:
-    only the continuous test reads the running sums.
+    x is the covariate values, or their ``Grouping``: a tree node
+    groups each covariate once and passes that grouping to both
+    components' tests.
     """
-
-    values: np.ndarray      # distinct covariate values, ascending
-    counts: np.ndarray      # group sizes m_g
-    sums: np.ndarray        # G x p per-group score sums
-
-    @classmethod
-    def from_values(cls, x, scores) -> "GroupedScores":
-        """Sum score rows per distinct value of x, in subject order.
-
-        x is the covariate values, or their ``Grouping``: a tree node
-        groups each covariate once and passes that grouping to both
-        components' tests.
-        """
-        grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
-        scores = np.atleast_2d(np.asarray(scores, dtype=float))
-        if scores.shape[0] == 1 and grouping.values.size != 1:
-            scores = scores.T
-        n_groups, width = grouping.distinct.size, scores.shape[1]
-        # one bincount over (group, parameter) cells of the row-major
-        # scores: each cell adds in subject order from 0.0, as np.add.at would
-        cells = grouping.inverse
-        if width > 1:
-            cells = (cells[:, None] * width + np.arange(width)).ravel()
-        sums = np.bincount(cells, weights=scores.ravel(), minlength=n_groups * width)
-        return cls(
-            values=grouping.distinct,
-            counts=grouping.counts,
-            sums=sums.reshape(n_groups, width),
-        )
-
-    @cached_property
-    def boundaries(self) -> np.ndarray:
-        """Cumulative group sizes M_g."""
-        return np.cumsum(self.counts)
-
-    @cached_property
-    def cumsums(self) -> np.ndarray:
-        """G x p running score sums in value order."""
-        return np.cumsum(self.sums, axis=0)
-
-    @property
-    def n_groups(self) -> int:
-        return int(self.values.size)
+    grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
+    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    if scores.shape[0] == 1 and grouping.values.size != 1:
+        scores = scores.T
+    n_groups, width = grouping.distinct.size, scores.shape[1]
+    # one bincount over (group, parameter) cells of the row-major
+    # scores: each cell adds in subject order from 0.0, as np.add.at would
+    cells = grouping.inverse
+    if width > 1:
+        cells = (cells[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=scores.ravel(), minlength=n_groups * width)
+    return grouping, sums.reshape(n_groups, width)
 
 
 @dataclass(frozen=True)
@@ -278,18 +249,19 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
     info is the information matrix, or its ``CheckedInformation``;
     labels are the factor's values, or their ``Grouping``.
     """
-    grouped = GroupedScores.from_values(labels, scores)
-    if grouped.n_groups < 2:
+    grouping, sums = _grouped_sums(labels, scores)
+    n_groups = grouping.distinct.size
+    if n_groups < 2:
         raise TooFewGroupsError("categorical test needs at least 2 levels")
     info = _checked(info)
-    quad = np.einsum("gi,ij,gj->g", grouped.sums, info.inverse, grouped.sums)
-    stat = float(np.sum(quad / grouped.counts))
-    df = info.matrix.shape[0] * (grouped.n_groups - 1)
+    quad = np.einsum("gi,ij,gj->g", sums, info.inverse, sums)
+    stat = float(np.sum(quad / grouping.counts))
+    df = info.matrix.shape[0] * (n_groups - 1)
     return CategoricalResult(
         statistic=stat,
         df=df,
         p=float(chdtrc(df, stat)),  # the chi-square upper tail
-        small_groups=bool(grouped.counts.min() < 5),
+        small_groups=bool(grouping.counts.min() < 5),
     )
 
 
@@ -299,12 +271,12 @@ def continuous_test(scores, info, x, param_names=None) -> ContinuousResult:
     info is the information matrix, or its ``CheckedInformation``; x is
     the covariate values, or their ``Grouping``.
     """
-    grouped = GroupedScores.from_values(x, scores)
-    if grouped.n_groups < 2:
+    grouping, sums = _grouped_sums(x, scores)
+    if grouping.distinct.size < 2:
         raise TooFewGroupsError("continuous test needs at least 2 distinct values")
     info = _checked(info)
-    n = int(grouped.counts.sum())
-    partial = grouped.cumsums[:-1]  # boundaries g = 1 .. G-1
+    n = grouping.values.size
+    partial = np.cumsum(sums, axis=0)[:-1]  # boundaries g = 1 .. G-1
     standardized = (partial @ info.inverse_sqrt) / math.sqrt(n)
     d_stats = np.abs(standardized, out=standardized).max(axis=0)
     if param_names is None:

@@ -14,14 +14,9 @@ import pytest
 from numpy.random import Generator, Philox
 
 from survcart import CovariateSpec, SurvivalDataset
-from survcart.families import CENSOR, EVENT, score_contributions
-from survcart.km import km_fit, km_median
-from survcart.splitting import (
-    SplitCandidate,
-    _effective_events,
-    _risk_table,
-    logrank,
-)
+from survcart.families import CENSOR, EVENT, exact_mask, score_contributions
+from survcart.km import km_fit, km_median, risk_table
+from survcart.splitting import SplitCandidate, logrank
 from survcart.stability import (
     StabilityReport,
     _component_test,
@@ -107,7 +102,7 @@ def dense_continuous_candidates(variable, times, events, x, mode, minbucket):
     The split search before it was blocked, kept verbatim: the blocked
     sweep must reproduce every statistic bit for bit.
     """
-    ev = _effective_events(events, mode)
+    ev = exact_mask(events, mode)
     n = times.size
     values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     if values.size < 2 or not ev.any():
@@ -117,7 +112,9 @@ def dense_continuous_candidates(variable, times, events, x, mode, minbucket):
     if not admissible.any():
         return []
 
-    grid, d, n_risk = _risk_table(times, ev)
+    grid, d, n_risk = risk_table(times, ev)
+    # float counts, as before: the package divides the integer ones
+    d, n_risk = d.astype(float), n_risk.astype(float)
     cumhaz = np.cumsum(d / n_risk)
     pos = np.searchsorted(grid, times, side="right")
     haz_at = np.concatenate(([0.0], cumhaz))[pos]
@@ -233,7 +230,7 @@ def label_categorical_candidates(variable, times, events, x, mode, minbucket):
         keyed.sort(key=lambda item: (item[0], item[1]))
         ordered = [item[2] for item in keyed]
         prefixes = [tuple(ordered[: i + 1]) for i in range(len(ordered) - 1)]
-    ev = _effective_events(events, mode)
+    ev = exact_mask(events, mode)
     out = []
     for left_levels in prefixes:
         mask = np.isin(x, np.array(left_levels, dtype=object))
@@ -262,8 +259,8 @@ def label_variable_test(data, labels, variable, event_model, censor_model,
                         censor_enabled=True):
     """variable_test on the raw values ``labels`` (None or NaN missing).
 
-    Both components group the labels through GroupedScores.from_values,
-    that is np.unique on the labels themselves.
+    Both components group the labels themselves (``Grouping.of``, which
+    matches np.unique on them).
     """
     spec = data.spec_for(variable)
     include = ~missing_labels(labels)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,12 @@ from survcart import (
     SurvivalDataset,
     fit,
     get_family,
+    km_fit,
     loglik_and_aic,
     n_params,
     score_contributions,
 )
-from survcart.families import _Exponential, _Weibull, inv_sqrt
+from survcart.families import _Exponential, _Weibull, exact_mask, inv_sqrt
 
 from conftest import censored_exponential, rng_for
 
@@ -176,6 +178,24 @@ def test_n_params():
     assert n_params("weibull") == 2
     assert n_params("lognormal") == 2
     assert n_params("normal") == 2
+
+
+def test_exact_mask_is_events_or_censorings():
+    e = np.array([1, 0, 1, 0], bool)
+    assert exact_mask(e, EVENT).tolist() == [True, False, True, False]
+    assert exact_mask(e, CENSOR).tolist() == [False, True, False, True]
+
+
+def test_unknown_component_rejected_everywhere():
+    # fit, score_contributions and km_fit share the one component check
+    data = ds([1.0, 2.0, 3.0], [1, 0, 1])
+    model = fit("exponential", EVENT, data)
+    with pytest.raises(ValueError, match="component must be"):
+        fit("exponential", "evnt", data)
+    with pytest.raises(ValueError, match="component must be"):
+        score_contributions(dataclasses.replace(model, component="evnt"), data)
+    with pytest.raises(ValueError, match="component must be"):
+        km_fit(data.times, data.events, "evnt")
 
 
 def test_unknown_family_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -261,6 +262,37 @@ def test_parse_spec_tree_recovery_full():
     assert wconf.event_dist == "weibull"
     assert wconf.alpha == 0.01 and wconf.minsplit == 40
     assert not spec.configs["exponential/na"].censor_heterogeneity
+
+
+@pytest.mark.parametrize("kind, design", [
+    ("size", SizeDesign(rate_event=0.125, censoring_rate=0.5, n=30,
+                        replicates=7, level=0.1)),
+    ("power", PowerDesign(0.5, 0.25, 0.125, n1=3, n2=4, replicates=5,
+                          level=0.2)),
+    ("tree_recovery", TreeRecoveryDesign(
+        rates=((0.5, 0.25), (0.125, 1.0 / 3.0), (2.0, 4.0), (0.1, 0.2)),
+        n_per_subgroup=9, cut_x2=40.0, cut_x3=1.5, replicates=3)),
+])
+def test_parse_spec_reads_every_design_field(kind, design):
+    lines = [f"experiment = {kind}"]
+    for field in dataclasses.fields(design):
+        value = getattr(design, field.name)
+        lines.append(f"{field.name} = "
+                     + (format_rates(value) if field.name == "rates" else repr(value)))
+    assert parse_spec("\n".join(lines)).design == design
+
+
+def test_parse_spec_blind_config_keeps_default_censor_family():
+    text = ("experiment = tree_recovery\n"
+            "rates = 0.05/0.03, 0.025/0.03, 0.01/0.03, 0.01/0.011\n"
+            "replicates = 2\nminsplit = 30\nminbucket = 15\n"
+            "configs = weibull/na, weibull/lognormal\n")
+    configs = parse_spec(text).configs
+    assert configs["weibull/na"] == TreeConfig(
+        minsplit=30, minbucket=15, event_dist="weibull",
+        censor_heterogeneity=False)
+    assert configs["weibull/lognormal"] == TreeConfig(
+        minsplit=30, minbucket=15, event_dist="weibull", censor_dist="lognormal")
 
 
 def test_parse_spec_default_configs():

@@ -202,6 +202,22 @@ def test_censor_mode_flips_indicator():
     assert a.mode == CENSOR
 
 
+@pytest.mark.parametrize("kind, x", [
+    ("continuous", np.arange(20.0)),
+    ("categorical", np.array(list("ab") * 10, object)),
+    ("categorical", np.array(list("abcd") * 5, object)),
+])
+def test_unknown_mode_rejected(kind, x):
+    # every search checks its mode, whatever the variable's kind or levels
+    t = np.arange(1.0, 21.0)
+    e = np.arange(20) % 3 != 0
+    data = one_var_dataset(t, e, x, kind)
+    with pytest.raises(ValueError, match="component must be"):
+        candidate_splits(data, "x", "evnt", 5)
+    with pytest.raises(ValueError, match="component must be"):
+        best_split(data, "x", "evnt", 5)
+
+
 def test_categorical_split_orders_levels_by_median():
     rng = rng_for(407, 0)
     rates = {"a": 0.5, "b": 0.05, "c": 0.15}

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -31,7 +32,7 @@ from survcart.errors import (
     SingularInformationError,
 )
 from survcart.datasets import Grouping
-from survcart.stability import CheckedInformation, GroupedScores
+from survcart.stability import CheckedInformation, _grouped_sums
 
 from conftest import (
     censored_exponential,
@@ -66,6 +67,26 @@ def test_fd_cdf_nondecreasing_on_fine_grid():
     xs = np.linspace(0.0, 3.0, 10_000)
     vals = [fd_cdf(x) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_fd_cdf_and_sf_at_tiny_arguments():
+    # 8 x^2 underflows to 0.0 below about 1.5e-162; no division by it
+    for x in (1e-163, 1e-300, 5e-324):
+        assert fd_cdf(x) == 0.0
+        assert fd_sf(x) == 1.0
+    # the dual series' first term already underflows at 0.04, so the
+    # early 0.0 below it is the value the series would return
+    assert math.exp(-math.pi**2 / (8.0 * 0.04 * 0.04)) == 0.0
+    assert fd_cdf(0.0406) == 0.0 < fd_cdf(0.041)
+
+
+def test_continuous_test_on_tiny_scores_is_not_significant():
+    rng = rng_for(210, 0)
+    scores = rng.normal(0.0, 1e-170, 50)
+    res = continuous_test(scores, np.array([[1.0]]), rng.uniform(0.0, 1.0, 50))
+    (_, d, p), = res.entries
+    assert 0.0 < d < 1e-160
+    assert p == 1.0
 
 
 def test_fd_quantile_inverts_cdf():
@@ -315,11 +336,11 @@ def test_exponential_time_scaling_leaves_statistics_unchanged():
 def test_grouped_scores_totals():
     x = np.array([3.0, 1.0, 3.0, 2.0])
     scores = np.array([[1.0], [2.0], [3.0], [4.0]])
-    g = GroupedScores.from_values(x, scores)
-    assert g.n_groups == 3
-    assert list(g.counts) == [1, 1, 2]
-    assert g.boundaries[-1] == 4
-    assert g.cumsums[-1, 0] == pytest.approx(10.0)
+    grouping, sums = _grouped_sums(x, scores)
+    assert grouping.distinct.size == 3
+    assert list(grouping.counts) == [1, 1, 2]
+    assert sums[:, 0].tolist() == [2.0, 4.0, 4.0]
+    assert np.cumsum(sums, axis=0)[-1, 0] == pytest.approx(10.0)
 
 
 @given(
@@ -337,9 +358,8 @@ def test_grouped_sums_equal_add_at(seed, n, n_values, width):
     grouping = Grouping.of(x)
     want = np.zeros((grouping.distinct.size, width))
     np.add.at(want, grouping.inverse, scores)
-    got = GroupedScores.from_values(x, scores)
-    assert np.array_equal(got.sums, want)
-    assert np.array_equal(got.cumsums, np.cumsum(want, axis=0))
+    _, got = _grouped_sums(x, scores)
+    assert np.array_equal(got, want)
 
 
 def eigh_checked(entry):
