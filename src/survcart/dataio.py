@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 
 import numpy as np
 
@@ -87,20 +88,26 @@ def parse_variable_flags(text: str) -> tuple:
 
 
 def load_csv(path: str, schema: SchemaSpec) -> SurvivalDataset:
-    """Read a survival CSV (RFC 4180, header row required).
+    """Read a survival CSV (RFC 4180, header row required, UTF-8 with or
+    without a byte-order mark).
 
-    Missing time or event cells abort with a row-numbered error;
+    Missing time or event cells abort with a ``ParseError`` naming the
+    file line the record ends on (blank lines count) and the column;
     missing partitioning values (empty or NA) are kept as missing and
     the affected subject simply drops out of that variable's tests and
     split candidacy.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _read_csv(fh, schema)
 
 
+# Records converted at a time: bounds the rows held as raw text.
+_CHUNK_ROWS = 1024
+
+
 def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
-    reader = csv.DictReader(fh)
-    header = reader.fieldnames
+    reader = csv.reader(fh)
+    header = next(reader, None)
     if header is None:
         raise EmptyDatasetError("file has no header row")
     needed = [schema.time_column, schema.event_column]
@@ -110,41 +117,24 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
     for column in needed:
         if column not in header:
             raise MissingColumnError(f"column {column!r} not in header {header}")
+    # a name the header repeats reads its last column
+    index = {name: i for i, name in enumerate(header)}
+    width = max(index[column] for column in needed) + 1
 
     times, events, ids = [], [], []
     columns = {v.name: [] for v in schema.variables}
-    rownum = 1
+    records, lines = [], []
     for row in reader:
-        rownum += 1
-        raw_time = (row.get(schema.time_column) or "").strip()
-        if raw_time in MISSING_TOKENS:
-            raise ParseError(rownum, schema.time_column, "missing time value")
-        try:
-            times.append(float(raw_time))
-        except ValueError:
-            raise ParseError(
-                rownum, schema.time_column, f"not a number: {raw_time!r}"
-            ) from None
-        raw_event = (row.get(schema.event_column) or "").strip()
-        if raw_event in MISSING_TOKENS:
-            raise ParseError(rownum, schema.event_column, "missing event value")
-        events.append(raw_event == schema.event_value)
-        for spec in schema.variables:
-            raw = (row.get(spec.name) or "").strip()
-            if raw in MISSING_TOKENS:
-                columns[spec.name].append(np.nan if spec.kind == CONTINUOUS else None)
-            elif spec.kind == CONTINUOUS:
-                try:
-                    columns[spec.name].append(float(raw))
-                except ValueError:
-                    raise ParseError(
-                        rownum, spec.name, f"not a number: {raw!r}"
-                    ) from None
-            else:
-                columns[spec.name].append(raw)
-        if schema.id_column is not None:
-            ids.append((row.get(schema.id_column) or "").strip())
-
+        if row:  # a blank line holds no record
+            records.append(row)
+            lines.append(reader.line_num)
+            if len(records) == _CHUNK_ROWS:
+                _convert_records(records, lines, index, width, schema,
+                                 times, events, columns, ids)
+                records, lines = [], []
+    if records:
+        _convert_records(records, lines, index, width, schema,
+                         times, events, columns, ids)
     if not times:
         raise EmptyDatasetError("file has no data rows")
     return SurvivalDataset(
@@ -154,6 +144,71 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
         columns,
         np.array(ids, dtype=object) if ids else None,
     )
+
+
+def _convert_records(records, lines, index, width, schema,
+                     times, events, columns, ids):
+    """Append the cells of some records to the columns, column by column.
+
+    A bad cell raises the ParseError of the first one, record by record.
+    """
+    if min(map(len, records)) < width:  # the cells a short row lacks are empty
+        records = [row + [""] * (width - len(row)) for row in records]
+
+    def stripped(name):
+        return list(map(str.strip, map(itemgetter(index[name]), records)))
+
+    try:
+        new_times = list(map(float, stripped(schema.time_column)))
+        raw_events = stripped(schema.event_column)
+        if any(token in raw_events for token in MISSING_TOKENS):
+            raise ValueError("missing event value")
+        new_columns = {}
+        for spec in schema.variables:
+            raw = stripped(spec.name)
+            if spec.kind == CONTINUOUS:
+                new_columns[spec.name] = [
+                    np.nan if v in MISSING_TOKENS else float(v) for v in raw
+                ]
+            else:
+                new_columns[spec.name] = [
+                    None if v in MISSING_TOKENS else v for v in raw
+                ]
+    except ValueError:
+        _raise_first_bad_cell(records, lines, index, schema)
+        raise
+    times.extend(new_times)
+    events.extend(raw == schema.event_value for raw in raw_events)
+    for name, values in new_columns.items():
+        columns[name].extend(values)
+    if schema.id_column is not None:
+        ids.extend(stripped(schema.id_column))
+
+
+def _raise_first_bad_cell(records, lines, index, schema):
+    """Raise the ParseError of the first bad cell, record by record."""
+    time_at, event_at = index[schema.time_column], index[schema.event_column]
+    continuous = [spec.name for spec in schema.variables if spec.kind == CONTINUOUS]
+    for row, line in zip(records, lines):
+        raw_time = row[time_at].strip()
+        if raw_time in MISSING_TOKENS:
+            raise ParseError(line, schema.time_column, "missing time value")
+        try:
+            float(raw_time)
+        except ValueError:
+            raise ParseError(
+                line, schema.time_column, f"not a number: {raw_time!r}"
+            ) from None
+        if row[event_at].strip() in MISSING_TOKENS:
+            raise ParseError(line, schema.event_column, "missing event value")
+        for name in continuous:
+            raw = row[index[name]].strip()
+            if raw in MISSING_TOKENS:
+                continue
+            try:
+                float(raw)
+            except ValueError:
+                raise ParseError(line, name, f"not a number: {raw!r}") from None
 
 
 # --- JSON tree documents ---------------------------------------------------

@@ -13,16 +13,35 @@ the comparison is between censoring-time distributions.  The tallies
 d_j and n_j come from ``km.risk_table``.
 
 For a continuous variable every midpoint between consecutive distinct
-values is a candidate and the whole sweep is evaluated incrementally:
-the numerator is the running sum of martingale residuals
-d_i - H(t_i) in covariate order (H the Nelson-Aalen cumulative
-hazard), and the variance reuses running at-risk counts per event
-time.  One vector of those counts for the subjects already on the
-left is updated subject by subject and copied out once per boundary
-into a block of a fixed number of cells, where the variance terms of
-the whole block are summed at once.  The sweep takes O(N * D) time and
-O(block * D) memory for N subjects and D distinct event times; it never
-holds an N x D table.
+values is a candidate.  The numerator at every boundary is the running
+sum of martingale residuals d_i - H(t_i) in covariate order (H the
+Nelson-Aalen cumulative hazard).  The variance is found in three steps,
+for N subjects and D distinct event times:
+
+* Ranking.  Prefix sums over the event times give every boundary's
+  variance in O(N sqrt(D)) time and O(N + D) memory
+  (``_approximate_variances``), with a rigorous bound on its distance
+  from the exact sum, hence an interval for each |statistic|.  Which
+  boundaries have a positive variance at all is decided exactly, in
+  O(N), from the largest at-risk count on each side.
+* Exact band.  Every boundary whose interval reaches the best lower
+  bound less ``_BAND_TOLS`` tie tolerances is evaluated with the exact
+  per-boundary formula (``_band_variances``) and ranked.  Every other
+  boundary lies below that floor, so the leading ranked positions are
+  final, up to the tie cluster that a boundary below the floor could
+  still join (``_certified_prefix``).
+* Fallback.  A read past those positions ranks every boundary with the
+  full sweep (``_boundary_variances``): one vector of at-risk counts
+  for the subjects already on the left, updated subject by subject and
+  copied out once per boundary into a block of a fixed number of
+  cells, where the terms of the whole block are summed at once.  It
+  takes O(N * D) time and O(block * D) memory.
+
+Both exact routes sum the same terms in the same order, so every
+statistic is the same bit for bit whichever route evaluated it.
+``grow`` reads about one candidate per search, which the exact band
+serves.
+
 For a factor with more than two levels the levels are ordered by their
 within-level product-limit median and the k - 1 ordered prefixes are
 scanned, mirroring the continuous case.
@@ -33,16 +52,20 @@ instability tests used; a factor is grouped by its integer codes.
 
 A search ranks its candidates as arrays of cutpoints, statistics and
 left-side sizes and returns them as ``Candidates``, a read-only
-sequence that builds each ``SplitCandidate`` only when that position
-is read.  ``grow`` reads the ranking best first and stops at the first
-split whose children can be fitted, so it builds about one candidate
-per search instead of one per admissible boundary.
+sequence of exact length that builds each ``SplitCandidate`` only when
+that position is read, and a continuous search's full ranking only
+when a read passes the exact band.  ``grow`` reads the ranking best
+first and stops at the first split whose children can be fitted, so
+it builds about one candidate per search instead of one per
+admissible boundary.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,35 +106,43 @@ class SplitCandidate:
 class Candidates(Sequence):
     """The admissible splits of one search, best |statistic| first.
 
-    Holds the ranked cutpoints, statistics and left-side sizes and
-    builds the ``SplitCandidate`` at a position when it is read.
-    Compares equal to a list of the same candidates in the same order.
+    Holds the ranked cutpoints, statistics and left-side sizes of a
+    leading run of the ranking and builds the ``SplitCandidate`` at a
+    position when it is read.  A read past that run first ranks every
+    candidate with ``complete``.  Compares equal to a list of the same
+    candidates in the same order.
     """
 
-    def __init__(self, variable, kind, mode, n, cutpoints, statistics, left_n):
+    def __init__(self, variable, kind, mode, n, ranked, size=None, complete=None):
         self._variable = variable
         self._kind = kind
         self._mode = mode
         self._n = n  # subjects with a value: left_n + right_n
-        self._cutpoints = cutpoints
-        self._statistics = statistics
-        self._left_n = left_n
+        self._ranked = ranked  # (cutpoints, statistics, left sizes)
+        self._size = len(ranked[1]) if size is None else size
+        self._complete = complete
 
     def __len__(self):
-        return len(self._statistics)
+        return self._size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        left_n = self._left_n[i]
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError("candidate index out of range")
+        if i >= len(self._ranked[1]):
+            self._ranked, self._complete = self._complete(), None
+        cutpoints, statistics, left_n = self._ranked
         return SplitCandidate(
             variable=self._variable,
             kind=self._kind,
-            cutpoint=self._cutpoints[i],
+            cutpoint=cutpoints[i],
             mode=self._mode,
-            statistic=self._statistics[i],
-            left_n=left_n,
-            right_n=self._n - left_n,
+            statistic=statistics[i],
+            left_n=left_n[i],
+            right_n=self._n - left_n[i],
         )
 
     def __eq__(self, other):
@@ -158,24 +189,34 @@ def logrank(times, events, group) -> LogrankResult:
 # same numbers.
 _BLOCK_CELLS = 1 << 16
 
+# The exact band reaches this many tie tolerances (_TIE_RTOL) below the
+# best certified lower bound on |statistic|.  Two let the best cluster
+# be served whole when the bounds are tight; any width serves the same
+# candidates, a narrower band just falls back to the full sweep sooner.
+_BAND_TOLS = 2.0
+
+_ROUNDOFF = 2.0**-53  # unit roundoff of float64
 
 # no admissible split: ranked (cutpoints, statistics, left sizes)
 _NONE = ((), (), ())
 
 
-def _continuous_candidates(times, ev, grouping, minbucket):
-    """Ranked cutpoints, statistics and left sizes of the midpoints.
+def _continuous_candidates(times, ev, grouping, minbucket, every=False):
+    """Ranked midpoints: a certified leading run and their number.
 
-    ``ev`` marks the times exact for the search's mode.
+    ``ev`` marks the times exact for the search's mode.  Returns the
+    ranked (cutpoints, statistics, left sizes) of a leading run of the
+    ranking, or with ``every`` of the whole ranking, and the number of
+    candidates.
     """
     n = times.size
     values, counts = grouping.distinct, grouping.counts
     if values.size < 2 or not ev.any():
-        return _NONE
+        return _NONE, 0
     bounds = np.cumsum(counts)[:-1]  # left sizes at each boundary
     admissible = np.nonzero((bounds >= minbucket) & (n - bounds >= minbucket))[0]
     if admissible.size == 0:
-        return _NONE
+        return _NONE, 0
     # bounds increase, so the admissible boundaries are one range
     first, stop = admissible[0], admissible[-1] + 1
 
@@ -189,15 +230,136 @@ def _continuous_candidates(times, ev, grouping, minbucket):
     numer = np.cumsum(resid[order])[bounds - 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
-    variance = _boundary_variances(pos[order], bounds, first, stop, a, n_risk)
+    k = pos[order]
 
-    kept = np.nonzero(variance > 0.0)[0]
-    g = first + kept
-    stats = numer[g] / np.sqrt(variance[kept])
-    cuts = 0.5 * (values[g] + values[g + 1])
-    left = bounds[g]
-    ranked = _tolerance_order(stats, cuts)
-    return cuts[ranked].tolist(), stats[ranked].tolist(), left[ranked].tolist()
+    def ranking(g, variance):
+        stats = numer[g] / np.sqrt(variance)
+        cuts = 0.5 * (values[g] + values[g + 1])
+        ranked = _tolerance_order(stats, cuts)
+        return cuts[ranked].tolist(), stats[ranked].tolist(), bounds[g][ranked].tolist()
+
+    if every:
+        variance = _boundary_variances(k, bounds, first, stop, a, n_risk)
+        kept = np.nonzero(variance > 0.0)[0]
+        return ranking(first + kept, variance[kept]), kept.size
+
+    # The variance is positive exactly where some a_j > 0 lies below the
+    # largest k on each side: then that side has subjects at risk for
+    # event time j.
+    positive = np.nonzero(a > 0.0)[0]
+    if positive.size == 0:
+        return _NONE, 0
+    lefts = bounds[first:stop]
+    reach = np.minimum(np.maximum.accumulate(k)[lefts - 1],
+                       np.maximum.accumulate(k[::-1])[::-1][lefts])
+    g = first + np.nonzero(reach > positive[0])[0]
+    if g.size == 0:
+        return _NONE, 0
+
+    # certified bounds on each |statistic|, then the exact band: every
+    # boundary whose upper bound reaches the best lower bound less the
+    # band, so every boundary outside it lies below ``floor``
+    approx, err = _approximate_variances(k, bounds[g], a, n_risk)
+    mag = np.abs(numer[g])
+    low = mag / np.sqrt(approx + err)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        high = np.where(approx - err > 0.0, mag / np.sqrt(approx - err), np.inf)
+    best = float(low.max())
+    floor = best - _BAND_TOLS * _TIE_RTOL * max(1.0, best)
+    band = g[high >= floor]
+    ranked = ranking(band, _band_variances(k, bounds[band], a, n_risk))
+    if band.size == g.size:
+        return ranked, g.size
+    served = _certified_prefix(sorted(map(abs, ranked[1]), reverse=True), floor)
+    return tuple(r[:served] for r in ranked), g.size
+
+
+def _approximate_variances(k, lefts, a, n_risk):
+    """Log-rank variances at left sizes ``lefts`` from prefix sums, with
+    a bound on their distance from the exact ones.
+
+    k lists the subjects in covariate order as in _boundary_variances,
+    and ``lefts`` ascends.  With f_j = n_left_j / n_j,
+
+        V = sum_j a_j f_j (1 - f_j) = S1 - S2,
+        S1 = sum_{i in L} A(k_i),          A(k) = sum_{j<k} a_j / n_j,
+        S2 = sum_j b_j n_left_j^2
+           = sum_{i in L} [B(k_i) + 2 sum_{i' in L before i} B(min(k_i, k_i'))],
+
+    with b_j = a_j / n_j^2 and B(k) = sum_{j<k} b_j.  The inner sums are
+    dominance sums, taken in blocks of about 2 sqrt(D) subjects: those
+    over earlier blocks from one cumulative histogram of k per block,
+    those within a block from a block x block minimum.  Time is
+    O(N sqrt(D)), memory O(N + D).
+
+    Error bound: every summand is nonnegative, so each computed sum is
+    within a relative gamma_m = m u / (1 - m u) of its exact value, m
+    the number of roundings along the longest chain (Higham 2002,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Lemma
+    3.3), u = 2^-53.  That gives |S1^ - S1| <= gamma_(N+2D+b+2) S1 and
+    the same for S2 (b the block size), and one more rounding of
+    S1^ - S2^.  The exact sweep's terms a_j f^(1 - f^) are each within
+    gamma_(N+3) of a_j f_j (1 - f_j), because 1 - f^ carries the error
+    of f^ magnified by f / (1 - f) <= n_j - 1, and its sum within
+    gamma_(N+D+2) of V <= S1.  Both together come to
+    (2N + 3D + b + 5) u (S1^ + S2^) to first order in u; the bound's
+    gamma = 3 (N + 2D + b + 8) u exceeds that by more than the
+    higher-order terms and the two roundings of the bound itself while
+    N + 2D < 2^30.
+    """
+    n, width = k.size, a.size + 1
+    k = k[: lefts[-1]]
+    per_risk = a / n_risk
+    A = np.concatenate(([0.0], np.cumsum(per_risk)))
+    B = np.concatenate(([0.0], np.cumsum(per_risk / n_risk)))
+    size = 2 * math.isqrt(width)
+    earlier = np.tri(size, k=-1)  # 1 where the column's subject comes first
+    hist = np.zeros(width, dtype=np.intp)  # k of the subjects before the block
+    at_least = np.empty(width, dtype=np.intp)  # reversed: k' >= width - 1 - index
+    weighted = np.empty(width)
+    below = np.zeros(width)  # sum of B(k') over earlier k' < index
+    pairs = np.empty(k.size)
+    for s in range(0, k.size, size):
+        kb = k[s : s + size]
+        r = kb.size
+        np.cumsum(hist[::-1], out=at_least)
+        np.multiply(hist[:-1], B[:-1], out=weighted[:-1])
+        np.cumsum(weighted[:-1], out=below[1:])
+        bk = B[kb]  # B is nondecreasing, so B(min(k, k')) = min(B(k), B(k'))
+        within = (np.minimum.outer(bk, bk) * earlier[:r, :r]).sum(axis=1)
+        pairs[s : s + r] = (bk * at_least[width - 1 - kb] + below[kb]) + within
+        np.add.at(hist, kb, 1)
+    s1 = np.cumsum(A[k])[lefts - 1]
+    s2 = np.cumsum(B[k] + 2.0 * pairs)[lefts - 1]
+    gamma = 3.0 * (n + 2 * a.size + size + 8) * _ROUNDOFF
+    return s1 - s2, gamma * (s1 + s2)
+
+
+def _band_variances(k, lefts, a, n_risk):
+    """Exact log-rank variance at ascending left sizes ``lefts``.
+
+    Each boundary's at-risk counts n_left are the suffix sums of one
+    running histogram of k, the same integers _boundary_variances
+    holds there, and _variance_rows turns them into the same sums.
+    Time O(N + band * D).
+    """
+    n_risk = n_risk.astype(float)
+    width = n_risk.size
+    rows = max(1, _BLOCK_CELLS // width)
+    hist = np.zeros(width + 1, dtype=np.intp)
+    frac = np.empty((min(rows, lefts.size), width))
+    terms = np.empty_like(frac)
+    out = np.empty(lefts.size)
+    done = 0
+    for r0 in range(0, lefts.size, rows):
+        r1 = min(r0 + rows, lefts.size)
+        for r in range(r0, r1):
+            hist += np.bincount(k[done : lefts[r]], minlength=width + 1)
+            done = lefts[r]
+            n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
+            np.divide(n_left, n_risk, out=frac[r - r0])
+        _variance_rows(a, frac[: r1 - r0], terms[: r1 - r0], out[r0:r1])
+    return out
 
 
 def _boundary_variances(k, bounds, first, stop, a, n_risk):
@@ -208,7 +370,8 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
     on the left.  The running at-risk counts n_left are exact integers
     (held as floats), and each boundary's terms are the same D values in
     the same order as in a full N x D table, so the sums match that
-    table's bit for bit.
+    table's bit for bit.  This full O(N * D) sweep ranks every boundary
+    when a search is read past its certified leading run.
     """
     # the same values as floats: each boundary's divide then needs no cast
     n_risk = n_risk.astype(float)
@@ -218,7 +381,6 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
     # subjects left of the first boundary at risk for grid[j]: count of k > j
     hist = np.bincount(k[: starts[first]], minlength=width + 1)
     n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
-    # a * frac * (1.0 - frac), evaluated in place in two block buffers
     frac = np.empty((rows, width))
     terms = np.empty((rows, width))
     out = np.empty(stop - first)
@@ -229,12 +391,17 @@ def _boundary_variances(k, bounds, first, stop, a, n_risk):
             for k_i in k[starts[g] : starts[g + 1]]:
                 n_left[:k_i] += 1.0
             np.divide(n_left, n_risk, out=frac[g - g0])
-        f, t = frac[: g1 - g0], terms[: g1 - g0]
-        np.multiply(a, f, out=t)
-        np.subtract(1.0, f, out=f)
-        np.multiply(t, f, out=t)
-        t.sum(axis=1, out=out[g0 - first : g1 - first])
+        _variance_rows(a, frac[: g1 - g0], terms[: g1 - g0],
+                       out[g0 - first : g1 - first])
     return out
+
+
+def _variance_rows(a, frac, terms, out):
+    """Each row's sum of a * frac * (1.0 - frac), in place in two buffers."""
+    np.multiply(a, frac, out=terms)
+    np.subtract(1.0, frac, out=frac)
+    np.multiply(terms, frac, out=terms)
+    terms.sum(axis=1, out=out)
 
 
 def _median_order(times, ev, inverse, n_groups):
@@ -296,9 +463,8 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     built when it is read.  ``mode`` must be "event" or "censor".
     """
     spec = data.spec_for(variable)
-    grouping = data.grouping(variable)
-    times = data.times[grouping.include]
-    ev = exact_mask(data.events[grouping.include], mode)
+    grouping, times, ev = _present(data, variable, mode)
+    size = complete = None
     if times.size == 0:
         ranked = _NONE
     elif spec.kind == CATEGORICAL:
@@ -306,8 +472,27 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
             times, ev, grouping, data.levels[variable], minbucket
         )
     else:
-        ranked = _continuous_candidates(times, ev, grouping, minbucket)
-    return Candidates(variable, spec.kind, mode, times.size, *ranked)
+        ranked, size = _continuous_candidates(times, ev, grouping, minbucket)
+        if len(ranked[1]) < size:
+            # the whole ranking starts over from the node's data, so the
+            # search's arrays are not kept alive while its reader runs
+            complete = partial(_every_continuous_candidate, data, variable,
+                               mode, minbucket)
+    return Candidates(variable, spec.kind, mode, times.size, ranked, size, complete)
+
+
+def _present(data, variable, mode):
+    """The variable's grouping, and the times and exact-time mask of the
+    subjects with a value."""
+    grouping = data.grouping(variable)
+    return (grouping, data.times[grouping.include],
+            exact_mask(data.events[grouping.include], mode))
+
+
+def _every_continuous_candidate(data, variable, mode, minbucket):
+    """The whole ranking of a continuous search, from the full sweep."""
+    grouping, times, ev = _present(data, variable, mode)
+    return _continuous_candidates(times, ev, grouping, minbucket, every=True)[0]
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at
@@ -329,14 +514,25 @@ def _tolerance_order(stats, keys):
     out = ranked.tolist()
     if len(out) < 2:
         return out
-    mags = mags[ranked]
+    keys = np.asarray(keys).tolist()
+    for i, j in _tie_clusters(mags[ranked]):
+        if j - i > 1:
+            out[i:j] = sorted(out[i:j], key=keys.__getitem__)
+    return out
+
+
+def _tie_clusters(mags):
+    """(start, stop) of the tie clusters of descending magnitudes.
+
+    Every cluster of two or more is listed; single ones may be left out.
+    """
     # the largest magnitude bounds every cluster's band, so only these
     # gaps can join two candidates; the walk visits them alone
+    mags = np.asarray(mags)
     near = np.nonzero(mags[:-1] - mags[1:] <= _TIE_RTOL * max(1.0, mags[0]))[0]
     mags = mags.tolist()
-    keys = np.asarray(keys).tolist()
     clusters = []
-    i = j = 0  # the current cluster is out[i:j]
+    i = j = 0  # the current cluster is mags[i:j]
     for p in near.tolist():
         if p != j - 1:  # p is not in the current cluster: it starts one
             clusters.append((i, j))
@@ -347,10 +543,29 @@ def _tolerance_order(stats, keys):
             clusters.append((i, j))
             i, j = p + 1, p + 2
     clusters.append((i, j))
-    for i, j in clusters:
-        if j - i > 1:
-            out[i:j] = sorted(out[i:j], key=keys.__getitem__)
-    return out
+    return clusters
+
+
+def _certified_prefix(mags, floor):
+    """How many leading ranked positions magnitudes below ``floor`` cannot move.
+
+    ``mags`` are the descending magnitudes of the candidates evaluated
+    exactly, and every candidate left out has a magnitude below
+    ``floor``.  The leading positions at or above it rank alike in the
+    whole list, except that a left-out candidate could join the tie
+    cluster holding the last of them; that cluster counts only when the
+    gap down to ``floor`` already exceeds its tolerance.
+    """
+    q = sum(m >= floor for m in mags)
+    i = q - 1  # where the cluster holding position q - 1 starts
+    for start, stop in _tie_clusters(mags):
+        if start < q <= stop:
+            i = start
+    # past the gap down to the floor no magnitude below it joins (nor,
+    # then, any evaluated one: they lie below the floor too)
+    if mags[q - 1] - floor > _TIE_RTOL * max(1.0, mags[i]):
+        return q
+    return i
 
 
 def best_split(data, variable, mode, minbucket):

@@ -4,16 +4,22 @@ The oracles here are deliberately naive (per-risk-set tallies, explicit
 product-limit recursion) so they share no code path with the package.
 The exceptions are bit-exact references kept from earlier versions of
 the package: `dense_continuous_candidates` (the split search before it
-was blocked), and `sort_ranked`, `label_categorical_candidates` and
+was blocked), `sort_ranked`, `label_categorical_candidates` and
 `label_variable_test` (the ranking, factor split search and variable
-test before factors were encoded, working on the raw labels).
+test before factors were encoded, working on the raw labels), and
+`dict_rows_load_csv` (the CSV loader before it read column by column).
 """
+
+import csv
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
 from survcart import CovariateSpec, SurvivalDataset
+from survcart.dataio import MISSING_TOKENS
+from survcart.datasets import CONTINUOUS
+from survcart.errors import EmptyDatasetError, MissingColumnError, ParseError
 from survcart.families import CENSOR, EVENT, exact_mask, score_contributions
 from survcart.km import km_fit, km_median, risk_table
 from survcart.splitting import SplitCandidate, logrank
@@ -396,3 +402,67 @@ def demo_csv(tmp_path):
         "5,20.0,0,71,b\n"
     )
     return str(path)
+
+
+def dict_rows_load_csv(path, schema):
+    """load_csv as one dict per row (csv.DictReader), converted row by row.
+
+    Kept from before the loader read column by column, except that a
+    ParseError names the file line the record ends on.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise EmptyDatasetError("file has no header row")
+        needed = [schema.time_column, schema.event_column]
+        needed.extend(v.name for v in schema.variables)
+        if schema.id_column is not None:
+            needed.append(schema.id_column)
+        for column in needed:
+            if column not in header:
+                raise MissingColumnError(f"column {column!r} not in header {header}")
+
+        times, events, ids = [], [], []
+        columns = {v.name: [] for v in schema.variables}
+        for row in reader:
+            rownum = reader.line_num
+            raw_time = (row.get(schema.time_column) or "").strip()
+            if raw_time in MISSING_TOKENS:
+                raise ParseError(rownum, schema.time_column, "missing time value")
+            try:
+                times.append(float(raw_time))
+            except ValueError:
+                raise ParseError(
+                    rownum, schema.time_column, f"not a number: {raw_time!r}"
+                ) from None
+            raw_event = (row.get(schema.event_column) or "").strip()
+            if raw_event in MISSING_TOKENS:
+                raise ParseError(rownum, schema.event_column, "missing event value")
+            events.append(raw_event == schema.event_value)
+            for spec in schema.variables:
+                raw = (row.get(spec.name) or "").strip()
+                if raw in MISSING_TOKENS:
+                    columns[spec.name].append(
+                        np.nan if spec.kind == CONTINUOUS else None)
+                elif spec.kind == CONTINUOUS:
+                    try:
+                        columns[spec.name].append(float(raw))
+                    except ValueError:
+                        raise ParseError(
+                            rownum, spec.name, f"not a number: {raw!r}"
+                        ) from None
+                else:
+                    columns[spec.name].append(raw)
+            if schema.id_column is not None:
+                ids.append((row.get(schema.id_column) or "").strip())
+
+    if not times:
+        raise EmptyDatasetError("file has no data rows")
+    return SurvivalDataset(
+        times,
+        events,
+        schema.variables,
+        columns,
+        np.array(ids, dtype=object) if ids else None,
+    )

@@ -1,8 +1,11 @@
 import json
 import os
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcart import (
     EmptyDatasetError,
@@ -20,12 +23,13 @@ from survcart import (
     save_tree,
     tree_to_document,
 )
+from survcart import dataio
 from survcart.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_SPEC, main
 from survcart.dataio import km_leaf_rows, rows_to_csv_text, tree_to_dot
 from survcart.datasets import CovariateSpec
 from survcart.km import km_fit
 
-from conftest import rng_for
+from conftest import dict_rows_load_csv, rng_for
 
 
 DEMO_SCHEMA = SchemaSpec(
@@ -94,6 +98,107 @@ def test_load_csv_empty_file_and_header_only(tmp_path):
     header.write_text("time,status\n")
     with pytest.raises(EmptyDatasetError):
         load_csv(str(header), SchemaSpec("time", "status"))
+
+
+def test_load_csv_parse_error_names_the_file_line(tmp_path):
+    # the blank third line counts: the bad cell sits on line 5
+    path = tmp_path / "t.csv"
+    path.write_text("time,status,age\n1.0,1,0.5\n\n2.0,0\n3.0,1,abc\n")
+    schema = SchemaSpec("time", "status",
+                        variables=(CovariateSpec("age", "continuous"),))
+    with pytest.raises(ParseError) as err:
+        load_csv(str(path), schema)
+    assert err.value.row == 5
+    assert err.value.column == "age"
+
+
+def _csv_cell(kind):
+    plain = st.sampled_from({
+        "time": ["1", "2.5", "0.125", "7e1", "3"],
+        "number": ["1", "2.5", "0.125", "-7e1", "nan", "inf"],
+        "label": ["a", "b", "B", "a,b", 'q"t', "two\nlines"],
+        "status": ["1", "0", " 1", "dead"],
+        "id": ["7", "id 8", "NA", ""],
+    }[kind])
+    missing = st.sampled_from(["", "NA", " NA ", "  "])
+    bad = st.sampled_from(["abc", "1.2.3", "--1", "x1"])
+    # about one cell in six missing, one in twelve not a number
+    text = st.tuples(plain, missing, bad, st.integers(0, 11)).map(
+        lambda c: c[2] if c[3] == 0 else c[1] if c[3] == 1 else c[0])
+    return st.tuples(text, st.integers(0, 2), st.booleans())
+
+
+def _render_cell(cell):
+    text, pad, quoted = cell
+    text = " " * pad + text + " " * (pad % 2)
+    if quoted or any(c in text for c in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_CSV_KINDS = ("id", "time", "status", "number", "label", "number")
+
+
+@given(
+    rows=st.lists(
+        st.one_of(
+            *[st.tuples(*(_csv_cell(kind) for kind in _CSV_KINDS))] * 5,
+            st.just(None),  # a blank line
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    cut=st.lists(st.integers(-3, 2), min_size=8, max_size=8),
+    with_id=st.booleans(),
+    chunk=st.sampled_from([1, 3, 1024]),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_csv_equals_dict_rows_oracle(tmp_path_factory, rows, cut, with_id,
+                                          chunk):
+    # the same dataset, or the same error, as reading one dict per row,
+    # whatever the number of records converted at a time
+    header = "id,time,status,age,group,score"
+    lines = [header]
+    for i, row in enumerate(rows):
+        if row is None:
+            lines.append("")
+            continue
+        cells = [_render_cell(c) for c in row]
+        shift = cut[i % len(cut)]
+        if shift < 0:  # a short row
+            cells = cells[:shift]
+        else:  # a long row
+            cells += ["9"] * shift
+        lines.append(",".join(cells))
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = SchemaSpec(
+        "time", "status",
+        variables=(CovariateSpec("age", "continuous"),
+                   CovariateSpec("group", "categorical"),
+                   CovariateSpec("score", "continuous")),
+        id_column="id" if with_id else None,
+    )
+    outcomes = []
+    for load in (load_csv, dict_rows_load_csv):
+        try:
+            with patch.object(dataio, "_CHUNK_ROWS", chunk):
+                outcomes.append(load(str(path), schema))
+        except Exception as exc:  # compared below, class and message
+            outcomes.append(exc)
+    got, want = outcomes
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.events, want.events)
+    assert got.subject_ids.tolist() == want.subject_ids.tolist()
+    for name in ("age", "score"):
+        assert np.array_equal(got.covariate(name), want.covariate(name),
+                              equal_nan=True)
+    assert got.levels["group"].tolist() == want.levels["group"].tolist()
+    assert got.covariate("group").tolist() == want.covariate("group").tolist()
 
 
 def test_parse_variable_flags():
@@ -223,6 +328,17 @@ def test_cli_fit_happy_path(demo_csv, tmp_path, capsys):
     assert out.exists()
     loaded = load_tree(str(out))
     assert loaded.n_leaves >= 1
+
+
+def test_cli_fit_reads_a_file_with_byte_order_mark(demo_csv, tmp_path, capsys):
+    text = open(demo_csv, encoding="utf-8").read()
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfid,")
+    out = tmp_path / "tree.json"
+    code = main(FIT_ARGS + ["--data", str(path), "--out", str(out)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert load_tree(str(out)).n_leaves >= 1
 
 
 def test_cli_fit_missing_file_is_data_error(tmp_path, capsys):

@@ -10,12 +10,15 @@ from survcart import (
     CENSOR,
     EVENT,
     EmptyGroupError,
+    TreeConfig,
     TreeRecoveryDesign,
     best_split,
+    grow,
     logrank,
     replicate_rng,
 )
 from survcart import splitting
+from survcart.km import risk_table
 from survcart.simlab import generate_tree_data
 from survcart.splitting import Candidates, SplitCandidate, candidate_splits
 
@@ -364,3 +367,169 @@ def test_split_search_memory_stays_bounded():
         tracemalloc.stop()
     assert cands
     assert peak < 128 * 2**20
+
+
+# --- ranked sweep: certified bounds, exact band, fallback --------------------
+
+def _tied_node(rng, minbucket):
+    """Tied values and times, a few missing values, both modes' oracles."""
+    counts = rng.integers(1, 4, int(rng.integers(2, 30)))
+    x = np.repeat(np.cumsum(rng.integers(1, 4, counts.size)) * 0.5, counts)
+    x = np.concatenate([x, np.full(int(rng.integers(0, 4)), np.nan)])
+    rng.shuffle(x)
+    t = np.round(rng.exponential(2.0, x.size), 1) + 0.1
+    e = rng.random(x.size) < rng.choice([0.2, 0.7, 1.0])
+    return t, e, x
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    minbucket=st.integers(1, 4),
+    band=st.sampled_from([0.0, 2.0, 1e300]),
+    widen=st.sampled_from([1.0, 1e4, 1e10, 1e13]),
+)
+@settings(max_examples=200, deadline=None)
+def test_ranked_sweep_equals_dense_table_past_the_band(seed, minbucket, band,
+                                                       widen):
+    # a band of width 0 serves at most the best tie cluster and usually
+    # nothing, so reads fall back to the full sweep; an unbounded band
+    # evaluates every boundary exactly and never falls back.  Any bound
+    # at least as wide as the certified one serves the same list, so
+    # widened bounds exercise wide bands and clusters at their floor.
+    t, e, x = _tied_node(rng_for(411, seed), minbucket)
+    data = one_var_dataset(t, e, x, "continuous")
+    keep = ~np.isnan(x)
+    full_sweep = splitting._boundary_variances
+    approximate = splitting._approximate_variances
+
+    def no_fallback(*args):
+        raise AssertionError("the unbounded band read past itself")
+
+    def widened(*args):
+        approx, err = approximate(*args)
+        return approx, err * widen
+
+    for mode in (EVENT, CENSOR):
+        want = sort_ranked(
+            dense_continuous_candidates(
+                "x", t[keep], e[keep], x[keep], mode, minbucket),
+            lambda item: item[1].cutpoint,
+        )
+        spy = no_fallback if band > 1e9 else full_sweep
+        with patch.object(splitting, "_BAND_TOLS", band), \
+                patch.object(splitting, "_boundary_variances", spy), \
+                patch.object(splitting, "_approximate_variances", widened):
+            cands = candidate_splits(data, "x", mode, minbucket)
+            assert len(cands) == len(want)
+            # read one position at a time, as grow does, then the rest
+            assert [cands[i] for i in range(len(cands))] == want
+            assert cands == want
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=400, deadline=None)
+def test_certified_prefix_holds_whatever_lies_below_the_floor(seed):
+    # magnitudes on and around the floor and the tie band; the band is
+    # every candidate at or above the floor and some below it, and the
+    # whole ranking agrees with the band's on the certified positions
+    rng = rng_for(413, seed)
+    n = int(rng.integers(1, 16))
+    floor = float(rng.choice([0.5, 1.0, 3.0]))
+    offsets = rng.choice([-3e-9, -1e-9, -5e-10, -1e-12, 0.0, 1e-12, 5e-10,
+                          1e-9, 2e-9, 3e-9, 1.0], size=n)
+    mags = floor + offsets * max(1.0, floor)
+    mags[0] = max(mags[0], floor)
+    stats = mags * rng.choice([-1, 1], n)
+    keys = np.arange(n)  # cutpoints ascend with the boundary index
+    band = np.nonzero((mags >= floor) | (rng.random(n) < 0.5))[0]
+    whole = splitting._tolerance_order(stats, keys)
+    ranked = band[splitting._tolerance_order(stats[band], keys[band])]
+    served = splitting._certified_prefix(
+        sorted(np.abs(stats[band]).tolist(), reverse=True), floor)
+    assert ranked[:served].tolist() == whole[:served]
+
+
+def _zero_variance_nodes():
+    n = 24
+    x = np.arange(float(n))
+    # every exact time on the right: the low-x subjects are censored
+    # before the first event, so left sides among them carry no variance
+    t = np.where(x < 10, 0.1 + 0.01 * x, 1.0 + x)
+    e = x >= 10
+    yield t, e, x
+    # the same mirrored: high-x subjects censored before every event
+    yield t[::-1].copy(), e[::-1].copy(), x
+    # singletons at risk through every event time sit at both ends, so
+    # isolating any one of them gives the same |statistic|
+    t = np.concatenate([np.full(3, 50.0), 1.0 + np.arange(18.0), np.full(3, 50.0)])
+    e = np.concatenate([np.zeros(3, bool), np.arange(18) % 3 != 0, np.zeros(3, bool)])
+    yield t, e, x
+    # every event time has all of its risk set die (a_j = 0) but the last
+    t = np.repeat([1.0, 2.0, 3.0, 4.0], 6)
+    e = np.ones(n, bool)
+    e[-1] = False
+    yield t, e, x
+
+
+@pytest.mark.parametrize("minbucket", [1, 2])
+def test_candidate_count_equals_dense_count_with_zero_variance(minbucket):
+    for t, e, x in _zero_variance_nodes():
+        data = one_var_dataset(t, e, x, "continuous")
+        for mode in (EVENT, CENSOR):
+            want = dense_continuous_candidates("x", t, e, x, mode, minbucket)
+            cands = candidate_splits(data, "x", mode, minbucket)
+            assert len(cands) == len(want)
+            assert sorted(cands, key=lambda c: c.cutpoint) == want
+    # the layouts do have admissible boundaries with zero variance
+    t, e, x = next(_zero_variance_nodes())
+    assert len(dense_continuous_candidates("x", t, e, x, EVENT, 1)) < x.size - 1
+
+
+def _variance_inputs(rng):
+    """Subjects in covariate order as k, the a_j and n_j, all left sizes."""
+    n = int(rng.integers(2, 200))
+    layout = rng.integers(0, 4)
+    t = np.round(rng.exponential(2.0, n), int(rng.integers(0, 3))) + 0.1
+    ev = rng.random(n) < rng.choice([0.3, 0.8, 1.0])
+    x = rng.random(n)
+    if layout == 1:  # one-sided: every exact time among the high x
+        ev &= x > np.median(x)
+    elif layout == 2:  # a late risk set: many at risk beyond every event
+        t[rng.random(n) < 0.5] = t.max() + 1.0
+        ev &= t < t.max()
+    elif layout == 3:  # heavy ties in x
+        x = np.round(x * 3)
+    if not ev.any():
+        ev[0] = True
+    grid, d, n_risk = risk_table(t, ev)
+    k = np.searchsorted(grid, t, side="right")[np.argsort(x, kind="stable")]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
+    return k, a, n_risk
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_approximate_variance_stays_within_its_bound(seed):
+    k, a, n_risk = _variance_inputs(rng_for(412, seed))
+    lefts = np.arange(1, k.size)
+    if lefts.size == 0:
+        return
+    exact = splitting._boundary_variances(k, lefts, 0, lefts.size, a, n_risk)
+    approx, err = splitting._approximate_variances(k, lefts, a, n_risk)
+    assert np.all(err >= 0.0)
+    assert np.all(np.abs(approx - exact) <= err)
+
+
+def test_grow_never_runs_the_full_sweep():
+    # four-subgroup design, N = 12,000: every search is served from its
+    # exact band
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=3000),
+                                 replicate_rng(1, 0))
+
+    def full_sweep(*args):
+        raise AssertionError("grow read a search past its exact band")
+
+    with patch.object(splitting, "_boundary_variances", full_sweep):
+        tree = grow(data, TreeConfig())
+    assert tree.n_leaves > 1
