@@ -3,18 +3,21 @@
 Subcommands: fit (grow a tree from CSV), stabtest (instability report
 for one variable), simulate (run a seeded experiment spec).  Exit
 codes: 0 success, 2 data errors (unreadable or malformed input files),
-3 configuration errors (bad flags), 4 malformed experiment specs, 5 model
-fit failures (a fit that did not converge or a singular information
-matrix).
+3 configuration errors (bad flags, or an output file that cannot be
+written), 4 malformed experiment specs, 5 model fit failures (a fit that
+did not converge or a singular information matrix).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
+from contextlib import contextmanager
 
 from .dataio import (
+    KM_COLUMNS,
     SchemaSpec,
     km_leaf_rows,
     load_csv,
@@ -174,16 +177,32 @@ def _cmd_fit(args) -> int:
         f"leaves={tree.n_leaves} loglik={tree.loglik:.6f} aic={tree.aic:.6f}"
     )
     if args.out:
-        save_tree(tree, args.out, schema=schema, deterministic=args.deterministic)
+        with _writing(args.out):
+            save_tree(tree, args.out, schema=schema,
+                      deterministic=args.deterministic)
     if args.dot:
         from .dataio import tree_to_dot
 
-        with open(args.dot, "w", encoding="utf-8") as fh:
+        with _writing(args.dot), open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree))
     if args.km_out:
-        with open(args.km_out, "w", newline="", encoding="utf-8") as fh:
-            write_csv_rows(fh, km_leaf_rows(tree, data))
+        rows = km_leaf_rows(tree, data)
+        with _writing(args.km_out), open(
+            args.km_out, "w", newline="", encoding="utf-8"
+        ) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(KM_COLUMNS)
+            writer.writerows(rows)
     return EXIT_OK
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError while writing the output file ``path`` as a bad flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_stabtest(args) -> int:
@@ -281,7 +300,9 @@ def _cmd_simulate(args) -> int:
     for row in rows:
         print(_summary_line(row))
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with _writing(args.out), open(
+            args.out, "w", newline="", encoding="utf-8"
+        ) as fh:
             write_csv_rows(fh, rows)
     else:
         sys.stdout.write(rows_to_csv_text(rows))

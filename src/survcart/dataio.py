@@ -6,6 +6,14 @@ and fitted parameters, so a reloaded document routes subjects exactly
 like the original tree.  Floats go through Python's shortest
 round-trip repr, so parameter values survive a save/load cycle bit for
 bit.  DOT output is presentation only.
+
+The product-limit export (``survcart fit --km-out``) is a CSV with the
+header ``leaf,flavor,time,surv,n.risk,n.event`` (``KM_COLUMNS``) and
+one row per grid time of each leaf's event and censoring curves, from
+``km_leaf_rows``.  It is written by a default-dialect ``csv.writer``:
+CRLF line ends, minimal quoting (no cell needs quotes) and floats in
+their shortest round-trip repr (``str(float)``), so the bytes depend
+only on the input.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -443,40 +452,40 @@ def tree_to_dot(tree: SurvTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+KM_COLUMNS = ("leaf", "flavor", "time", "surv", "n.risk", "n.event")
+
+
 def km_leaf_rows(tree: SurvTree, data: SurvivalDataset) -> list:
-    """Per-leaf product-limit curves as CSV-ready rows (both flavors)."""
+    """Per-leaf product-limit curves as row tuples in ``KM_COLUMNS`` order.
+
+    Leaves come in node-id order, each with its event curve and then its
+    censoring curve; a curve with no exact times has no rows.  Cells are
+    Python ints and floats, so a ``csv.writer`` prints the floats in
+    their shortest round-trip repr.
+    """
     rows = []
     for node in sorted(tree.leaves(), key=lambda n: n.node_id):
         idx = node.subject_index
+        times, events = data.times[idx], data.events[idx]
         for flavor in ("event", "censor"):
-            curve = km_fit(data.times[idx], data.events[idx], flavor=flavor)
-            for t, s, r, e in zip(
-                curve.times, curve.survival, curve.at_risk, curve.n_events
-            ):
-                rows.append(
-                    {
-                        "leaf": node.node_id,
-                        "flavor": flavor,
-                        "time": float(t),
-                        "surv": float(s),
-                        "n.risk": int(r),
-                        "n.event": int(e),
-                    }
-                )
+            curve = km_fit(times, events, flavor=flavor)
+            rows.extend(zip(
+                repeat(node.node_id),
+                repeat(flavor),
+                curve.times.tolist(),
+                curve.survival.tolist(),
+                curve.at_risk.tolist(),
+                curve.n_events.tolist(),
+            ))
     return rows
 
 
 def write_csv_rows(fh, rows: list):
     """Write dict rows with the union of keys, in first-seen order."""
-    fieldnames = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     writer = csv.DictWriter(fh, fieldnames=fieldnames)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def rows_to_csv_text(rows: list) -> str:

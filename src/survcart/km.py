@@ -39,11 +39,20 @@ def risk_table(times, exact) -> tuple:
     ``times`` is a float array and ``exact`` a boolean mask of the times
     that are exact.  Returns the ascending grid of distinct exact times,
     the integer count of exact times at each and the integer number of
-    subjects whose time is at least it.
+    subjects whose time is at least it.  One sort: the exact times come
+    out of it ascending, so the grid and the counts are its runs.
     """
     order = np.argsort(times, kind="stable")
     ts = times[order]
-    grid, d = np.unique(ts[exact[order]], return_counts=True)
+    exact_ts = ts[exact[order]]
+    # run boundaries: the start of every run of equal times, then the end
+    boundary = np.empty(exact_ts.size + 1, dtype=bool)
+    boundary[0] = boundary[-1] = True
+    np.not_equal(exact_ts[1:], exact_ts[:-1], out=boundary[1:-1])
+    bounds = np.flatnonzero(boundary)
+    starts = bounds[:-1]
+    grid = exact_ts[starts]
+    d = bounds[1:] - starts
     n_risk = times.size - np.searchsorted(ts, grid, side="left")
     return grid, d, n_risk
 

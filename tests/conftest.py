@@ -6,8 +6,10 @@ The exceptions are bit-exact references kept from earlier versions of
 the package: `dense_continuous_candidates` (the split search before it
 was blocked), `sort_ranked`, `label_categorical_candidates` and
 `label_variable_test` (the ranking, factor split search and variable
-test before factors were encoded, working on the raw labels), and
-`dict_rows_load_csv` (the CSV loader before it read column by column).
+test before factors were encoded, working on the raw labels),
+`dict_rows_load_csv` (the CSV loader before it read column by column)
+and `unique_risk_table` (the risk table before it read its grid off
+the one sort).
 """
 
 import csv
@@ -68,6 +70,15 @@ def brute_km(times, indicator):
         s *= 1.0 - dj / nj
         surv.append(s)
     return np.array(grid), np.array(surv)
+
+
+def unique_risk_table(times, exact):
+    """km.risk_table with its grid and counts from np.unique."""
+    order = np.argsort(times, kind="stable")
+    ts = times[order]
+    grid, d = np.unique(ts[exact[order]], return_counts=True)
+    n_risk = times.size - np.searchsorted(ts, grid, side="left")
+    return grid, d, n_risk
 
 
 def brute_km_median(grid, surv):

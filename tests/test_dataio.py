@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from unittest.mock import patch
@@ -25,7 +26,7 @@ from survcart import (
 )
 from survcart import dataio
 from survcart.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_SPEC, main
-from survcart.dataio import km_leaf_rows, rows_to_csv_text, tree_to_dot
+from survcart.dataio import KM_COLUMNS, km_leaf_rows, rows_to_csv_text, tree_to_dot
 from survcart.datasets import CovariateSpec
 from survcart.km import km_fit
 
@@ -292,16 +293,26 @@ def test_tree_to_dot_is_valid_digraph():
 def test_km_leaf_rows_match_direct_fits():
     tree, data = grown_tree()
     rows = km_leaf_rows(tree, data)
-    by_leaf = {}
-    for row in rows:
-        by_leaf.setdefault((row["leaf"], row["flavor"]), []).append(row)
-    for leaf in tree.leaves():
+    assert all(len(row) == len(KM_COLUMNS) for row in rows)
+    curves = {}
+    for leaf, flavor, *cells in rows:
+        curves.setdefault((leaf, flavor), []).append(tuple(cells))
+    expected = {}
+    for leaf in sorted(tree.leaves(), key=lambda n: n.node_id):
         idx = leaf.subject_index
-        curve = km_fit(data.times[idx], data.events[idx])
-        got = by_leaf[(leaf.node_id, "event")]
-        assert [r["time"] for r in got] == curve.times.tolist()
-        assert [r["surv"] for r in got] == pytest.approx(
-            curve.survival.tolist())
+        for flavor in ("event", "censor"):
+            curve = km_fit(data.times[idx], data.events[idx], flavor=flavor)
+            cells = list(zip(
+                curve.times.tolist(), curve.survival.tolist(),
+                curve.at_risk.tolist(), curve.n_events.tolist()))
+            if cells:  # a curve with no exact times has no rows
+                expected[(leaf.node_id, flavor)] = cells
+    assert curves == expected
+    # leaves in node-id order, each event curve before its censor curve
+    assert list(curves) == list(expected)
+    # plain Python numbers, so str() is the shortest repr
+    assert all(type(t) is float and type(s) is float and type(r) is int
+               and type(e) is int for _, _, t, s, r, e in rows)
 
 
 def test_rows_to_csv_text_union_header():
@@ -406,6 +417,58 @@ def test_cli_fit_writes_dot_and_km(demo_csv, tmp_path):
     assert dot.read_text().startswith("digraph")
     header = km.read_text().splitlines()[0]
     assert "leaf" in header and "surv" in header
+
+
+def golden_csv(path):
+    """60 subjects in three groups of 20, with tied times.
+
+    Group a has early events, b later ones, and c only censorings, so
+    with minsplit 10 and minbucket 5 the tree gets a leaf of c alone
+    whose event curve has no rows.
+    """
+    lines = ["id,time,status,x,group"]
+    for i in range(60):
+        group, k = "abc"[i % 3], i // 3
+        if group == "a":
+            time, status = 1 + k % 5, int(k % 4 != 3)
+        elif group == "b":
+            time, status = 6 + 2 * (k % 6), int(k % 3 != 2)
+        else:
+            time, status = 3 + k % 4, 0
+        lines.append(f"{i},{time},{status},{(i * 37 % 60) / 4},{group}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# sha256 of the --km-out file, recorded before the KM export was
+# rewritten to write tuple rows in one writerows
+GOLDEN_KM_SHA256 = (
+    "faa50e798b83c8dd001eae1ceca4be0fb9807e23166d17741811130edfa18aa0")
+
+
+def test_cli_fit_km_out_golden_bytes(tmp_path):
+    data = golden_csv(tmp_path / "golden.csv")
+    km = tmp_path / "km.csv"
+    code = main(["fit", "--data", data, "--time", "time", "--event", "status",
+                 "--id", "id", "--vars", "x:cont,group:cat", "--minsplit", "10",
+                 "--minbucket", "5", "--km-out", str(km), "--deterministic"])
+    assert code == EXIT_OK
+    raw = km.read_bytes()
+    assert raw.startswith(b"leaf,flavor,time,surv,n.risk,n.event\r\n")
+    # the all-censored leaf has a censor curve and no event rows
+    assert b"2,censor," in raw and b"2,event," not in raw
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_KM_SHA256
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot", "--km-out"])
+def test_cli_fit_unwritable_output_is_config_error(demo_csv, tmp_path, capsys,
+                                                   flag):
+    target = tmp_path / "no" / "such" / "file"
+    code = main(FIT_ARGS + ["--data", demo_csv, flag, str(target)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
 
 
 def test_cli_stabtest_reports_components(demo_csv, capsys):
@@ -526,6 +589,18 @@ def test_cli_simulate_writes_csv_file(tmp_path, capsys):
     assert len(lines) == 2
     # summary still goes to stdout
     assert capsys.readouterr().out.startswith("# size:")
+
+
+def test_cli_simulate_unwritable_out_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "s.spec"
+    spec.write_text("experiment = size\nn = 100\nreplicates = 10\n")
+    target = tmp_path / "no" / "rows.csv"
+    code = main(["simulate", "--spec", str(spec), "--seed", "4",
+                 "--out", str(target)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
 
 
 def test_cli_unknown_subcommand_is_config_error(capsys):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survcart import CENSOR, EVENT, EmptyInputError, km_fit, km_median
+from survcart.km import risk_table
 
-from conftest import brute_km, brute_km_median, rng_for
+from conftest import brute_km, brute_km_median, rng_for, unique_risk_table
 
 
 def test_km_worked_example():
@@ -85,3 +86,36 @@ def test_km_curve_is_nonincreasing_within_unit_interval(rows):
     assert np.all(s <= 1.0 + 1e-12) and np.all(s >= -1e-12)
     assert np.all(np.diff(s) <= 1e-12)
     assert np.all(np.diff(curve.times) > 0)
+
+
+def _assert_same_risk_table(times, exact):
+    got = risk_table(times, exact)
+    want = unique_risk_table(times, exact)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.5, 7.0]),
+                          st.booleans()),
+                min_size=1, max_size=40),
+       st.lists(st.tuples(st.floats(0.01, 1e6), st.booleans()),
+                max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_risk_table_equals_unique_oracle(tied, spread):
+    # heavy ties from four values, plus distinct ones from a wide range
+    rows = tied + spread
+    t = np.array([r[0] for r in rows])
+    e = np.array([r[1] for r in rows], bool)
+    _assert_same_risk_table(t, e)
+    _assert_same_risk_table(t, np.zeros(t.size, bool))
+
+
+@pytest.mark.parametrize("times, exact", [
+    ([3.0], [True]),           # one subject
+    ([3.0], [False]),          # one subject, no exact time
+    ([2.0, 1.0, 2.0], [False, False, False]),  # empty grid
+    ([2.0, 2.0, 2.0, 2.0], [True, False, True, True]),
+])
+def test_risk_table_edge_cases_equal_unique_oracle(times, exact):
+    _assert_same_risk_table(np.array(times), np.array(exact, bool))
