@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import sys
 from contextlib import contextmanager
@@ -161,6 +162,7 @@ def _load(args) -> tuple:
 
 
 def _cmd_fit(args) -> int:
+    _check_writable(args.out, args.dot, args.km_out)
     schema, data = _load(args)
     config = TreeConfig(
         alpha=args.alpha,
@@ -194,6 +196,25 @@ def _cmd_fit(args) -> int:
             writer.writerow(KM_COLUMNS)
             writer.writerows(rows)
     return EXIT_OK
+
+
+def _check_writable(*paths):
+    """Fail fast, as ``_writing`` would, on an output path that names a
+    directory or whose directory is missing or not writable; None stands
+    for an output not asked for."""
+    for path in paths:
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        elif not os.access(folder, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise _ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextmanager
@@ -283,6 +304,7 @@ def _resolve_seed(args, spec) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_writable(args.out)
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()

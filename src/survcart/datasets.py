@@ -17,12 +17,23 @@ A dataset is treated as immutable: ``grouping`` caches, per covariate,
 the distinct values of the subjects that have one, for the instability
 tests and the split search of a tree node to share, and ``workspace``
 keeps what those tests derive from a fitted model at the node.
+
+Who sorts: a dataset makes one stable sort of its times and of each
+covariate (a factor by its codes), together and only when one of them
+is first needed.  ``subset`` with a boolean mask hands the child its
+parent's orders, each partitioned stably in O(n) by ``restrict_order``,
+so below the root no node sorts again; an integer-index ``subset``
+sorts afresh on first use.  ``grouping`` drops the missing values from
+the covariate's order with the same helper, ``Grouping.of`` and
+``km.risk_table`` take those orders instead of sorting, and every sort
+of a data column goes through ``sort_order``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +68,26 @@ class SurvivalRecord:
     subject_id: object = None
 
 
+def sort_order(values, kind="stable") -> np.ndarray:
+    """Indices that sort the array ``values``: every sort of a data column
+    goes here.  ``kind=None`` is numpy's default quicksort, as in
+    ``np.unique``."""
+    return values.argsort(kind=kind)
+
+
+def restrict_order(order, mask) -> np.ndarray:
+    """The subjects of ``mask`` in ``order``, numbered as ``subset(mask)`` does.
+
+    ``order`` lists every subject once (a 2-d array lists them once per
+    row), ``mask`` selects some of them.  Keeping the selected ones in
+    place is a stable partition, so the stable sort of a column restricts
+    to the stable sort of the column's subset.  O(n) per row.
+    """
+    rank = np.cumsum(mask) - 1  # new number of each selected subject
+    kept = order[mask[order]]
+    return rank[kept].reshape(order.shape[:-1] + (-1,))
+
+
 @dataclass(frozen=True)
 class Grouping:
     """Subjects with a value on one covariate, grouped by that value."""
@@ -67,20 +98,33 @@ class Grouping:
     inverse: np.ndarray   # index into distinct of each present value
     counts: np.ndarray    # group sizes
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The present values' indices in stable ascending order.
+
+        Given by the dataset that grouped them; for bare values it is
+        sorted from the inverse on first read.
+        """
+        return sort_order(self.inverse)
+
     @classmethod
-    def of(cls, values, include=None) -> "Grouping":
+    def of(cls, values, include=None, order=None) -> "Grouping":
         """Group a 1-d array of floats, integer codes or orderable labels.
 
-        The result is exactly ``np.unique(values, return_inverse=True,
-        return_counts=True)``, built from the same single argsort (the
-        default quicksort, so even which of -0.0 and 0.0 stands for their
-        group agrees): one pass flags where the sorted values change,
-        the running count of those flags scattered back through the sort
-        order is the inverse, and the gaps between flagged positions are
-        the counts.  As in ``np.unique``, all float NaNs form one group,
-        the last.
+        Without ``order`` the result is exactly ``np.unique(values,
+        return_inverse=True, return_counts=True)``, built from the same
+        single argsort (the default quicksort, so even which of -0.0 and
+        0.0 stands for their group agrees): one pass flags where the
+        sorted values change, the running count of those flags scattered
+        back through the sort order is the inverse, and the gaps between
+        flagged positions are the counts.  As in ``np.unique``, all float
+        NaNs form one group, the last.  A given ``order``, the stable sort
+        of ``values``, replaces the argsort; it gives the same groups, but
+        the first of -0.0 and 0.0 in subject order stands for their group.
         """
-        order = values.argsort()
+        given = order is not None
+        if not given:
+            order = sort_order(values, kind=None)
         ordered = values[order]
         n = ordered.size
         if n == 0:
@@ -102,7 +146,10 @@ class Grouping:
         counts = np.empty(starts.size, dtype=np.intp)
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
         counts[-1] = n - starts[-1]
-        return cls(include, values, ordered[starts], inverse, counts)
+        grouped = cls(include, values, ordered[starts], inverse, counts)
+        if given:  # the stable order is known: seed ``order`` with it
+            object.__setattr__(grouped, "order", order)
+        return grouped
 
 
 def is_missing_value(value) -> bool:
@@ -175,7 +222,8 @@ class SurvivalDataset:
             raise SchemaMismatchError("subject_ids has wrong length")
         self._assign(times, events, meta, stored, levels, subject_ids)
 
-    def _assign(self, times, events, meta, stored, levels, subject_ids):
+    def _assign(self, times, events, meta, stored, levels, subject_ids,
+                orders=None):
         self.times = times
         self.events = events
         self.meta = meta
@@ -183,6 +231,7 @@ class SurvivalDataset:
         self._stored = stored
         self.levels = levels  # factor name -> its sorted distinct labels
         self.subject_ids = subject_ids
+        self._orders = orders
         self._groupings = {}
         self._workspaces = {}
 
@@ -234,17 +283,41 @@ class SurvivalDataset:
             return np.isnan(col)
         return col < 0
 
+    def _presorted(self) -> np.ndarray:
+        """Stable orders of the times (row 0) and of each covariate.
+
+        Inherited from the parent by a boolean ``subset``, otherwise
+        sorted here on first use; kept until ``drop_groupings``.
+        """
+        if self._orders is None:
+            self._orders = np.stack(
+                [sort_order(self.times)]
+                + [sort_order(col) for col in self._stored.values()]
+            )
+        return self._orders
+
+    @property
+    def time_order(self) -> np.ndarray:
+        """Subject indices by ascending time, ties in subject order."""
+        return self._presorted()[0]
+
     def grouping(self, name: str) -> Grouping:
         """The present values of one covariate grouped by value.
 
         Computed on first use and kept until ``drop_groupings``, so the
         instability test and the split search of a node group each
-        covariate once.  A factor is grouped by its codes.
+        covariate once.  A factor is grouped by its codes.  The values
+        come in the covariate's stable order, with the missing ones
+        dropped from it.
         """
         grouped = self._groupings.get(name)
         if grouped is None:
             include = ~self.missing_mask(name)
-            grouped = Grouping.of(self._stored[name][include], include)
+            row = 1 + list(self._stored).index(name)
+            values, order = self._stored[name], self._presorted()[row]
+            if not include.all():
+                values, order = values[include], restrict_order(order, include)
+            grouped = Grouping.of(values, include, order)
             self._groupings[name] = grouped
         return grouped
 
@@ -261,15 +334,21 @@ class SurvivalDataset:
         return held[1]
 
     def drop_groupings(self) -> None:
-        """Release the groupings and the workspaces cached so far."""
+        """Release the groupings, workspaces and sort orders cached so far."""
         self._groupings.clear()
         self._workspaces.clear()
+        self._orders = None
 
     def subset(self, index) -> "SurvivalDataset":
+        """The subjects at ``index``, an integer array or a boolean mask;
+        a mask hands the child this dataset's sort orders, if made."""
         index = np.asarray(index)
         times = self.times[index]
         if times.size == 0:
             raise EmptyDatasetError("dataset has no subjects")
+        orders = None
+        if index.dtype == bool and self._orders is not None:
+            orders = restrict_order(self._orders, index)
         out = object.__new__(type(self))
         out._assign(
             times,
@@ -278,5 +357,6 @@ class SurvivalDataset:
             {name: col[index] for name, col in self._stored.items()},
             self.levels,
             self.subject_ids[index],
+            orders,
         )
         return out

@@ -5,6 +5,11 @@ incomplete; the "censor" flavor takes the censorings as the exact times
 (``families.exact_mask``) and estimates the censoring-time distribution
 the same way.  ``risk_table`` is the one risk table of the package: the
 log-rank statistic and the split search read it too.
+
+Both take the times' stable order when the caller has it: a tree node
+inherits its times' order from the root (``SurvivalDataset.time_order``),
+so neither sorts inside ``grow``.  Without one they sort through
+``datasets.sort_order``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import sort_order
 from .errors import EmptyInputError
 from .families import EVENT, exact_mask
 
@@ -33,16 +39,18 @@ class KMCurve:
         return 1.0 if idx == 0 else float(self.survival[idx - 1])
 
 
-def risk_table(times, exact) -> tuple:
+def risk_table(times, exact, order=None) -> tuple:
     """Distinct exact times, their counts and the numbers at risk.
 
     ``times`` is a float array and ``exact`` a boolean mask of the times
     that are exact.  Returns the ascending grid of distinct exact times,
     the integer count of exact times at each and the integer number of
-    subjects whose time is at least it.  One sort: the exact times come
-    out of it ascending, so the grid and the counts are its runs.
+    subjects whose time is at least it.  One sort, or the given stable
+    ``order`` of the times: the exact times come out of it ascending, so
+    the grid and the counts are its runs.
     """
-    order = np.argsort(times, kind="stable")
+    if order is None:
+        order = sort_order(times)
     ts = times[order]
     exact_ts = ts[exact[order]]
     # run boundaries: the start of every run of equal times, then the end
@@ -57,11 +65,12 @@ def risk_table(times, exact) -> tuple:
     return grid, d, n_risk
 
 
-def km_fit(times, events, flavor: str = EVENT) -> KMCurve:
+def km_fit(times, events, flavor: str = EVENT, order=None) -> KMCurve:
+    """Product-limit curve; ``order`` is the times' stable order, if known."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise EmptyInputError("km_fit needs at least one subject")
-    grid, d, at_risk = risk_table(times, exact_mask(events, flavor))
+    grid, d, at_risk = risk_table(times, exact_mask(events, flavor), order)
     surv = np.cumprod(1.0 - d / at_risk)
     return KMCurve(
         flavor=flavor,

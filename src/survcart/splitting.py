@@ -48,7 +48,11 @@ scanned, mirroring the continuous case.
 
 Both searches take the variable's values grouped by the node's dataset
 (``SurvivalDataset.grouping``), the same grouping the node's
-instability tests used; a factor is grouped by its integer codes.
+instability tests used; a factor is grouped by its integer codes.  No
+search sorts: the covariate order comes with the grouping and the time
+order with the node (``SurvivalDataset.time_order``), both inherited
+from the root, and the risk table, the log-rank tallies and the
+per-level product-limit medians read them.
 
 A search ranks its candidates as arrays of cutpoints, statistics and
 left-side sizes and returns them as ``Candidates``, a read-only
@@ -69,7 +73,7 @@ from functools import partial
 
 import numpy as np
 
-from .datasets import CATEGORICAL
+from .datasets import CATEGORICAL, restrict_order, sort_order
 from .errors import EmptyGroupError
 from .families import exact_mask
 from .km import km_fit, km_median, risk_table
@@ -154,8 +158,12 @@ class Candidates(Sequence):
         return f"Candidates({list(self)!r})"
 
 
-def logrank(times, events, group) -> LogrankResult:
-    """Standardized log-rank statistic; group is a boolean membership mask."""
+def logrank(times, events, group, order=None) -> LogrankResult:
+    """Standardized log-rank statistic; group is a boolean membership mask.
+
+    ``order`` is the times' stable order, if known; without it the times
+    are sorted once.
+    """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=bool)
     group = np.asarray(group, dtype=bool)
@@ -164,12 +172,12 @@ def logrank(times, events, group) -> LogrankResult:
         raise EmptyGroupError("both groups need at least one subject")
     if not events.any():
         return LogrankResult(0.0, False)
-    grid, d, n_risk = risk_table(times, events)
-    t1 = np.sort(times[group])
+    if order is None:
+        order = sort_order(times)
+    grid, d, n_risk = risk_table(times, events, order)
+    t1 = times[order[group[order]]]  # group 1's times, ascending
     n1_risk = t1.size - np.searchsorted(t1, grid, side="left")
-    vals1, c1 = np.unique(times[group & events], return_counts=True)
-    d1 = np.zeros(grid.size)
-    d1[np.searchsorted(grid, vals1)] = c1
+    observed = np.count_nonzero(group & events)  # O = sum_j d_1j
     frac = n1_risk / n_risk
     expected = d * frac
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -180,7 +188,7 @@ def logrank(times, events, group) -> LogrankResult:
     if variance <= 0.0:
         return LogrankResult(0.0, False)
     return LogrankResult(
-        float((d1.sum() - expected.sum()) / np.sqrt(variance)), True
+        float((observed - expected.sum()) / np.sqrt(variance)), True
     )
 
 
@@ -201,10 +209,11 @@ _ROUNDOFF = 2.0**-53  # unit roundoff of float64
 _NONE = ((), (), ())
 
 
-def _continuous_candidates(times, ev, grouping, minbucket, every=False):
+def _continuous_candidates(times, ev, by_time, grouping, minbucket, every=False):
     """Ranked midpoints: a certified leading run and their number.
 
-    ``ev`` marks the times exact for the search's mode.  Returns the
+    ``ev`` marks the times exact for the search's mode and ``by_time``
+    is the times' stable order.  Returns the
     ranked (cutpoints, statistics, left sizes) of a leading run of the
     ranking, or with ``every`` of the whole ranking, and the number of
     candidates.
@@ -220,13 +229,13 @@ def _continuous_candidates(times, ev, grouping, minbucket, every=False):
     # bounds increase, so the admissible boundaries are one range
     first, stop = admissible[0], admissible[-1] + 1
 
-    grid, d, n_risk = risk_table(times, ev)
+    grid, d, n_risk = risk_table(times, ev, by_time)
     cumhaz = np.cumsum(d / n_risk)
     pos = np.searchsorted(grid, times, side="right")
     haz_at = np.concatenate(([0.0], cumhaz))[pos]
     resid = ev.astype(float) - haz_at
 
-    order = np.argsort(grouping.inverse, kind="stable")  # covariate order
+    order = grouping.order  # covariate order, ties in subject order
     numer = np.cumsum(resid[order])[bounds - 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
@@ -404,24 +413,27 @@ def _variance_rows(a, frac, terms, out):
     terms.sum(axis=1, out=out)
 
 
-def _median_order(times, ev, inverse, n_groups):
+def _median_order(times, ev, by_time, inverse, n_groups):
     """Groups sorted by within-group product-limit median (None sorts last).
 
-    ``ev`` marks the exact times, so each curve is of the search's mode.
+    ``ev`` marks the exact times, so each curve is of the search's mode;
+    each group's times keep their order from ``by_time``.
     """
     keyed = []
     for idx in range(n_groups):
         mask = inverse == idx
-        med = km_median(km_fit(times[mask], ev[mask]))
+        med = km_median(km_fit(times[mask], ev[mask],
+                               order=restrict_order(by_time, mask)))
         keyed.append((np.inf if med is None else med, idx))
     keyed.sort()
     return [idx for _, idx in keyed]
 
 
-def _categorical_candidates(times, ev, grouping, labels, minbucket):
+def _categorical_candidates(times, ev, by_time, grouping, labels, minbucket):
     """Ranked prefix splits of the levels present, ordered by their medians.
 
-    ``ev`` marks the times exact for the search's mode.  The grouping is
+    ``ev`` marks the times exact for the search's mode and ``by_time``
+    is the times' stable order.  The grouping is
     by code and codes follow label order, so group indices order the
     levels present as their labels would.
     """
@@ -431,7 +443,7 @@ def _categorical_candidates(times, ev, grouping, labels, minbucket):
     if n_groups == 2:
         ordered = [0, 1]
     else:
-        ordered = _median_order(times, ev, grouping.inverse, n_groups)
+        ordered = _median_order(times, ev, by_time, grouping.inverse, n_groups)
     group_labels = labels[grouping.distinct]
     on_left = np.zeros(n_groups, dtype=bool)
     cuts, stats, left = [], [], []
@@ -441,7 +453,7 @@ def _categorical_candidates(times, ev, grouping, labels, minbucket):
         left_n = int(np.count_nonzero(mask))
         if left_n < minbucket or times.size - left_n < minbucket:
             continue
-        res = logrank(times, ev, mask)
+        res = logrank(times, ev, mask, by_time)
         if not res.defined:
             continue
         cuts.append(tuple(group_labels[ordered[: i + 1]]))
@@ -463,16 +475,17 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     built when it is read.  ``mode`` must be "event" or "censor".
     """
     spec = data.spec_for(variable)
-    grouping, times, ev = _present(data, variable, mode)
+    grouping, times, ev, by_time = _present(data, variable, mode)
     size = complete = None
     if times.size == 0:
         ranked = _NONE
     elif spec.kind == CATEGORICAL:
         ranked = _categorical_candidates(
-            times, ev, grouping, data.levels[variable], minbucket
+            times, ev, by_time, grouping, data.levels[variable], minbucket
         )
     else:
-        ranked, size = _continuous_candidates(times, ev, grouping, minbucket)
+        ranked, size = _continuous_candidates(times, ev, by_time, grouping,
+                                              minbucket)
         if len(ranked[1]) < size:
             # the whole ranking starts over from the node's data, so the
             # search's arrays are not kept alive while its reader runs
@@ -482,17 +495,22 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
 
 
 def _present(data, variable, mode):
-    """The variable's grouping, and the times and exact-time mask of the
-    subjects with a value."""
+    """The variable's grouping, and the times, exact-time mask and stable
+    time order of the subjects with a value."""
     grouping = data.grouping(variable)
-    return (grouping, data.times[grouping.include],
-            exact_mask(data.events[grouping.include], mode))
+    include, by_time = grouping.include, data.time_order
+    if grouping.values.size == data.n:  # nobody misses the variable
+        return grouping, data.times, exact_mask(data.events, mode), by_time
+    return (grouping, data.times[include],
+            exact_mask(data.events[include], mode),
+            restrict_order(by_time, include))
 
 
 def _every_continuous_candidate(data, variable, mode, minbucket):
     """The whole ranking of a continuous search, from the full sweep."""
-    grouping, times, ev = _present(data, variable, mode)
-    return _continuous_candidates(times, ev, grouping, minbucket, every=True)[0]
+    grouping, times, ev, by_time = _present(data, variable, mode)
+    return _continuous_candidates(times, ev, by_time, grouping, minbucket,
+                                  every=True)[0]
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at

@@ -31,6 +31,9 @@ the same adjustment once more across the tested components.
 Within a tree node, a covariate is grouped once
 (``SurvivalDataset.grouping``, by integer code for a factor) and that
 grouping serves both components' tests and the node's split search.
+The grouping reads the covariate's order that the node inherited from
+the root, so a node's tests sort nothing; bare covariate values are
+grouped with one sort (``Grouping.of``).
 Each fitted component likewise gets one workspace per node, kept by the
 node's dataset next to its groupings: the component's score
 contributions at the node's data, computed once, and its information
@@ -186,7 +189,9 @@ def _grouped_sums(x, scores):
     components' tests.
     """
     grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    if not (isinstance(scores, np.ndarray) and scores.ndim == 2
+            and scores.dtype == np.float64):
+        scores = np.atleast_2d(np.asarray(scores, dtype=float))
     if scores.shape[0] == 1 and grouping.values.size != 1:
         scores = scores.T
     n_groups, width = grouping.distinct.size, scores.shape[1]
@@ -282,8 +287,7 @@ def continuous_test(scores, info, x, param_names=None) -> ContinuousResult:
     if param_names is None:
         param_names = tuple(f"param{q}" for q in range(d_stats.size))
     entries = tuple(
-        (name, float(d), fd_sf(float(d)))
-        for name, d in zip(param_names, d_stats)
+        (name, d, fd_sf(d)) for name, d in zip(param_names, d_stats.tolist())
     )
     return ContinuousResult(entries=entries)
 
@@ -339,13 +343,19 @@ def _component_test(component, model, scores, kind, x, info):
         )
     res = continuous_test(scores, info, x, param_names=names)
     raw = [e[2] for e in res.entries]
-    adjusted = hochberg(raw)
+    if len(raw) == 1:  # Hochberg's adjustment of one p-value caps it
+        component_p = min(raw[0], 1.0)
+        adjusted = (component_p,)
+    else:
+        adjusted = hochberg(raw)
+        component_p = float(adjusted.min())
+        adjusted = tuple(adjusted.tolist())
     return ComponentTest(
         component=component,
         tested=True,
-        component_p=float(adjusted.min()),
+        component_p=component_p,
         entries=res.entries,
-        adjusted=tuple(float(a) for a in adjusted),
+        adjusted=adjusted,
     )
 
 
@@ -386,6 +396,9 @@ def variable_test(
     n_used = int(grouping.values.size)
     distinct = grouping.distinct
 
+    def present(scores):  # the rows of the subjects with a value
+        return scores if n_used == data.n else scores[include]
+
     event_ct = _skipped(EVENT, "degenerate")
     censor_ct = _skipped(CENSOR, "disabled" if not censor_enabled else "degenerate")
 
@@ -406,12 +419,12 @@ def variable_test(
     if event_model is not None:
         scores, info = _workspace(data, event_model)
         event_ct = _component_test(
-            EVENT, event_model, scores[include], spec.kind, grouping, info
+            EVENT, event_model, present(scores), spec.kind, grouping, info
         )
     if censor_enabled and censor_model is not None:
         scores, info = _workspace(data, censor_model)
         censor_ct = _component_test(
-            CENSOR, censor_model, scores[include], spec.kind, grouping, info
+            CENSOR, censor_model, present(scores), spec.kind, grouping, info
         )
 
     tested = [ct for ct in (event_ct, censor_ct) if ct.tested]

@@ -234,8 +234,8 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
                         left_models, right_models)
             break
         # release the groupings shared by the tests and the split search
-        # of this node, and its test workspaces; they would otherwise
-        # live while its subtree grows
+        # of this node, its test workspaces and its orders (the children
+        # hold theirs); they would otherwise live while its subtree grows
         subset.drop_groupings()
         if accepted is None:
             leaf(node, STOP_NO_ADMISSIBLE_SPLIT)
@@ -252,6 +252,7 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
 
     def _make_node(node_id, depth, index, subset, models):
         event_model, censor_model = models
+        order = subset.time_order  # inherited from the root's one sort
         return TreeNode(
             node_id=node_id,
             depth=depth,
@@ -260,8 +261,10 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             subject_index=np.asarray(index),
             event_model=event_model,
             censor_model=censor_model,
-            km_median_event=km_median(km_fit(subset.times, subset.events, EVENT)),
-            km_median_censor=km_median(km_fit(subset.times, subset.events, CENSOR)),
+            km_median_event=km_median(
+                km_fit(subset.times, subset.events, EVENT, order=order)),
+            km_median_censor=km_median(
+                km_fit(subset.times, subset.events, CENSOR, order=order)),
         )
 
     build(SurvTree.ROOT, 0, np.arange(data.n), data, None)

@@ -460,6 +460,96 @@ def test_cli_fit_km_out_golden_bytes(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == GOLDEN_KM_SHA256
 
 
+def signed_zero_csv(path):
+    """120 subjects on x in {-1, -0.0, 0.0, 1, 2} with tied integer times.
+
+    The first zero in subject order is 0.0, while np.unique's quicksort
+    (numpy 2 on x86-64) lets -0.0 stand for the group, so the root's
+    split at x <= -0.5, next to that group, sees the representative
+    differ between the stable order and np.unique.
+    """
+    levels = ("-1.0", "-0.0", "0.0", "1.0", "2.0", "0.0")
+    lines = ["id,time,status,x,arm"]
+    for i in range(120):
+        x = levels[(i * i + 3 * i + i // 7) % 6]
+        k = (i * 7) % 11
+        value = float(x)
+        if value < 0.0:
+            time = 1 + k % 3
+        elif value == 0.0:
+            time = 3 + k % 4
+        else:
+            time = 6 + k % 5
+        lines.append(f"{i},{time},{int(k % 6 != 5)},{x},{'ab'[i % 2]}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# sha256 of the --deterministic tree JSON and the --km-out file on
+# signed_zero_csv, recorded while grouping still sorted every node with
+# np.unique's quicksort
+SIGNED_ZERO_JSON_SHA256 = (
+    "5694417a0fd58a791503168347a91e1dd2746bd6994d5bfabc9efc916d4adc2b")
+SIGNED_ZERO_KM_SHA256 = (
+    "61e92b7a2d8c970c0f922b93aaf6c06436a16196c2ac34832cdcf0d02f83658b")
+
+
+def test_cli_fit_signed_zero_golden_bytes(tmp_path):
+    # which of -0.0 and 0.0 stands for their group never reaches a cutpoint
+    data = signed_zero_csv(tmp_path / "zeros.csv")
+    out, km = tmp_path / "tree.json", tmp_path / "km.csv"
+    code = main(["fit", "--data", data, "--time", "time", "--event", "status",
+                 "--id", "id", "--vars", "x:cont,arm:cat", "--minsplit", "10",
+                 "--minbucket", "5", "--out", str(out), "--km-out", str(km),
+                 "--deterministic"])
+    assert code == EXIT_OK
+    assert '"cutpoint": -0.5' in out.read_text()
+    loaded = load_csv(data, SchemaSpec(
+        time_column="time", event_column="status", event_value="1",
+        variables=parse_variable_flags("x:cont,arm:cat"), id_column="id"))
+    # the stable order lets the first zero in subject order, 0.0, stand
+    # for the group
+    distinct = loaded.grouping("x").distinct
+    assert list(distinct) == [-1.0, 0.0, 1.0, 2.0]
+    assert not np.signbit(distinct[1])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIGNED_ZERO_JSON_SHA256
+    assert hashlib.sha256(km.read_bytes()).hexdigest() == SIGNED_ZERO_KM_SHA256
+
+
+@pytest.mark.parametrize("bad", ["--out", "--dot", "--km-out"])
+def test_cli_fit_checks_output_dirs_before_loading(demo_csv, tmp_path, capsys,
+                                                   bad):
+    outputs = {"--out": tmp_path / "ok.json", "--dot": tmp_path / "ok.dot",
+               "--km-out": tmp_path / "ok.csv"}
+    outputs[bad] = tmp_path / "no" / "such" / "dir" / "file"
+    argv = FIT_ARGS + ["--data", demo_csv]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    with patch("survcart.cli.load_csv", side_effect=AssertionError("loaded")):
+        code = main(argv)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {outputs[bad]}: "
+                            "No such file or directory\n")
+    assert not any(path.exists() for path in outputs.values())
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("plain.txt/t.json", "Not a directory"),
+    ("folder", "Is a directory"),
+])
+def test_cli_fit_output_path_checked_before_loading(demo_csv, tmp_path,
+                                                    capsys, name, reason):
+    (tmp_path / "plain.txt").write_text("")
+    (tmp_path / "folder").mkdir()
+    code = main(FIT_ARGS + ["--data", demo_csv, "--out", str(tmp_path / name)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path / name}: {reason}\n"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dot", "--km-out"])
 def test_cli_fit_unwritable_output_is_config_error(demo_csv, tmp_path, capsys,
                                                    flag):
@@ -601,6 +691,20 @@ def test_cli_simulate_unwritable_out_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}")
     assert err.count("\n") == 1
+
+
+def test_cli_simulate_checks_out_dir_before_running(tmp_path, capsys):
+    spec = tmp_path / "s.spec"
+    spec.write_text("experiment = size\nn = 100\nreplicates = 10\n")
+    target = tmp_path / "no" / "rows.csv"
+    with patch("survcart.cli.run_spec", side_effect=AssertionError("ran")):
+        code = main(["simulate", "--spec", str(spec), "--out", str(target)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {target}: "
+                            "No such file or directory\n")
+    assert not target.parent.exists()
 
 
 def test_cli_unknown_subcommand_is_config_error(capsys):

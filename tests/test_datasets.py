@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from survcart import (
     SurvivalRecord,
     UnknownVariableError,
 )
+from survcart import datasets
 from survcart.datasets import Grouping
 from survcart.errors import EmptyDatasetError
 
@@ -220,3 +223,81 @@ def test_grouping_of_large_tied_floats_match_unique():
     values[rng.random(5000) < 0.05] = np.nan
     assert_groups_like_unique(values)
     assert_groups_like_unique(rng.random(5000))
+
+
+# --- sort orders inherited through subset ------------------------------------
+
+def stable_codes(ds, name):
+    """A factor's values as codes into its sorted labels, -1 where missing."""
+    code = {label: c for c, label in enumerate(ds.levels[name])}
+    return np.array([-1 if ds.missing_mask(name)[i] else code[v]
+                     for i, v in enumerate(ds.covariate(name))], dtype=np.intp)
+
+
+def assert_orders_are_stable_sorts(ds):
+    columns = [ds.times, ds.covariate("x"), stable_codes(ds, "grp")]
+    for row, column in zip(ds._presorted(), columns):
+        assert np.array_equal(row, np.argsort(column, kind="stable"))
+
+
+def assert_grouping_matches_unordered(grouped):
+    fresh = Grouping.of(grouped.values, grouped.include)
+    assert fresh.include is grouped.include and fresh.values is grouped.values
+    for field in ("inverse", "counts", "order"):
+        mine, theirs = getattr(grouped, field), getattr(fresh, field)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    # equal as numbers: only which of -0.0 and 0.0 stands for a group differs
+    assert grouped.distinct.dtype == fresh.distinct.dtype
+    assert np.array_equal(grouped.distinct, fresh.distinct)
+
+
+@st.composite
+def subset_chains(draw):
+    n = draw(st.integers(1, 40))
+    times = draw(st.lists(st.sampled_from((1.0, 2.0, 2.0, 0.5, 7.25)),
+                          min_size=n, max_size=n))
+    x = draw(st.lists(st.sampled_from((0.0, -0.0, 1.5, -2.0, np.nan, 7.0)),
+                      min_size=n, max_size=n))
+    grp = draw(st.lists(st.sampled_from(("b", "a", "c", None, float("nan"))),
+                        min_size=n, max_size=n))
+    data = SurvivalDataset(
+        times, [i % 3 != 0 for i in range(n)],
+        meta=(CovariateSpec("x", CONTINUOUS), CovariateSpec("grp", CATEGORICAL)),
+        columns={"x": x, "grp": np.array(grp, dtype=object)},
+    )
+    masks = []
+    size = n
+    for _ in range(draw(st.integers(1, 4))):
+        mask = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        mask[draw(st.integers(0, size - 1))] = True  # a subset is never empty
+        masks.append(np.array(mask))
+        size = int(np.count_nonzero(mask))
+    return data, masks
+
+
+@given(subset_chains())
+@settings(max_examples=200, deadline=None)
+def test_subset_children_inherit_stable_orders(chain):
+    ds, masks = chain
+    ds.time_order  # the root sorts
+    sorted_sizes = []
+
+    def counting(values, kind="stable"):
+        sorted_sizes.append(values.size)
+        return np.argsort(values, kind=kind)
+
+    with patch.object(datasets, "sort_order", counting):
+        for mask in masks:
+            ds = ds.subset(mask)
+            groupings = [ds.grouping(name) for name in ("x", "grp")]
+            assert_orders_are_stable_sorts(ds)
+            assert sorted_sizes == []  # inherited, nothing sorted
+            for grouped in groupings:
+                assert np.array_equal(
+                    grouped.order, np.argsort(grouped.values, kind="stable"))
+                assert_grouping_matches_unordered(grouped)
+            sorted_sizes.clear()
+        # an index-array subset sorts its times and each covariate afresh
+        by_index = ds.subset(np.arange(ds.n))
+        assert_orders_are_stable_sorts(by_index)
+        assert sorted_sizes == [ds.n] * 3

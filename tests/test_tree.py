@@ -22,7 +22,7 @@ from survcart import (
     replicate_rng,
     tree_metrics,
 )
-from survcart import datasets, splitting, stability
+from survcart import datasets, km, splitting, stability
 from survcart import tree as tree_module
 from survcart.datasets import CovariateSpec
 from survcart.simlab import generate_tree_data
@@ -287,10 +287,10 @@ def test_grow_groups_each_covariate_once_per_node():
     sorted_dtypes = []
     real_of, real_unique = datasets.Grouping.of, np.unique
 
-    def counting_of(values, include=None):
+    def counting_of(values, include=None, order=None):
         groupings.append(values.size)
         sorted_dtypes.append(values.dtype)
-        return real_of(values, include)
+        return real_of(values, include, order)
 
     def spying_unique(ar, *args, **kwargs):
         sorted_dtypes.append(np.asarray(ar).dtype)
@@ -304,6 +304,50 @@ def test_grow_groups_each_covariate_once_per_node():
     assert tree.n_leaves > 2
     assert len(groupings) == 2 * len(tested)
     assert object not in sorted_dtypes  # labels are never sorted while growing
+
+
+def test_grow_sorts_each_column_once_at_the_root():
+    # every sort of a data column goes through datasets.sort_order; the
+    # root sorts the times and each covariate once and every node below
+    # inherits those orders, missing values, factors of three levels and
+    # all
+    rng = rng_for(515, 0)
+    n = 600
+    grp = np.array([("c", "b", "a")[v] for v in rng.integers(0, 3, n)], object)
+    grp[rng.random(n) < 0.05] = None
+    x = np.round(rng.uniform(0.0, 1.0, n), 2)
+    x[rng.random(n) < 0.05] = np.nan
+    z = rng.integers(0, 4, n).astype(float)
+    t = np.ceil(rng.exponential(np.where(grp == "b", 2.0, 20.0)
+                                * np.where(x < 0.5, 1.0, 8.0)))
+    data = SurvivalDataset(
+        t, rng.random(n) < 0.8,
+        meta=(CovariateSpec("grp", "categorical"),
+              CovariateSpec("x", "continuous"),
+              CovariateSpec("z", "continuous")),
+        columns={"grp": grp, "x": x, "z": z},
+    )
+    sorted_sizes = []
+    real = datasets.sort_order
+
+    def counting(values, kind="stable"):
+        sorted_sizes.append(values.size)
+        return real(values, kind)
+
+    with patch.object(datasets, "sort_order", counting), \
+            patch.object(km, "sort_order", counting), \
+            patch.object(splitting, "sort_order", counting):
+        tree = grow(data, TreeConfig(minsplit=40, minbucket=10, alpha=0.5))
+    assert len(tree.nodes) > 10
+    split_on = [node for node in tree.nodes.values() if not node.is_leaf]
+    assert {node.split.variable for node in split_on} == {"grp", "x"}
+    # a search over three levels ordered them by their medians
+    assert any(
+        node.split.variable == "grp"
+        and len(set(grp[node.subject_index]) - {None}) == 3
+        for node in split_on
+    )
+    assert sorted_sizes == [n] * 4
 
 
 def four_subgroup_data():
