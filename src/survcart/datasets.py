@@ -16,7 +16,8 @@ times or indicators are not.
 A dataset is treated as immutable: ``grouping`` caches, per covariate,
 the distinct values of the subjects that have one, for the instability
 tests and the split search of a tree node to share, and ``workspace``
-keeps what those tests derive from a fitted model at the node.
+keeps what those tests derive from a fitted model at the node, and what
+a fit and its scores share (``families``).
 
 Who sorts: a dataset makes one stable sort of its times and of each
 covariate (a factor by its codes), together and only when one of them

@@ -33,15 +33,26 @@ lognormal, normal
     u(sigma) = [d (y^2 - 1) + (1-d) y h(y)] / sigma.
     Fitted by a joint Newton step on (mu, sigma) with a numerically
     differenced Hessian, started from the uncensored closed forms.
+
+Only these two families need scipy, for the normal log-CDF
+(``scipy.special.log_ndtr``), and the categorical instability test
+needs it for the chi-square tail.  ``scipy_special`` imports
+``scipy.special`` on its first call, so a process that fits only
+exponential and Weibull components and runs only continuous tests
+never loads scipy.
+
+``fit`` and ``score_contributions`` share one preamble per dataset and
+component (the positivity check and the 0/1 weights of the exact
+times): the dataset keeps it like a tree node's test workspace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import (
     DegenerateComponentError,
@@ -69,10 +80,18 @@ def exact_mask(events, component) -> np.ndarray:
     raise ValueError(f"component must be {EVENT!r} or {CENSOR!r}")
 
 
+@cache
+def scipy_special():
+    """The ``scipy.special`` module, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _mills_ratio(y):
     """h(y) = phi(y) / Phi(-y), computed in log space for large y."""
     y = np.asarray(y, dtype=float)
-    return np.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(-y))
+    return np.exp(-0.5 * y * y - _LOG_SQRT_2PI - scipy_special().log_ndtr(-y))
 
 
 class _Family:
@@ -284,7 +303,7 @@ class _LocationScale(_Family):
         z = cls.transform(times)
         y = (z - mu) / sigma
         obs = -math.log(sigma) - _LOG_SQRT_2PI - 0.5 * y * y + cls._jacobian_term(z)
-        cens = log_ndtr(-y)
+        cens = scipy_special().log_ndtr(-y)
         return float(w @ obs + (1.0 - w) @ cens)
 
     @classmethod
@@ -381,6 +400,18 @@ def _times_and_weights(fam, component, data):
     return times, w
 
 
+def _prepared(fam, component, data):
+    """``_times_and_weights`` made once per dataset and component.
+
+    ``data`` keeps it for the family that made it, so ``fit`` and
+    ``score_contributions`` on one dataset share it; another family
+    makes it anew.
+    """
+    return data.workspace(
+        ("weights", component), fam, lambda: _times_and_weights(fam, component, data)
+    )
+
+
 def fit(family: str, component: str, data) -> FittedModel:
     """Maximize one likelihood component on a dataset.
 
@@ -392,7 +423,7 @@ def fit(family: str, component: str, data) -> FittedModel:
     the censor side).
     """
     fam = get_family(family)
-    times, w = _times_and_weights(fam, component, data)
+    times, w = _prepared(fam, component, data)
     d = float(w.sum())
     n_contributing = int(round(d))
     if n_contributing == 0:
@@ -414,7 +445,7 @@ def fit(family: str, component: str, data) -> FittedModel:
 def score_contributions(model: FittedModel, data) -> np.ndarray:
     """Per-subject score vectors at the model's parameters, N x dim."""
     fam = get_family(model.family)
-    times, w = _times_and_weights(fam, model.component, data)
+    times, w = _prepared(fam, model.component, data)
     return fam.scores(times, w, model.params)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +71,16 @@ def _wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 
 
 def _map_replicates(fn, replicates: int, threads: int):
-    if threads <= 1:
+    """``fn`` of each replicate in order, on at most ``threads`` threads.
+
+    The pool never has more threads than replicates or cores.
+    """
+    workers = min(threads, replicates, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(rep) for rep in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(replicates)))
 
 

@@ -229,9 +229,9 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, every=False)
     # bounds increase, so the admissible boundaries are one range
     first, stop = admissible[0], admissible[-1] + 1
 
-    grid, d, n_risk = risk_table(times, ev, by_time)
+    _, d, n_risk = risk_table(times, ev, by_time)
     cumhaz = np.cumsum(d / n_risk)
-    pos = np.searchsorted(grid, times, side="right")
+    pos = _time_ranks(by_time, n_risk)
     haz_at = np.concatenate(([0.0], cumhaz))[pos]
     resid = ev.astype(float) - haz_at
 
@@ -281,6 +281,22 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, every=False)
         return ranked, g.size
     served = _certified_prefix(sorted(map(abs, ranked[1]), reverse=True), floor)
     return tuple(r[:served] for r in ranked), g.size
+
+
+def _time_ranks(by_time, n_risk):
+    """Each subject's number of risk-table times at or before its own.
+
+    The same integers as ``np.searchsorted(grid, times, side="right")``,
+    read off the stable time order ``by_time`` in O(n): grid time j
+    first appears at sorted position n - n_risk[j], so a sorted
+    position's rank counts those first appearances up to it.
+    """
+    n = by_time.size
+    firsts = np.zeros(n, dtype=np.intp)
+    firsts[n - n_risk] = 1
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[by_time] = np.cumsum(firsts)
+    return ranks
 
 
 def _approximate_variances(k, lefts, a, n_risk):

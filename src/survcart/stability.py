@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .datasets import CATEGORICAL, Grouping
 from .errors import (
@@ -60,7 +59,14 @@ from .errors import (
     SingularInformationError,
     TooFewGroupsError,
 )
-from .families import CENSOR, EVENT, get_family, inv_sqrt, score_contributions
+from .families import (
+    CENSOR,
+    EVENT,
+    get_family,
+    inv_sqrt,
+    score_contributions,
+    scipy_special,
+)
 
 __all__ = [
     "fd_cdf",
@@ -265,7 +271,7 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
     return CategoricalResult(
         statistic=stat,
         df=df,
-        p=float(chdtrc(df, stat)),  # the chi-square upper tail
+        p=float(scipy_special().chdtrc(df, stat)),  # the chi-square upper tail
         small_groups=bool(grouping.counts.min() < 5),
     )
 

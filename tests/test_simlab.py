@@ -23,6 +23,7 @@ from survcart import (
     run_spec,
     run_tree_recovery,
 )
+from survcart import families, simlab
 from survcart.simlab import _parse_rates, event_rate_instability_p, generate_tree_data
 
 
@@ -359,3 +360,59 @@ def test_run_spec_row_kinds():
 def test_experiment_spec_is_plain_data():
     spec = ExperimentSpec(kind="size", design=SizeDesign(replicates=1))
     assert spec.configs is None and spec.seed is None
+
+
+def test_one_preamble_per_component_per_rejection_replicate(monkeypatch):
+    # fit and score_contributions of a replicate share its positivity
+    # check and exact-time weights; only the event component is fitted
+    calls = []
+    preamble = families._times_and_weights
+
+    def counted(fam, component, data):
+        calls.append(component)
+        return preamble(fam, component, data)
+
+    monkeypatch.setattr(families, "_times_and_weights", counted)
+    run_size(SizeDesign(n=80, replicates=20), seed=5)
+    assert calls == ["event"] * 20
+    calls.clear()
+    run_power(PowerDesign(0.1, 0.02, 0.01, n1=30, n2=30, replicates=20), seed=5)
+    assert calls == ["event"] * 20
+
+
+class _SpyExecutor:
+    """Records the pool size it is given; maps in the calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "threads, replicates, cores, workers",
+    [(5000, 20, 2, 2), (5000, 3, 64, 3), (4, 60, 8, 4), (8, 60, None, None),
+     (2, 60, 1, None), (1, 60, 8, None)],
+)
+def test_thread_pool_is_capped_by_replicates_and_cores(
+    monkeypatch, threads, replicates, cores, workers
+):
+    # workers None: the replicates run serially, with no pool at all
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SpyExecutor)
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_SpyExecutor, "sizes", [])
+    design = SizeDesign(n=40, replicates=replicates)
+    serial = run_size(design, seed=3, threads=1)
+    assert run_size(design, seed=3, threads=threads) == serial
+    assert _SpyExecutor.sizes == ([] if workers is None else [workers])

@@ -533,3 +533,21 @@ def test_grow_never_runs_the_full_sweep():
     with patch.object(splitting, "_boundary_variances", full_sweep):
         tree = grow(data, TreeConfig())
     assert tree.n_leaves > 1
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_time_ranks_equal_searchsorted(seed, n, levels):
+    # few distinct times, so ties are common among events, among
+    # censorings and across the two
+    rng = rng_for(517, seed)
+    times = rng.integers(1, levels + 1, size=n) / 2.0
+    ev = rng.random(n) < 0.6
+    if not ev.any():
+        ev[rng.integers(n)] = True
+    by_time = np.argsort(times, kind="stable")
+    grid, _, n_risk = risk_table(times, ev, by_time)
+    got = splitting._time_ranks(by_time, n_risk)
+    want = np.searchsorted(grid, times, side="right")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
