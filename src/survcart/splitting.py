@@ -24,23 +24,22 @@ for N subjects and D distinct event times:
   from the exact sum, hence an interval for each |statistic|.  Which
   boundaries have a positive variance at all is decided exactly, in
   O(N), from the largest at-risk count on each side.
-* Exact band.  Every boundary whose interval reaches the best lower
-  bound less ``_BAND_TOLS`` tie tolerances is evaluated with the exact
-  per-boundary formula (``_band_variances``) and ranked.  Every other
-  boundary lies below that floor, so the leading ranked positions are
-  final, up to the tie cluster that a boundary below the floor could
-  still join (``_certified_prefix``).
-* Fallback.  A read past those positions ranks every boundary with the
-  full sweep (``_boundary_variances``): one vector of at-risk counts
-  for the subjects already on the left, updated subject by subject and
-  copied out once per boundary into a block of a fixed number of
-  cells, where the terms of the whole block are summed at once.  It
-  takes O(N * D) time and O(block * D) memory.
+* Exact band.  Every boundary whose interval reaches a floor, the
+  largest lower bound less ``_BAND_TOLS`` tie tolerances, is evaluated
+  with the exact per-boundary formula (``_band_variances``) and ranked.
+  Every other boundary lies below that floor, so the leading ranked
+  positions are final, up to the tie cluster that a boundary below the
+  floor could still join (``_certified_prefix``).
+* Widening.  A read past those positions runs the search again with
+  the floor at the ``want``-th largest lower bound, ``want`` at least
+  doubling each time, so the band grows until the read position is
+  certified.  Once ``want`` reaches the number of boundaries the band
+  is every boundary, so a search widens at most log2 of that many
+  times.
 
-Both exact routes sum the same terms in the same order, so every
-statistic is the same bit for bit whichever route evaluated it.
-``grow`` reads about one candidate per search, which the exact band
-serves.
+Every statistic comes from ``_band_variances``, so it is the same bit
+for bit however wide the band that evaluated it.  ``grow`` reads about
+one candidate per search, which the first band serves.
 
 For a factor with more than two levels the levels are ordered by their
 within-level product-limit median and the k - 1 ordered prefixes are
@@ -57,8 +56,8 @@ per-level product-limit medians read them.
 A search ranks its candidates as arrays of cutpoints, statistics and
 left-side sizes and returns them as ``Candidates``, a read-only
 sequence of exact length that builds each ``SplitCandidate`` only when
-that position is read, and a continuous search's full ranking only
-when a read passes the exact band.  ``grow`` reads the ranking best
+that position is read, and a continuous search's wider band only
+when a read passes the first one.  ``grow`` reads the ranking best
 first and stops at the first split whose children can be fitted, so
 it builds about one candidate per search instead of one per
 admissible boundary.
@@ -112,8 +111,10 @@ class Candidates(Sequence):
 
     Holds the ranked cutpoints, statistics and left-side sizes of a
     leading run of the ranking and builds the ``SplitCandidate`` at a
-    position when it is read.  A read past that run first ranks every
-    candidate with ``complete``.  Compares equal to a list of the same
+    position when it is read.  A read past that run calls ``complete``,
+    which returns a longer leading run and the callable that serves
+    past it (None once the run is the whole ranking), until the run
+    reaches the position.  Compares equal to a list of the same
     candidates in the same order.
     """
 
@@ -136,8 +137,8 @@ class Candidates(Sequence):
             i += self._size
         if not 0 <= i < self._size:
             raise IndexError("candidate index out of range")
-        if i >= len(self._ranked[1]):
-            self._ranked, self._complete = self._complete(), None
+        while i >= len(self._ranked[1]):
+            self._ranked, self._complete = self._complete()
         cutpoints, statistics, left_n = self._ranked
         return SplitCandidate(
             variable=self._variable,
@@ -192,15 +193,16 @@ def logrank(times, events, group, order=None) -> LogrankResult:
     )
 
 
-# Cells per block of the boundary x event-time tables in the variance
-# sweep: 512 KiB of float64, which stays in cache; any size gives the
-# same numbers.
+# Cells per block of the band x event-time tables of exact variances:
+# 512 KiB of float64, which stays in cache; any size gives the same
+# numbers.
 _BLOCK_CELLS = 1 << 16
 
 # The exact band reaches this many tie tolerances (_TIE_RTOL) below the
-# best certified lower bound on |statistic|.  Two let the best cluster
-# be served whole when the bounds are tight; any width serves the same
-# candidates, a narrower band just falls back to the full sweep sooner.
+# want-th largest certified lower bound on |statistic| (the largest, in
+# a first search).  Two let the best cluster be served whole when the
+# bounds are tight; any width serves the same candidates, a narrower
+# band just widens sooner.
 _BAND_TOLS = 2.0
 
 _ROUNDOFF = 2.0**-53  # unit roundoff of float64
@@ -209,14 +211,15 @@ _ROUNDOFF = 2.0**-53  # unit roundoff of float64
 _NONE = ((), (), ())
 
 
-def _continuous_candidates(times, ev, by_time, grouping, minbucket, every=False):
+def _continuous_candidates(times, ev, by_time, grouping, minbucket, want=1):
     """Ranked midpoints: a certified leading run and their number.
 
     ``ev`` marks the times exact for the search's mode and ``by_time``
-    is the times' stable order.  Returns the
-    ranked (cutpoints, statistics, left sizes) of a leading run of the
-    ranking, or with ``every`` of the whole ranking, and the number of
-    candidates.
+    is the times' stable order.  Returns the ranked (cutpoints,
+    statistics, left sizes) of a leading run of the ranking and the
+    number of candidates.  The band's floor is the ``want``-th largest
+    lower bound, so a larger ``want`` certifies a longer run; from the
+    number of candidates on it is the whole ranking.
     """
     n = times.size
     values, counts = grouping.distinct, grouping.counts
@@ -226,8 +229,6 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, every=False)
     admissible = np.nonzero((bounds >= minbucket) & (n - bounds >= minbucket))[0]
     if admissible.size == 0:
         return _NONE, 0
-    # bounds increase, so the admissible boundaries are one range
-    first, stop = admissible[0], admissible[-1] + 1
 
     _, d, n_risk = risk_table(times, ev, by_time)
     cumhaz = np.cumsum(d / n_risk)
@@ -241,42 +242,38 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, every=False)
         a = np.where(n_risk > 1, d * (n_risk - d) / (n_risk - 1), 0.0)
     k = pos[order]
 
-    def ranking(g, variance):
-        stats = numer[g] / np.sqrt(variance)
-        cuts = 0.5 * (values[g] + values[g + 1])
-        ranked = _tolerance_order(stats, cuts)
-        return cuts[ranked].tolist(), stats[ranked].tolist(), bounds[g][ranked].tolist()
-
-    if every:
-        variance = _boundary_variances(k, bounds, first, stop, a, n_risk)
-        kept = np.nonzero(variance > 0.0)[0]
-        return ranking(first + kept, variance[kept]), kept.size
-
     # The variance is positive exactly where some a_j > 0 lies below the
     # largest k on each side: then that side has subjects at risk for
     # event time j.
     positive = np.nonzero(a > 0.0)[0]
     if positive.size == 0:
         return _NONE, 0
-    lefts = bounds[first:stop]
+    lefts = bounds[admissible]
     reach = np.minimum(np.maximum.accumulate(k)[lefts - 1],
                        np.maximum.accumulate(k[::-1])[::-1][lefts])
-    g = first + np.nonzero(reach > positive[0])[0]
+    g = admissible[reach > positive[0]]
     if g.size == 0:
         return _NONE, 0
 
     # certified bounds on each |statistic|, then the exact band: every
-    # boundary whose upper bound reaches the best lower bound less the
-    # band, so every boundary outside it lies below ``floor``
+    # boundary whose upper bound reaches the want-th largest lower bound
+    # less the band, so every boundary outside it lies below ``floor``
     approx, err = _approximate_variances(k, bounds[g], a, n_risk)
     mag = np.abs(numer[g])
     low = mag / np.sqrt(approx + err)
     with np.errstate(invalid="ignore", divide="ignore"):
         high = np.where(approx - err > 0.0, mag / np.sqrt(approx - err), np.inf)
     best = float(low.max())
-    floor = best - _BAND_TOLS * _TIE_RTOL * max(1.0, best)
+    m = min(want, g.size)
+    nth = best if m == 1 else float(np.partition(low, -m)[-m])
+    floor = nth - _BAND_TOLS * _TIE_RTOL * max(1.0, best)
     band = g[high >= floor]
-    ranked = ranking(band, _band_variances(k, bounds[band], a, n_risk))
+    variance = _band_variances(k, bounds[band], a, n_risk)
+    stats = numer[band] / np.sqrt(variance)
+    cuts = 0.5 * (values[band] + values[band + 1])
+    best_first = _tolerance_order(stats, cuts)
+    ranked = (cuts[best_first].tolist(), stats[best_first].tolist(),
+              bounds[band][best_first].tolist())
     if band.size == g.size:
         return ranked, g.size
     served = _certified_prefix(sorted(map(abs, ranked[1]), reverse=True), floor)
@@ -303,8 +300,9 @@ def _approximate_variances(k, lefts, a, n_risk):
     """Log-rank variances at left sizes ``lefts`` from prefix sums, with
     a bound on their distance from the exact ones.
 
-    k lists the subjects in covariate order as in _boundary_variances,
-    and ``lefts`` ascends.  With f_j = n_left_j / n_j,
+    k lists the subjects in covariate order, each as the number of event
+    times it is at risk for; left size m puts the first m of them on the
+    left.  ``lefts`` ascends.  With f_j = n_left_j / n_j,
 
         V = sum_j a_j f_j (1 - f_j) = S1 - S2,
         S1 = sum_{i in L} A(k_i),          A(k) = sum_{j<k} a_j / n_j,
@@ -323,7 +321,7 @@ def _approximate_variances(k, lefts, a, n_risk):
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Lemma
     3.3), u = 2^-53.  That gives |S1^ - S1| <= gamma_(N+2D+b+2) S1 and
     the same for S2 (b the block size), and one more rounding of
-    S1^ - S2^.  The exact sweep's terms a_j f^(1 - f^) are each within
+    S1^ - S2^.  The exact band's terms a_j f^(1 - f^) are each within
     gamma_(N+3) of a_j f_j (1 - f_j), because 1 - f^ carries the error
     of f^ magnified by f / (1 - f) <= n_j - 1, and its sum within
     gamma_(N+D+2) of V <= S1.  Both together come to
@@ -363,70 +361,35 @@ def _approximate_variances(k, lefts, a, n_risk):
 def _band_variances(k, lefts, a, n_risk):
     """Exact log-rank variance at ascending left sizes ``lefts``.
 
-    Each boundary's at-risk counts n_left are the suffix sums of one
-    running histogram of k, the same integers _boundary_variances
-    holds there, and _variance_rows turns them into the same sums.
-    Time O(N + band * D).
+    k is as in _approximate_variances.  Each boundary's at-risk counts
+    n_left are the suffix sums of one running histogram of k: exact
+    integers, held as floats, so each boundary's terms are the same D
+    values in the same order as in a full N x D table, and the sums
+    match that table's bit for bit.  Time O(N + band * D), memory
+    O(block * D).
     """
     n_risk = n_risk.astype(float)
     width = n_risk.size
     rows = max(1, _BLOCK_CELLS // width)
     hist = np.zeros(width + 1, dtype=np.intp)
-    frac = np.empty((min(rows, lefts.size), width))
-    terms = np.empty_like(frac)
+    frac_rows = np.empty((min(rows, lefts.size), width))
+    term_rows = np.empty_like(frac_rows)
     out = np.empty(lefts.size)
     done = 0
     for r0 in range(0, lefts.size, rows):
         r1 = min(r0 + rows, lefts.size)
+        frac, terms = frac_rows[: r1 - r0], term_rows[: r1 - r0]
         for r in range(r0, r1):
             hist += np.bincount(k[done : lefts[r]], minlength=width + 1)
             done = lefts[r]
             n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
             np.divide(n_left, n_risk, out=frac[r - r0])
-        _variance_rows(a, frac[: r1 - r0], terms[: r1 - r0], out[r0:r1])
+        # each row's sum of a * frac * (1.0 - frac), in place
+        np.multiply(a, frac, out=terms)
+        np.subtract(1.0, frac, out=frac)
+        np.multiply(terms, frac, out=terms)
+        terms.sum(axis=1, out=out[r0:r1])
     return out
-
-
-def _boundary_variances(k, bounds, first, stop, a, n_risk):
-    """Log-rank variance at boundaries first .. stop - 1.
-
-    k lists the subjects in covariate order, each as the number of event
-    times it is at risk for; boundary g puts the first bounds[g] of them
-    on the left.  The running at-risk counts n_left are exact integers
-    (held as floats), and each boundary's terms are the same D values in
-    the same order as in a full N x D table, so the sums match that
-    table's bit for bit.  This full O(N * D) sweep ranks every boundary
-    when a search is read past its certified leading run.
-    """
-    # the same values as floats: each boundary's divide then needs no cast
-    n_risk = n_risk.astype(float)
-    width = n_risk.size
-    rows = max(1, _BLOCK_CELLS // width)
-    starts = np.concatenate(([0], bounds))  # first subject of each value
-    # subjects left of the first boundary at risk for grid[j]: count of k > j
-    hist = np.bincount(k[: starts[first]], minlength=width + 1)
-    n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
-    frac = np.empty((rows, width))
-    terms = np.empty((rows, width))
-    out = np.empty(stop - first)
-    k = k.tolist()
-    for g0 in range(first, stop, rows):
-        g1 = min(g0 + rows, stop)
-        for g in range(g0, g1):
-            for k_i in k[starts[g] : starts[g + 1]]:
-                n_left[:k_i] += 1.0
-            np.divide(n_left, n_risk, out=frac[g - g0])
-        _variance_rows(a, frac[: g1 - g0], terms[: g1 - g0],
-                       out[g0 - first : g1 - first])
-    return out
-
-
-def _variance_rows(a, frac, terms, out):
-    """Each row's sum of a * frac * (1.0 - frac), in place in two buffers."""
-    np.multiply(a, frac, out=terms)
-    np.subtract(1.0, frac, out=frac)
-    np.multiply(terms, frac, out=terms)
-    terms.sum(axis=1, out=out)
 
 
 def _median_order(times, ev, by_time, inverse, n_groups):
@@ -502,11 +465,7 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     else:
         ranked, size = _continuous_candidates(times, ev, by_time, grouping,
                                               minbucket)
-        if len(ranked[1]) < size:
-            # the whole ranking starts over from the node's data, so the
-            # search's arrays are not kept alive while its reader runs
-            complete = partial(_every_continuous_candidate, data, variable,
-                               mode, minbucket)
+        complete = _widening(data, variable, mode, minbucket, 1, ranked, size)
     return Candidates(variable, spec.kind, mode, times.size, ranked, size, complete)
 
 
@@ -522,11 +481,27 @@ def _present(data, variable, mode):
             restrict_order(by_time, include))
 
 
-def _every_continuous_candidate(data, variable, mode, minbucket):
-    """The whole ranking of a continuous search, from the full sweep."""
+def _widening(data, variable, mode, minbucket, want, ranked, size):
+    """What serves reads past a continuous search's run, or None when the
+    run is the whole ranking.
+
+    A wider search starts over from the node's data, so the search's
+    arrays are not kept alive while its reader runs.
+    """
+    served = len(ranked[1])
+    if served == size:
+        return None
+    return partial(_widened, data, variable, mode, minbucket,
+                   2 * max(want, served + 1))
+
+
+def _widened(data, variable, mode, minbucket, want):
+    """A continuous search run again with its floor at the ``want``-th
+    largest lower bound: its ranked run, and what serves reads past it."""
     grouping, times, ev, by_time = _present(data, variable, mode)
-    return _continuous_candidates(times, ev, by_time, grouping, minbucket,
-                                  every=True)[0]
+    ranked, size = _continuous_candidates(times, ev, by_time, grouping,
+                                          minbucket, want)
+    return ranked, _widening(data, variable, mode, minbucket, want, ranked, size)
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at

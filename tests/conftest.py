@@ -4,9 +4,11 @@ The oracles here are deliberately naive (per-risk-set tallies, explicit
 product-limit recursion) so they share no code path with the package.
 The exceptions are bit-exact references kept from earlier versions of
 the package: `dense_continuous_candidates` (the split search before it
-was blocked), `sort_ranked`, `label_categorical_candidates` and
-`label_variable_test` (the ranking, factor split search and variable
-test before factors were encoded, working on the raw labels),
+was blocked), `boundary_variances` (the full variance sweep that served
+reads past the exact band before the band widened), `sort_ranked`,
+`label_categorical_candidates` and `label_variable_test` (the ranking,
+factor split search and variable test before factors were encoded,
+working on the raw labels),
 `dict_rows_load_csv` (the CSV loader before it read column by column)
 and `unique_risk_table` (the risk table before it read its grid off
 the one sort).
@@ -168,6 +170,39 @@ def dense_continuous_candidates(variable, times, events, x, mode, minbucket):
         )
     return out
 
+
+
+def boundary_variances(k, bounds, first, stop, a, n_risk):
+    """Log-rank variance at boundaries first .. stop - 1, by the full sweep.
+
+    The O(N * D) sweep that once ranked every boundary of a search read
+    past its band, kept as it was but for the sum of each block, written
+    inline.  k lists the subjects in covariate order, each as the
+    number of event times it is at risk for; boundary g puts the first
+    bounds[g] of them on the left.  The running at-risk counts n_left
+    are exact integers (held as floats), and each boundary's terms are
+    the same D values in the same order as in a full N x D table, so the
+    sums match that table's bit for bit.
+    """
+    n_risk = n_risk.astype(float)
+    width = n_risk.size
+    rows = max(1, (1 << 16) // width)
+    starts = np.concatenate(([0], bounds))  # first subject of each value
+    # subjects left of the first boundary at risk for grid[j]: count of k > j
+    hist = np.bincount(k[: starts[first]], minlength=width + 1)
+    n_left = np.cumsum(hist[:0:-1])[::-1].astype(float)
+    frac = np.empty((rows, width))
+    out = np.empty(stop - first)
+    k = k.tolist()
+    for g0 in range(first, stop, rows):
+        g1 = min(g0 + rows, stop)
+        for g in range(g0, g1):
+            for k_i in k[starts[g] : starts[g + 1]]:
+                n_left[:k_i] += 1.0
+            np.divide(n_left, n_risk, out=frac[g - g0])
+        block = frac[: g1 - g0]
+        out[g0 - first : g1 - first] = (a * block * (1.0 - block)).sum(axis=1)
+    return out
 
 def brute_best_categorical(times, events, x, minbucket):
     levels = sorted(set(x))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -407,6 +408,20 @@ def test_cli_fit_deterministic_outputs_identical(demo_csv, tmp_path):
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
+
+
+@pytest.mark.parametrize("id_column", ["id", None])
+def test_cli_fit_schema_round_trips_through_the_tree_json(demo_csv, tmp_path,
+                                                          id_column):
+    out = tmp_path / "tree.json"
+    args = ["fit", "--data", demo_csv, "--out", str(out), "--deterministic",
+            "--time", "time", "--event", "status",
+            "--vars", "age:cont,group:cat", "--minsplit", "4", "--minbucket", "2"]
+    if id_column is not None:
+        args += ["--id", id_column]
+    assert main(args) == EXIT_OK
+    schema = SchemaSpec.from_dict(json.loads(out.read_text())["schema"])
+    assert schema == replace(DEMO_SCHEMA, id_column=id_column)
 
 def test_cli_fit_writes_dot_and_km(demo_csv, tmp_path):
     dot = tmp_path / "t.dot"

@@ -24,6 +24,7 @@ from survcart.splitting import Candidates, SplitCandidate, candidate_splits
 
 from conftest import (
     TIE_RTOL,
+    boundary_variances,
     brute_best_categorical,
     brute_best_continuous,
     brute_logrank,
@@ -392,20 +393,17 @@ def _tied_node(rng, minbucket):
 def test_ranked_sweep_equals_dense_table_past_the_band(seed, minbucket, band,
                                                        widen):
     # a band of width 0 serves at most the best tie cluster and usually
-    # nothing, so reads fall back to the full sweep; an unbounded band
-    # evaluates every boundary exactly and never falls back.  Any bound
-    # at least as wide as the certified one serves the same list, so
-    # widened bounds exercise wide bands and clusters at their floor.
+    # nothing, so reads widen it; an unbounded band evaluates every
+    # boundary exactly and never widens.  Any bound at least as wide as
+    # the certified one serves the same list, so widened bounds
+    # exercise wide bands and clusters at their floor.
     t, e, x = _tied_node(rng_for(411, seed), minbucket)
     data = one_var_dataset(t, e, x, "continuous")
     keep = ~np.isnan(x)
-    full_sweep = splitting._boundary_variances
+    widened = splitting._widened
     approximate = splitting._approximate_variances
 
-    def no_fallback(*args):
-        raise AssertionError("the unbounded band read past itself")
-
-    def widened(*args):
+    def loose(*args):
         approx, err = approximate(*args)
         return approx, err * widen
 
@@ -415,15 +413,29 @@ def test_ranked_sweep_equals_dense_table_past_the_band(seed, minbucket, band,
                 "x", t[keep], e[keep], x[keep], mode, minbucket),
             lambda item: item[1].cutpoint,
         )
-        spy = no_fallback if band > 1e9 else full_sweep
+        wants = []
+
+        def spy(*args):
+            wants.append(args[-1])
+            return widened(*args)
+
         with patch.object(splitting, "_BAND_TOLS", band), \
-                patch.object(splitting, "_boundary_variances", spy), \
-                patch.object(splitting, "_approximate_variances", widened):
+                patch.object(splitting, "_widened", spy), \
+                patch.object(splitting, "_approximate_variances", loose):
             cands = candidate_splits(data, "x", mode, minbucket)
+            served = len(cands._ranked[1])
             assert len(cands) == len(want)
             # read one position at a time, as grow does, then the rest
             assert [cands[i] for i in range(len(cands))] == want
             assert cands == want
+        if band > 1e9:
+            assert served == len(want) and not wants
+        else:
+            # widened exactly when the first run fell short, each time
+            # at least doubling want, so at most log2 of the count times
+            assert bool(wants) == (served < len(want))
+            assert all(w2 >= 2 * w1 for w1, w2 in zip(wants, wants[1:]))
+            assert len(wants) <= (len(want) - 1).bit_length()
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -480,6 +492,13 @@ def test_candidate_count_equals_dense_count_with_zero_variance(minbucket):
             cands = candidate_splits(data, "x", mode, minbucket)
             assert len(cands) == len(want)
             assert sorted(cands, key=lambda c: c.cutpoint) == want
+            # a band of width 0, read one position at a time: in the
+            # tied-singleton layout one cluster straddles every floor,
+            # so the band widens until it holds every boundary
+            with patch.object(splitting, "_BAND_TOLS", 0.0):
+                narrow = candidate_splits(data, "x", mode, minbucket)
+                read = [narrow[i] for i in range(len(narrow))]
+            assert read == list(cands)
     # the layouts do have admissible boundaries with zero variance
     t, e, x = next(_zero_variance_nodes())
     assert len(dense_continuous_candidates("x", t, e, x, EVENT, 1)) < x.size - 1
@@ -515,24 +534,53 @@ def test_approximate_variance_stays_within_its_bound(seed):
     lefts = np.arange(1, k.size)
     if lefts.size == 0:
         return
-    exact = splitting._boundary_variances(k, lefts, 0, lefts.size, a, n_risk)
+    exact = boundary_variances(k, lefts, 0, lefts.size, a, n_risk)
     approx, err = splitting._approximate_variances(k, lefts, a, n_risk)
     assert np.all(err >= 0.0)
     assert np.all(np.abs(approx - exact) <= err)
+    # the band over every boundary is the full sweep, bit for bit
+    assert np.array_equal(splitting._band_variances(k, lefts, a, n_risk), exact)
 
 
-def test_grow_never_runs_the_full_sweep():
+def test_grow_is_served_from_each_first_band():
     # four-subgroup design, N = 12,000: every search is served from its
-    # exact band
+    # first exact band and never widens
     data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=3000),
                                  replicate_rng(1, 0))
 
-    def full_sweep(*args):
-        raise AssertionError("grow read a search past its exact band")
+    def widened(*args):
+        raise AssertionError("grow read a search past its first band")
 
-    with patch.object(splitting, "_boundary_variances", full_sweep):
+    with patch.object(splitting, "_widened", widened):
         tree = grow(data, TreeConfig())
     assert tree.n_leaves > 1
+
+
+@pytest.mark.parametrize("mode", [EVENT, CENSOR])
+def test_widened_read_stays_a_band(mode):
+    # N = 12,000: reading five positions past the first run widens the
+    # band, which still evaluates a small share of the boundaries and
+    # serves what a band over every boundary serves
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=3000),
+                                 replicate_rng(1, 0))
+    band = splitting._band_variances
+    evaluated = []
+
+    def spy(k, lefts, a, n_risk):
+        evaluated.append(lefts.size)
+        return band(k, lefts, a, n_risk)
+
+    with patch.object(splitting, "_band_variances", spy):
+        cands = candidate_splits(data, "X2", mode, 25)
+        reads = len(cands._ranked[1]) + 5
+        assert reads <= len(cands)
+        got = cands[:reads]
+    assert len(evaluated) > 1  # the reads did widen
+    assert sum(evaluated) < 0.05 * len(cands)
+    with patch.object(splitting, "_BAND_TOLS", 1e300):
+        whole = candidate_splits(data, "X2", mode, 25)
+        assert len(whole._ranked[1]) == len(whole)  # exact, never widens
+        assert got == whole[:reads]
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 8))
