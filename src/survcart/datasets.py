@@ -89,6 +89,26 @@ def restrict_order(order, mask) -> np.ndarray:
     return rank[kept].reshape(order.shape[:-1] + (-1,))
 
 
+def group_starts(ordered) -> np.ndarray:
+    """Where a value of each sorted row of ``ordered`` starts a new group.
+
+    ``ordered`` is one sorted row or a 2-d array of them.  As in
+    ``np.unique``, all float NaNs, which sort last, form one group: a
+    NaN after a NaN starts none.  The rows are compared as one run of
+    values, and then each row's first value starts a group.
+    """
+    flat = ordered.reshape(-1)
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    last = ordered.T[-1]  # each row's last value; a scalar for one row
+    if flat.dtype.kind == "f" and np.count_nonzero(last != last):
+        before = flat[:-1]
+        starts[1:] &= before == before
+    starts = starts.reshape(ordered.shape)
+    starts.T[0] = True
+    return starts
+
+
 @dataclass(frozen=True)
 class Grouping:
     """Subjects with a value on one covariate, grouped by that value."""
@@ -115,8 +135,8 @@ class Grouping:
         Without ``order`` the result is exactly ``np.unique(values,
         return_inverse=True, return_counts=True)``, built from the same
         single argsort (the default quicksort, so even which of -0.0 and
-        0.0 stands for their group agrees): one pass flags where the
-        sorted values change, the running count of those flags scattered
+        0.0 stands for their group agrees): ``group_starts`` flags where
+        the sorted values change, the running count of those flags scattered
         back through the sort order is the inverse, and the gaps between
         flagged positions are the counts.  As in ``np.unique``, all float
         NaNs form one group, the last.  A given ``order``, the stable sort
@@ -131,14 +151,7 @@ class Grouping:
         if n == 0:
             empty = np.empty(0, dtype=np.intp)
             return cls(include, values, ordered, empty, empty)
-        starts_group = np.empty(n, dtype=bool)
-        starts_group[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
-        last = ordered[-1]
-        if ordered.dtype.kind == "f" and last != last:
-            first_nan = np.searchsorted(ordered, last)
-            starts_group[first_nan] = True
-            starts_group[first_nan + 1:] = False
+        starts_group = group_starts(ordered)
         starts = starts_group.nonzero()[0]
         codes = np.cumsum(starts_group)
         codes -= 1
@@ -195,7 +208,7 @@ class SurvivalDataset:
             raise SchemaMismatchError("times and events must have equal length")
         if times.size == 0:
             raise EmptyDatasetError("dataset has no subjects")
-        if not np.all(np.isfinite(times)):
+        if not np.isfinite(times).all():
             raise SchemaMismatchError("times must be finite")
         meta = tuple(meta)
         columns = {} if columns is None else dict(columns)

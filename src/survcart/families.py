@@ -393,7 +393,7 @@ def _times_and_weights(fam, component, data):
     """
     w = exact_mask(data.events, component).astype(float)
     times = np.asarray(data.times, dtype=float)
-    if fam.positive_time and np.any(times <= 0.0):
+    if fam.positive_time and (times <= 0.0).any():
         raise InvalidTimeError(
             f"{fam.name} requires strictly positive times"
         )
@@ -469,12 +469,13 @@ def loglik_and_aic(leaves) -> tuple:
 def inv_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """Symmetric inverse square root with eigenvalues clipped at ``floor``.
 
-    A 1 x 1 matrix is its own eigenvalue with eigenvector 1.0, as LAPACK
+    ``matrix`` is one matrix or a stack of them along leading axes.  A
+    1 x 1 matrix is its own eigenvalue with eigenvector 1.0, as LAPACK
     returns it, so its inverse square root is written out directly.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape == (1, 1):
+    if matrix.shape[-2:] == (1, 1):
         return 1.0 / np.sqrt(np.maximum(matrix, floor))
     vals, vecs = np.linalg.eigh(matrix)
     vals = np.maximum(vals, floor)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)

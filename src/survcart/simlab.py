@@ -20,7 +20,12 @@ because P(censored) = rate_censor / (rate_event + rate_censor).
 Reproducibility: every replicate draws from its own counter-based
 Philox stream keyed (seed, replicate), so results are independent of
 execution order and thread count; the generator identity is recorded
-in every result row.
+in every result row.  Size and power cells evaluate their replicates
+in chunks: a chunk fills one block of uniforms, one row per replicate
+from that replicate's stream, and tests all its rows in one
+``event_rate_instability_p`` call.  A row's p-value is the bits of the
+replicate's own one-row call, so the rows are independent of the
+chunking too.
 """
 
 from __future__ import annotations
@@ -48,11 +53,16 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, replicate]))
 
 
-def gen_exponential(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF exponential draws, t = -ln(U)/rate on shared uniforms."""
+def _exponential(rate: float, u) -> np.ndarray:
+    """Inverse-CDF exponential draws, t = -ln(1 - U)/rate, on uniforms U."""
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    return -np.log1p(-rng.random(n)) / rate
+    return -np.log1p(-u) / rate
+
+
+def gen_exponential(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n exponential draws at ``rate`` from the next n uniforms of ``rng``."""
+    return _exponential(rate, rng.random(n))
 
 
 def censor_rate_for(rate_event: float, censored_fraction: float) -> float:
@@ -70,18 +80,19 @@ def _wilson_interval(k: int, n: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _map_replicates(fn, replicates: int, threads: int):
-    """``fn`` of each replicate in order, on at most ``threads`` threads.
+def _map_replicates(fn, count: int, threads: int):
+    """``fn`` of 0 .. count - 1 in order, on at most ``threads`` threads.
 
-    The pool never has more threads than replicates or cores.
+    The items are replicates, or a size or power cell's chunks of them.
+    The pool never has more threads than items or cores.
     """
-    workers = min(threads, replicates, os.cpu_count() or 1)
+    workers = min(threads, count, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(rep) for rep in range(replicates)]
+        return [fn(item) for item in range(count)]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicates)))
+        return list(pool.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -209,16 +220,36 @@ def generate_tree_data(design: TreeRecoveryDesign, rng) -> tuple:
     return data, truth
 
 
-def event_rate_instability_p(times, events, x) -> float:
-    """Raw bridge-supremum p-value for the exponential event rate along x."""
-    data = SurvivalDataset(times, events)
-    try:
-        model = fit("exponential", EVENT, data)
-    except DegenerateComponentError:
-        return 1.0
-    scores = score_contributions(model, data)
-    res = continuous_test(scores, model.info, x, param_names=("rate",))
-    return res.entries[0][2]
+def event_rate_instability_p(times, events, x):
+    """Raw bridge-supremum p-value for the exponential event rate along x.
+
+    1-d arguments are one sample and give a float.  (R, n) arguments
+    are R samples, one per row, and give an array of R p-values, each
+    the bits of its row's own call: every row is fitted and scored on
+    its own, and the live rows share one ``continuous_test``.  A row
+    with no events has p = 1.
+    """
+    times, events, x = (np.asarray(a) for a in (times, events, x))
+    one = x.ndim == 1
+    if one:
+        times, events, x = times[None], events[None], x[None]
+    p = np.ones(len(x))
+    live, scores, infos = [], [], []
+    for r in range(len(x)):
+        data = SurvivalDataset(times[r], events[r])
+        try:
+            model = fit("exponential", EVENT, data)
+        except DegenerateComponentError:
+            continue
+        live.append(r)
+        scores.append(score_contributions(model, data))
+        infos.append(model.info)
+    if live:
+        results = continuous_test(
+            np.array(scores), infos, x[live], param_names=("rate",)
+        )
+        p[live] = [res.entries[0][2] for res in results]
+    return float(p[0]) if one else p
 
 
 @dataclass(frozen=True)
@@ -257,57 +288,78 @@ class RejectionResult:
         return row
 
 
-def _censoring(rate: float, n: int, rng) -> np.ndarray:
-    """Censoring times at ``rate``; none (all infinite) at rate 0."""
-    return gen_exponential(rate, n, rng) if rate > 0 else np.full(n, np.inf)
+# Most subjects in one block of replicates: a size or power cell runs
+# its replicates in chunks of this many subjects (at least one replicate)
+_CHUNK_SUBJECTS = 16384
 
 
-def _run_rejection(kind, design, seed: int, threads: int, draw) -> RejectionResult:
+def _run_rejection(kind, design, seed, threads, n, cut, event_times):
     """Rejection rate of the event-rate test over one cell's replicates.
 
-    ``draw(rng)`` makes one replicate's latent event times, censoring
-    times and covariate from that replicate's stream.
+    Each replicate draws one row of uniforms from its own stream: n for
+    the latent event times, then n for the censoring times when the
+    design's ``rate_censor`` is positive (none are censored otherwise),
+    then n for the covariate, uniform on (0, 10) before subject ``cut``
+    and on (10, 20) from it.  ``event_times(u)`` maps a block of event
+    uniforms, one row per replicate, to latent event times.  The
+    replicates run in chunks of at most ``_CHUNK_SUBJECTS`` subjects
+    (and at least one replicate): each chunk fills one block of
+    uniforms, row by row, and makes one ``event_rate_instability_p``
+    call, so the rows do not depend on the chunking or the thread count.
     """
     threshold = fd_quantile(1.0 - design.level)
+    rate_censor = design.rate_censor
+    width = (3 if rate_censor > 0 else 2) * n
+    first = np.arange(n) < cut
+    per_chunk = max(1, _CHUNK_SUBJECTS // n)
+    chunks = -(-design.replicates // per_chunk)
 
-    def one(rep: int) -> bool:
-        tstar, cens, x = draw(replicate_rng(seed, rep))
+    def one(chunk: int) -> int:
+        start = chunk * per_chunk
+        reps = range(start, min(start + per_chunk, design.replicates))
+        u = np.empty((len(reps), width))
+        for row, rep in zip(u, reps):
+            replicate_rng(seed, rep).random(out=row)
+        tstar = event_times(u[:, :n])
+        cens = np.inf
+        if rate_censor > 0:
+            cens = _exponential(rate_censor, u[:, n:2 * n])
+        covariate = u[:, -n:]
+        x = np.where(first, 10.0 * covariate, 10.0 + 10.0 * covariate)
         p = event_rate_instability_p(np.minimum(tstar, cens), tstar <= cens, x)
-        return p < design.level
+        return int(np.count_nonzero(p < design.level))
 
-    hits = _map_replicates(one, design.replicates, threads)
+    hits = _map_replicates(one, chunks, threads)
     return RejectionResult(
-        kind, design, seed, design.replicates, int(sum(hits)), threshold
+        kind, design, seed, design.replicates, sum(hits), threshold
     )
 
 
 def run_size(design: SizeDesign, seed: int, threads: int = 1) -> RejectionResult:
     """Rejection rate of the event-rate test under homogeneity."""
-    n = design.n
-    rate_censor = design.rate_censor
-    first_half = np.arange(n) < n // 2
 
-    def draw(rng):
-        tstar = gen_exponential(design.rate_event, n, rng)
-        cens = _censoring(rate_censor, n, rng)
-        u = rng.random(n)
-        return tstar, cens, np.where(first_half, 10.0 * u, 10.0 + 10.0 * u)
+    def event_times(u):
+        return _exponential(design.rate_event, u)
 
-    return _run_rejection("size", design, seed, threads, draw)
+    return _run_rejection(
+        "size", design, seed, threads, design.n, design.n // 2, event_times
+    )
 
 
 def run_power(design: PowerDesign, seed: int, threads: int = 1) -> RejectionResult:
     """Rejection rate of the event-rate test across two true subgroups."""
-    n1, n2 = design.n1, design.n2
+    n1 = design.n1
 
-    def draw(rng):
-        t1 = gen_exponential(design.rate_event_1, n1, rng)
-        t2 = gen_exponential(design.rate_event_2, n2, rng)
-        cens = _censoring(design.rate_censor, n1 + n2, rng)
-        x = np.concatenate([10.0 * rng.random(n1), 10.0 + 10.0 * rng.random(n2)])
-        return np.concatenate([t1, t2]), cens, x
+    def event_times(u):
+        return np.concatenate(
+            [_exponential(design.rate_event_1, u[:, :n1]),
+             _exponential(design.rate_event_2, u[:, n1:])],
+            axis=1,
+        )
 
-    return _run_rejection("power", design, seed, threads, draw)
+    return _run_rejection(
+        "power", design, seed, threads, n1 + design.n2, n1, event_times
+    )
 
 
 @dataclass(frozen=True)

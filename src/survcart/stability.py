@@ -43,6 +43,11 @@ variable's test reads that workspace, so a node with K variables
 evaluates each component's scores once instead of K times.  A
 one-parameter family's 1 x 1 information is checked and inverted in
 closed form, with the bits LAPACK would give.
+
+``continuous_test`` also takes many samples at once, one per row of a
+2-d covariate array, as a Monte Carlo cell does: the rows share one
+row-wise sort, one bincount, one cumulative sum and one standardization,
+and a tree node's one-row call runs the same steps on a row of one.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datasets import CATEGORICAL, Grouping
+from .datasets import CATEGORICAL, Grouping, group_starts, sort_order
 from .errors import (
     EmptyInputError,
     SingularInformationError,
@@ -130,8 +135,10 @@ def fd_sf(x: float) -> float:
     if x < 0.2:
         return min(1.0, 1.0 - fd_cdf(x))
     total = 0.0
+    twice_sign = 2.0  # 2 (-1)^(l+1), exactly
     for el in range(1, 1001):
-        term = 2.0 * (-1.0) ** (el + 1) * math.exp(-2.0 * el * el * x * x)
+        term = twice_sign * math.exp(-2.0 * el * el * x * x)
+        twice_sign = -twice_sign
         total += term
         if abs(term) < 1e-12 * max(total, 1e-300):
             break
@@ -187,6 +194,30 @@ def hochberg(pvalues) -> np.ndarray:
     return out
 
 
+def _score_matrix(scores, n):
+    """Scores as an n x p float array; one row of n is one parameter."""
+    if not (isinstance(scores, np.ndarray) and scores.ndim == 2
+            and scores.dtype == np.float64):
+        scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    if scores.shape[0] == 1 and n != 1:
+        scores = scores.T
+    return scores
+
+
+def _cell_sums(cells, scores, n_cells):
+    """The n_cells x p score sums of the cells that number the subjects.
+
+    ``cells`` holds each subject's cell and ``scores`` its p scores, in
+    the same order.  One bincount over (cell, parameter) pairs: each
+    sum adds in subject order from 0.0, as np.add.at would.
+    """
+    width = scores.shape[-1]
+    if width > 1:
+        cells = cells[..., None] * width + np.arange(width)
+    sums = np.bincount(cells.ravel(), weights=scores.ravel(), minlength=n_cells * width)
+    return sums.reshape(n_cells, width)
+
+
 def _grouped_sums(x, scores):
     """The grouping of x and the G x p score sums of its groups.
 
@@ -195,19 +226,30 @@ def _grouped_sums(x, scores):
     components' tests.
     """
     grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
-    if not (isinstance(scores, np.ndarray) and scores.ndim == 2
-            and scores.dtype == np.float64):
-        scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    if scores.shape[0] == 1 and grouping.values.size != 1:
-        scores = scores.T
-    n_groups, width = grouping.distinct.size, scores.shape[1]
-    # one bincount over (group, parameter) cells of the row-major
-    # scores: each cell adds in subject order from 0.0, as np.add.at would
-    cells = grouping.inverse
-    if width > 1:
-        cells = (cells[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(cells, weights=scores.ravel(), minlength=n_groups * width)
-    return grouping, sums.reshape(n_groups, width)
+    scores = _score_matrix(scores, grouping.values.size)
+    return grouping, _cell_sums(grouping.inverse, scores, grouping.distinct.size)
+
+
+def _row_cells(x):
+    """Each row of a 2-d x grouped by value, in rows of equal width.
+
+    Returns each subject's cell (in subject order), the rows' group
+    counts G_r and the width, the largest G_r.  Row r's groups,
+    ascending, are the G_r cells that end at (r + 1) * width, so the
+    cells before its first group stay empty.  One quicksort per row, as
+    ``Grouping.of`` makes for one.
+    """
+    rows, n = x.shape
+    # each row's sort order as indices into the flattened rows
+    flat = sort_order(x, kind=None)
+    flat += np.arange(0, rows * n, n)[:, None]
+    codes = np.cumsum(group_starts(x.take(flat)), axis=1)
+    n_groups = codes[:, -1].copy()  # codes shift below
+    width = int(n_groups.max())
+    codes += (np.arange(1, rows + 1) * width - n_groups - 1)[:, None]
+    cells = np.empty_like(codes)
+    cells.put(flat, codes)
+    return cells, n_groups, width
 
 
 @dataclass(frozen=True)
@@ -231,18 +273,25 @@ class CheckedInformation:
     inverse square root are each made on first use, so a tree node that
     tests many variables against one fitted component makes them once.
     A 1 x 1 matrix (a one-parameter family) is its own eigenvalue, which
-    is exactly what LAPACK returns for it, so it skips the eigensolver.
+    is exactly what LAPACK returns for it, so it skips the eigensolver;
+    its inverse is likewise the one division LAPACK's solve makes.  A
+    stack of matrices, one per row of a row-wise continuous test, is
+    checked matrix by matrix and raises if any one is singular.
     """
 
     def __init__(self, info):
         info = np.atleast_2d(np.asarray(info, dtype=float))
-        vals = info[0] if info.shape == (1, 1) else np.linalg.eigvalsh(info)
-        if vals[0] <= 1e-12 * max(abs(vals[-1]), 1e-300):
-            raise SingularInformationError("information matrix is singular")
+        one = info.shape[-2:] == (1, 1)
+        vals = info[..., 0, :] if one else np.linalg.eigvalsh(info)
+        for row in vals.reshape(-1, vals.shape[-1]).tolist():  # one per matrix
+            if row[0] <= 1e-12 * max(abs(row[-1]), 1e-300):
+                raise SingularInformationError("information matrix is singular")
         self.matrix = info
 
     @cached_property
     def inverse(self) -> np.ndarray:
+        if self.matrix.shape == (1, 1):
+            return np.array([[1.0 / self.matrix.item()]])
         return np.linalg.inv(self.matrix)
 
     @cached_property
@@ -276,26 +325,74 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
     )
 
 
-def continuous_test(scores, info, x, param_names=None) -> ContinuousResult:
+def continuous_test(scores, info, x, param_names=None):
     """Per-parameter bridge-supremum instability test along an ordering.
 
     info is the information matrix, or its ``CheckedInformation``; x is
     the covariate values, or their ``Grouping``.
+
+    A 2-d x holds R samples of n subjects, one per row.  scores are then
+    R x n x p (or R x n for one parameter), info is the R x p x p stack
+    of the rows' information matrices (or a sequence of them, or their
+    ``CheckedInformation``), and the result is a tuple of R results,
+    one per row.  The rows share each numpy step of the test: one
+    row-wise sort, one bincount, one cumulative sum, one matrix product
+    and one maximum.  A row's result equals its own one-row call bit for
+    bit when p = 1; with more parameters the stacked matrix product may
+    round a last bit differently.  A row with fewer than two distinct
+    values raises ``TooFewGroupsError``, as its own call would; failing
+    that, any singular information raises ``SingularInformationError``.
     """
-    grouping, sums = _grouped_sums(x, scores)
-    if grouping.distinct.size < 2:
+    if isinstance(x, Grouping) or np.ndim(x) != 2:
+        grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
+        n, size = grouping.values.size, grouping.distinct.size
+        inv_sqrt = _inverse_sqrt(size, info)
+        sums = _cell_sums(grouping.inverse, _score_matrix(scores, n), size)
+        return _bridge_results(sums[None], inv_sqrt, n, param_names)[0]
+    x = np.asarray(x)
+    cells, n_groups, width = _row_cells(x)
+    rows, n = x.shape
+    inv_sqrt = _inverse_sqrt(int(n_groups.min()), info)
+    scores = np.asarray(scores, dtype=float).reshape(rows, n, -1)
+    sums = _cell_sums(cells, scores, rows * width)
+    return _bridge_results(sums.reshape(rows, width, -1), inv_sqrt, n, param_names)
+
+
+def _inverse_sqrt(n_groups, info):
+    """J^(-1/2), or one per row, for rows of at least n_groups values."""
+    if n_groups < 2:
         raise TooFewGroupsError("continuous test needs at least 2 distinct values")
-    info = _checked(info)
-    n = grouping.values.size
-    partial = np.cumsum(sums, axis=0)[:-1]  # boundaries g = 1 .. G-1
-    standardized = (partial @ info.inverse_sqrt) / math.sqrt(n)
-    d_stats = np.abs(standardized, out=standardized).max(axis=0)
+    return _checked(info).inverse_sqrt
+
+
+def _bridge_results(sums, inv_sqrt, n, param_names):
+    """The bridge-supremum results of R rows of n subjects.
+
+    ``sums`` is R x width x p: row r's G_r group score sums, ascending,
+    fill its last G_r cells and the cells before them are 0.0, so its
+    running sums stay 0.0 until its first group.  Each row's last
+    running sum, its total, is the one boundary dropped: every row is
+    standardized and maximized at its own G_r - 1 boundaries, by
+    ``inv_sqrt``, its J^(-1/2) (or one per row).
+    """
+    partial = np.add.accumulate(sums, axis=1)[:, :-1]
+    rotated = partial @ inv_sqrt
+    # |J^(-1/2) partial sums| laid out parameter by parameter, so that
+    # each maximum runs along a contiguous row: reducing the strided
+    # boundary axis of a few parameters costs ten times as much.  Division
+    # by sqrt(N) rounds monotonically and symmetrically, so dividing the
+    # maxima gives the bits that dividing every sum first would.
+    d_stats = np.maximum.reduce(
+        np.abs(rotated.transpose(0, 2, 1), order="C"), axis=2
+    ) / math.sqrt(n)
     if param_names is None:
-        param_names = tuple(f"param{q}" for q in range(d_stats.size))
-    entries = tuple(
-        (name, d, fd_sf(d)) for name, d in zip(param_names, d_stats.tolist())
-    )
-    return ContinuousResult(entries=entries)
+        param_names = tuple(f"param{q}" for q in range(d_stats.shape[1]))
+    return tuple([
+        ContinuousResult(
+            entries=tuple([(name, d, fd_sf(d)) for name, d in zip(param_names, row)])
+        )
+        for row in d_stats.tolist()
+    ])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcart import (
     DEFAULT_SUBGROUP_RATES,
@@ -24,6 +27,7 @@ from survcart import (
     run_tree_recovery,
 )
 from survcart import families, simlab
+from survcart.errors import InvalidTimeError, TooFewGroupsError
 from survcart.simlab import _parse_rates, event_rate_instability_p, generate_tree_data
 
 
@@ -151,6 +155,62 @@ def test_event_rate_instability_p_under_null_is_uniform_ish():
     t = gen_exponential(0.1, 200, rng)
     p = event_rate_instability_p(t, np.ones(200, bool), rng.uniform(0, 1, 200))
     assert 0.0 < p <= 1.0
+
+
+# a row's covariate: distinct, tied, NaN-holding, signed zeros, or one value
+ROW_COVARIATES = {
+    "distinct": lambda rng, n: rng.uniform(0.0, 20.0, n),
+    "tied": lambda rng, n: rng.integers(0, 4, n).astype(float),
+    "nan": lambda rng, n: np.where(rng.random(n) < 0.3, np.nan,
+                                   rng.integers(0, 6, n).astype(float)),
+    "zeros": lambda rng, n: rng.choice([-0.0, 0.0, 1.0], n),
+    "one": lambda rng, n: np.full(n, 3.0),
+}
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 30),
+    rows=st.lists(
+        st.tuples(st.sampled_from(sorted(ROW_COVARIATES)),
+                  st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_instability_p_rows_equal_their_one_row_calls(seed, n, rows):
+    # a 2-d call is its rows' 1-d calls: the same floats, p = 1 for a
+    # row with no events, and the first failing row's error
+    rng = np.random.default_rng(seed)
+    times = np.round(rng.exponential(5.0, (len(rows), n)), 1) + 0.1  # tied too
+    events = np.array([rng.random(n) < share for _, share in rows])
+    x = np.array([ROW_COVARIATES[kind](rng, n) for kind, _ in rows])
+    singles = []
+    for r in range(len(rows)):
+        try:
+            singles.append(event_rate_instability_p(times[r], events[r], x[r]))
+        except TooFewGroupsError as exc:
+            singles.append(exc)
+    assert all(type(p) is float for p in singles if not isinstance(p, Exception))
+    errors = [p for p in singles if isinstance(p, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0])):
+            event_rate_instability_p(times, events, x)
+    else:
+        together = event_rate_instability_p(times, events, x)
+        assert together.shape == (len(rows),)
+        assert together.tolist() == singles
+
+
+def test_instability_p_rows_let_invalid_times_escape():
+    # a time the exponential fit rejects raises from the 2-d call as from
+    # the row's own, even in a row without events
+    times = np.array([[1.0, 2.0, 3.0], [0.0, 2.0, 3.0]])
+    x = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    for events in (np.ones((2, 3), bool), np.array([[True] * 3, [False] * 3])):
+        for args in ((times[1], events[1], x[1]), (times, events, x)):
+            with pytest.raises(InvalidTimeError):
+                event_rate_instability_p(*args)
 
 
 # --- tree recovery ---------------------------------------------------------
@@ -412,7 +472,81 @@ def test_thread_pool_is_capped_by_replicates_and_cores(
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SpyExecutor)
     monkeypatch.setattr(simlab.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_SpyExecutor, "sizes", [])
-    design = SizeDesign(n=40, replicates=replicates)
-    serial = run_size(design, seed=3, threads=1)
-    assert run_size(design, seed=3, threads=threads) == serial
+    squares = simlab._map_replicates(lambda rep: rep * rep, replicates, threads)
+    assert squares == [rep * rep for rep in range(replicates)]
     assert _SpyExecutor.sizes == ([] if workers is None else [workers])
+
+
+def test_rejection_pool_is_capped_by_chunks(monkeypatch):
+    # 1,000 replicates of 40 subjects fill three chunks of at most
+    # 16,384 subjects, so 8 threads on 64 cores start 3 workers
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SpyExecutor)
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(_SpyExecutor, "sizes", [])
+    design = SizeDesign(n=40, replicates=1000)
+    serial = run_size(design, seed=3, threads=1)
+    assert _SpyExecutor.sizes == []
+    assert run_size(design, seed=3, threads=8) == serial
+    assert _SpyExecutor.sizes == [3]
+
+
+REJECTION_CELLS = [
+    (run_size, SizeDesign(n=90, replicates=70)),
+    (run_size, SizeDesign(n=33, censoring_rate=0.0, replicates=50)),
+    (run_power, PowerDesign(0.1, 0.02, 0.01, n1=17, n2=23, replicates=60)),
+    (run_power, PowerDesign(0.1, 0.05, 0.0, n1=5, n2=7, replicates=60)),
+]
+
+
+@pytest.mark.parametrize("runner, design", REJECTION_CELLS)
+def test_rejection_rows_do_not_depend_on_chunks_or_threads(
+    monkeypatch, runner, design
+):
+    # replicate streams are keyed (seed, replicate): one replicate per
+    # chunk, every replicate in one chunk, the default chunks and two
+    # threads (never more than the cores) all draw and test the same
+    counts = []
+
+    def counting(times, events, x):
+        p = event_rate_instability_p(times, events, x)
+        counts.append(p.size)
+        return p
+
+    monkeypatch.setattr(simlab, "event_rate_instability_p", counting)
+    want = runner(design, seed=8)
+    assert sum(counts) == design.replicates
+    for chunk_subjects in (1, 10**9):
+        monkeypatch.setattr(simlab, "_CHUNK_SUBJECTS", chunk_subjects)
+        counts.clear()
+        assert runner(design, seed=8) == want
+        assert counts == ([1] * design.replicates if chunk_subjects == 1
+                          else [design.replicates])
+    monkeypatch.undo()
+    assert runner(design, seed=8, threads=min(2, os.cpu_count() or 1)) == want
+
+
+def test_rejection_cell_draws_each_replicate_from_its_stream(monkeypatch):
+    # the chunk's block of uniforms, row by row, is what one replicate's
+    # own draws were: events, censoring, covariate, n at a time
+    design = PowerDesign(0.1, 0.02, 0.01, n1=6, n2=4, replicates=3)
+    seen = []
+
+    def spy(times, events, x):
+        seen.append((times, events, x))
+        return event_rate_instability_p(times, events, x)
+
+    monkeypatch.setattr(simlab, "event_rate_instability_p", spy)
+    run_power(design, seed=4)
+    (times, events, x), = seen
+    for rep in range(design.replicates):
+        rng = replicate_rng(4, rep)
+        t1 = gen_exponential(0.1, 6, rng)
+        t2 = gen_exponential(0.02, 4, rng)
+        cens = gen_exponential(0.01, 10, rng)
+        want_x = np.concatenate([10.0 * rng.random(6), 10.0 + 10.0 * rng.random(4)])
+        tstar = np.concatenate([t1, t2])
+        assert np.array_equal(times[rep], np.minimum(tstar, cens))
+        assert np.array_equal(events[rep], tstar <= cens)
+        assert np.array_equal(x[rep], want_x)

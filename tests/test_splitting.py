@@ -461,6 +461,29 @@ def test_certified_prefix_holds_whatever_lies_below_the_floor(seed):
     assert ranked[:served].tolist() == whole[:served]
 
 
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_search_cuts_its_run_at_a_tie_cluster_crossing_the_floor(seed):
+    # at a tie tolerance of 2 percent the |LR| of 79 distinct boundaries
+    # chain into tie clusters that reach below the band's floor, so a
+    # boundary left out of the band would join a served cluster and,
+    # with a smaller cutpoint, rank first in it: the first run must stop
+    # where that cluster starts, and the reads widen past it
+    rng = rng_for(417, seed)
+    x = rng.permutation(80).astype(float)
+    t = rng.exponential(1.0, 80) + 0.01
+    e = rng.random(80) < 0.7
+    data = one_var_dataset(t, e, x, "continuous")
+    with patch.object(splitting, "_TIE_RTOL", 0.02):
+        for mode in (EVENT, CENSOR):
+            cands = dense_continuous_candidates("x", t, e, x, mode, 1)
+            stats = np.array([c.statistic for c in cands])
+            cuts = np.array([c.cutpoint for c in cands])
+            want = [cands[i] for i in splitting._tolerance_order(stats, cuts)]
+            got = candidate_splits(data, "x", mode, 1)
+            assert [got[i] for i in range(len(got))] == want
+
+
 def _zero_variance_nodes():
     n = 24
     x = np.arange(float(n))

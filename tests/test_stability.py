@@ -362,6 +362,47 @@ def test_grouped_sums_equal_add_at(seed, n, n_values, width):
     assert np.array_equal(got, want)
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 40),
+    levels=st.lists(st.sampled_from([1, 2, 3, 8, 40]), min_size=1, max_size=5),
+    width=st.sampled_from([1, 2]),
+    nan=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_continuous_test_rows_equal_one_row_calls(seed, n, levels, width, nan):
+    # R rows in one call: each row's result is its own call's, bit for
+    # bit with one parameter; one distinct value in a row raises as the
+    # row's own call does
+    rng = rng_for(311, seed)
+    x = np.array([rng.integers(0, k, n).astype(float) for k in levels])
+    if nan:
+        x[rng.random(x.shape) < 0.2] = np.nan
+    scores = rng.normal(0.0, 1.0, (len(levels), n, width))
+    roots = rng.normal(0.0, 1.0, (len(levels), width, width))
+    infos = [a @ a.T + np.eye(width) for a in roots]
+    singles = []
+    for row, u, info in zip(x, scores, infos):
+        try:
+            singles.append(continuous_test(u, info, row))
+        except TooFewGroupsError:
+            singles.append(None)
+    if None in singles:
+        with pytest.raises(TooFewGroupsError):
+            continuous_test(scores, infos, x)
+        return
+    rows = continuous_test(scores, infos, x)
+    assert len(rows) == len(levels)
+    for got, want in zip(rows, singles):
+        if width == 1:
+            assert got == want
+        else:
+            for (gn, gd, gp), (wn, wd, wp) in zip(got.entries, want.entries):
+                assert gn == wn
+                assert gd == pytest.approx(wd, rel=1e-12, abs=1e-300)
+                assert gp == pytest.approx(wp, rel=1e-9, abs=1e-300)
+
+
 def eigh_checked(entry):
     """CheckedInformation and inv_sqrt of [[entry]] through LAPACK."""
     info = np.array([[entry]])
@@ -387,6 +428,8 @@ def test_one_by_one_information_matches_eigensolver(entry):
     else:
         checked = CheckedInformation([[entry]])
         assert np.array_equal(checked.inverse_sqrt, want, equal_nan=True)
+        assert np.array_equal(checked.inverse, np.linalg.inv(np.array([[entry]])),
+                              equal_nan=True)
     # inv_sqrt itself, singular or not
     for floor in (1e-12, 0.5):
         vals, vecs = np.linalg.eigh(np.array([[entry]]))
