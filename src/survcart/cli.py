@@ -200,8 +200,9 @@ def _cmd_fit(args) -> int:
 
 def _check_writable(*paths):
     """Fail fast, as ``_writing`` would, on an output path that names a
-    directory or whose directory is missing or not writable; None stands
-    for an output not asked for."""
+    directory, whose directory is missing or not writable, or that names
+    an existing file that is not writable; None stands for an output not
+    asked for."""
     for path in paths:
         if path is None:
             continue
@@ -210,7 +211,8 @@ def _check_writable(*paths):
             code = errno.EISDIR
         elif not os.path.isdir(folder):
             code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
-        elif not os.access(folder, os.W_OK | os.X_OK):
+        elif not os.access(folder, os.W_OK | os.X_OK) or (
+                os.path.exists(path) and not os.access(path, os.W_OK)):
             code = errno.EACCES
         else:
             continue

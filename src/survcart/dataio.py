@@ -61,18 +61,6 @@ class SchemaSpec:
             "variables": [{"name": v.name, "kind": v.kind} for v in self.variables],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SchemaSpec":
-        return cls(
-            time_column=payload["time"],
-            event_column=payload["event"],
-            event_value=payload["event_value"],
-            variables=tuple(
-                CovariateSpec(v["name"], v["kind"]) for v in payload["variables"]
-            ),
-            id_column=payload.get("id"),
-        )
-
 
 def parse_variable_flags(text: str) -> tuple:
     """Parse "name:cat,name:cont" flag syntax into covariate specs."""

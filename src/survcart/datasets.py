@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,16 +56,6 @@ class CovariateSpec:
                 f"covariate {self.name!r}: kind must be "
                 f"{CATEGORICAL!r} or {CONTINUOUS!r}, got {self.kind!r}"
             )
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: observed time, event indicator, covariate values."""
-
-    time: float
-    event: bool
-    covariates: dict
-    subject_id: object = None
 
 
 def sort_order(values, kind="stable") -> np.ndarray:
@@ -118,15 +107,7 @@ class Grouping:
     distinct: np.ndarray  # distinct values, ascending
     inverse: np.ndarray   # index into distinct of each present value
     counts: np.ndarray    # group sizes
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """The present values' indices in stable ascending order.
-
-        Given by the dataset that grouped them; for bare values it is
-        sorted from the inverse on first read.
-        """
-        return sort_order(self.inverse)
+    order: np.ndarray     # the stable order ``of`` was given; None without one
 
     @classmethod
     def of(cls, values, include=None, order=None) -> "Grouping":
@@ -143,27 +124,22 @@ class Grouping:
         of ``values``, replaces the argsort; it gives the same groups, but
         the first of -0.0 and 0.0 in subject order stands for their group.
         """
-        given = order is not None
-        if not given:
-            order = sort_order(values, kind=None)
-        ordered = values[order]
+        by = sort_order(values, kind=None) if order is None else order
+        ordered = values[by]
         n = ordered.size
         if n == 0:
             empty = np.empty(0, dtype=np.intp)
-            return cls(include, values, ordered, empty, empty)
+            return cls(include, values, ordered, empty, empty, order)
         starts_group = group_starts(ordered)
         starts = starts_group.nonzero()[0]
         codes = np.cumsum(starts_group)
         codes -= 1
         inverse = np.empty(n, dtype=np.intp)
-        inverse[order] = codes
+        inverse[by] = codes
         counts = np.empty(starts.size, dtype=np.intp)
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
         counts[-1] = n - starts[-1]
-        grouped = cls(include, values, ordered[starts], inverse, counts)
-        if given:  # the stable order is known: seed ``order`` with it
-            object.__setattr__(grouped, "order", order)
-        return grouped
+        return cls(include, values, ordered[starts], inverse, counts, order)
 
 
 def is_missing_value(value) -> bool:
@@ -249,21 +225,6 @@ class SurvivalDataset:
         self._groupings = {}
         self._workspaces = {}
 
-    @classmethod
-    def from_records(cls, records, meta, subject_ids=None):
-        records = list(records)
-        times = [r.time for r in records]
-        events = [r.event for r in records]
-        columns = {m.name: [r.covariates.get(m.name) for r in records] for m in meta}
-        for m in meta:
-            if m.kind == CONTINUOUS:
-                columns[m.name] = [
-                    np.nan if v is None else float(v) for v in columns[m.name]
-                ]
-        if subject_ids is None and records and records[0].subject_id is not None:
-            subject_ids = [r.subject_id for r in records]
-        return cls(times, events, meta, columns, subject_ids)
-
     @property
     def n(self) -> int:
         return self.times.size
@@ -281,7 +242,7 @@ class SurvivalDataset:
         for m in self.meta:
             if m.name == name:
                 return m
-        raise UnknownVariableError(f"no partitioning variable named {name!r}")
+        raise UnknownVariableError(f"unknown partitioning variable {name!r}")
 
     def covariate(self, name: str) -> np.ndarray:
         """Floats with NaN missing, or a factor's labels with None missing."""

@@ -46,7 +46,7 @@ class MissingValueError(SurvcartError):
 
 
 class UnknownVariableError(SurvcartError):
-    """A named partitioning variable is not in the schema."""
+    """A partitioning variable is not in the schema."""
 
 
 class TruthMismatchError(SurvcartError):

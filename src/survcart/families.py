@@ -110,30 +110,14 @@ class _Exponential(_Family):
     positive_time = True
 
     @staticmethod
-    def fit_params(times, w):
-        d = float(w.sum())
-        st = float(times.sum())
-        return np.array([d / st])
-
-    @staticmethod
-    def loglik(times, w, params):
-        lam = params[0]
-        return float(w.sum()) * math.log(lam) - lam * float(times.sum())
-
-    @staticmethod
     def scores(times, w, params):
         lam = params[0]
         return (w / lam - times)[:, None]
 
     @staticmethod
-    def information(times, w, params):
-        lam = params[0]
-        frac = float(w.sum()) / times.size
-        return np.array([[frac / lam**2]])
-
-    @staticmethod
     def fitted(times, w, d):
-        # the three methods above in one pass: D and sum(t) summed once
+        # closed forms: lam = D / sum(t), loglik = D log lam - lam sum(t),
+        # information (D/N) / lam^2
         st = float(times.sum())
         params = np.array([d / st])
         lam = params[0]
@@ -228,10 +212,6 @@ class _LocationScale(_Family):
     """Shared Newton machinery for the lognormal and normal families."""
 
     param_names = ("mu", "sigma")
-
-    @staticmethod
-    def transform(times):
-        raise NotImplementedError
 
     @classmethod
     def _score_total(cls, z, w, params):
@@ -365,10 +345,6 @@ def get_family(name: str):
         ) from None
 
 
-def n_params(family: str) -> int:
-    return len(get_family(family).param_names)
-
-
 @dataclass(frozen=True)
 class FittedModel:
     """One maximized likelihood component."""
@@ -380,10 +356,6 @@ class FittedModel:
     info: np.ndarray
     n_used: int
     n_contributing: int
-
-    @property
-    def named(self) -> dict:
-        return dict(zip(get_family(self.family).param_names, self.params))
 
 
 def _times_and_weights(fam, component, data):

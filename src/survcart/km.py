@@ -32,11 +32,6 @@ class KMCurve:
     survival: np.ndarray  # S at each grid time
     at_risk: np.ndarray
     n_events: np.ndarray
-    n_total: int
-
-    def survival_at(self, t: float) -> float:
-        idx = np.searchsorted(self.times, t, side="right")
-        return 1.0 if idx == 0 else float(self.survival[idx - 1])
 
 
 def risk_table(times, exact, order=None) -> tuple:
@@ -78,7 +73,6 @@ def km_fit(times, events, flavor: str = EVENT, order=None) -> KMCurve:
         survival=surv,
         at_risk=at_risk,
         n_events=d,
-        n_total=times.size,
     )
 
 

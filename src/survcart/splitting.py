@@ -114,8 +114,7 @@ class Candidates(Sequence):
     position when it is read.  A read past that run calls ``complete``,
     which returns a longer leading run and the callable that serves
     past it (None once the run is the whole ranking), until the run
-    reaches the position.  Compares equal to a list of the same
-    candidates in the same order.
+    reaches the position.
     """
 
     def __init__(self, variable, kind, mode, n, ranked, size=None, complete=None):
@@ -131,10 +130,6 @@ class Candidates(Sequence):
         return self._size
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += self._size
         if not 0 <= i < self._size:
             raise IndexError("candidate index out of range")
         while i >= len(self._ranked[1]):
@@ -149,14 +144,6 @@ class Candidates(Sequence):
             left_n=left_n[i],
             right_n=self._n - left_n[i],
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, Candidates)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self):
-        return f"Candidates({list(self)!r})"
 
 
 def logrank(times, events, group, order=None) -> LogrankResult:

@@ -97,10 +97,10 @@ def fd_cdf(x: float) -> float:
     sqrt(2 pi)/x * sum exp(-(2l-1)^2 pi^2 / (8 x^2)) is used instead.
     Below 0.04 even its first term underflows to 0.0, so the CDF is
     exactly 0.0 there; returning it directly also keeps 8 x^2 from
-    underflowing to a zero divisor for tiny x.
+    underflowing to a zero divisor for tiny x.  NaN gives NaN.
     """
-    if x < 0.04:
-        return 0.0
+    if not x >= 0.04:
+        return 0.0 if x < 0.04 else math.nan
     if x < 0.2:
         total = 0.0
         for el in range(1, 1001):
@@ -128,10 +128,11 @@ def fd_sf(x: float) -> float:
 
         2 sum_{l>=1} (-1)^(l+1) exp(-2 l^2 x^2),
 
-    keeps full relative accuracy out to the underflow limit.
+    keeps full relative accuracy out to the underflow limit.  NaN gives
+    NaN, not the most significant p-value.
     """
-    if x <= 0.0:
-        return 1.0
+    if not x > 0.0:
+        return 1.0 if x <= 0.0 else math.nan
     if x < 0.2:
         return min(1.0, 1.0 - fd_cdf(x))
     total = 0.0

@@ -112,7 +112,6 @@ class SurvTree:
     loglik: float
     aic: float
     improvements: tuple  # (node_id, loglik gain of its split)
-    meta: tuple = ()
 
     ROOT = 1
 

@@ -15,6 +15,7 @@ the one sort).
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -424,6 +425,18 @@ def censored_exponential(rng, n, rate, censored_fraction):
     t_cens = rng.exponential(1.0 / rate_c, n)
     t = np.minimum(t_event, t_cens)
     return t, t_event <= t_cens
+
+
+def exponential_mle(times, w):
+    """Exponential rate, log likelihood and per-subject information.
+
+    The closed forms lam = D / sum(t), D log lam - lam sum(t) and
+    (D / N) / lam^2, summed in plain Python with ``math.fsum``.
+    """
+    d = math.fsum(w)
+    exposure = math.fsum(times)
+    lam = d / exposure
+    return lam, d * math.log(lam) - lam * exposure, (d / len(times)) / lam**2
 
 
 def one_var_dataset(times, events, x, kind):

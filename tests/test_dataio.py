@@ -420,8 +420,8 @@ def test_cli_fit_schema_round_trips_through_the_tree_json(demo_csv, tmp_path,
     if id_column is not None:
         args += ["--id", id_column]
     assert main(args) == EXIT_OK
-    schema = SchemaSpec.from_dict(json.loads(out.read_text())["schema"])
-    assert schema == replace(DEMO_SCHEMA, id_column=id_column)
+    payload = json.loads(out.read_text())["schema"]
+    assert payload == replace(DEMO_SCHEMA, id_column=id_column).to_dict()
 
 def test_cli_fit_writes_dot_and_km(demo_csv, tmp_path):
     dot = tmp_path / "t.dot"
@@ -574,6 +574,31 @@ def test_cli_fit_unwritable_output_is_config_error(demo_csv, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot", "--km-out"])
+def test_cli_fit_existing_read_only_output_checked_before_loading(
+        demo_csv, tmp_path, capsys, monkeypatch, flag):
+    # file modes do not bind root, so the denial is the access check's
+    target = tmp_path / "locked"
+    target.write_text("kept")
+    other = tmp_path / "other.json"
+    access = os.access
+
+    def deny_target(path, mode, **kwargs):
+        if os.fspath(path) == str(target) and mode & os.W_OK:
+            return False
+        return access(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", deny_target)
+    args = FIT_ARGS + ["--data", demo_csv, flag, str(target)]
+    if flag != "--out":
+        args += ["--out", str(other)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was fitted
+    assert captured.err == f"error: cannot write {target}: Permission denied\n"
+    assert target.read_text() == "kept" and not other.exists()
 
 
 def test_cli_stabtest_reports_components(demo_csv, capsys):

@@ -12,7 +12,6 @@ from survcart import (
     EmptyInputError,
     SchemaMismatchError,
     SurvivalDataset,
-    SurvivalRecord,
     UnknownVariableError,
 )
 from survcart import datasets
@@ -149,18 +148,18 @@ def test_unorderable_labels_rejected():
         )
 
 
-def test_from_records_round_trip():
-    recs = [
-        SurvivalRecord(2.0, True, {"age": 50.0, "arm": "a"}, subject_id="p1"),
-        SurvivalRecord(4.5, False, {"age": None, "arm": "b"}, subject_id="p2"),
-    ]
-    ds = SurvivalDataset.from_records(
-        recs,
+def test_constructor_keeps_missing_values_and_subject_ids():
+    ds = SurvivalDataset(
+        [2.0, 4.5],
+        [True, False],
         meta=(CovariateSpec("age", CONTINUOUS), CovariateSpec("arm", CATEGORICAL)),
+        columns={"age": [50.0, None], "arm": ["a", "b"]},
+        subject_ids=["p1", "p2"],
     )
     assert ds.n == 2
     assert np.isnan(ds.covariate("age")[1])
-    assert ds.subject_ids[0] == "p1"
+    assert ds.covariate("arm").tolist() == ["a", "b"]
+    assert ds.subject_ids.tolist() == ["p1", "p2"]
 
 
 # --- Grouping.of against np.unique -----------------------------------------
@@ -171,6 +170,7 @@ def assert_groups_like_unique(values):
         values, return_inverse=True, return_counts=True
     )
     assert got.values is values
+    assert got.order is None  # no stable order was given
     assert got.distinct.dtype == distinct.dtype
     if distinct.dtype.kind == "f":
         assert np.array_equal(got.distinct, distinct, equal_nan=True)
@@ -243,9 +243,11 @@ def assert_orders_are_stable_sorts(ds):
 def assert_grouping_matches_unordered(grouped):
     fresh = Grouping.of(grouped.values, grouped.include)
     assert fresh.include is grouped.include and fresh.values is grouped.values
-    for field in ("inverse", "counts", "order"):
+    for field in ("inverse", "counts"):
         mine, theirs = getattr(grouped, field), getattr(fresh, field)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    # the given order is the stable sort of the groups
+    assert np.array_equal(grouped.order, np.argsort(fresh.inverse, kind="stable"))
     # equal as numbers: only which of -0.0 and 0.0 stands for a group differs
     assert grouped.distinct.dtype == fresh.distinct.dtype
     assert np.array_equal(grouped.distinct, fresh.distinct)

@@ -18,12 +18,11 @@ from survcart import (
     get_family,
     km_fit,
     loglik_and_aic,
-    n_params,
     score_contributions,
 )
-from survcart.families import _Exponential, _Weibull, exact_mask, inv_sqrt
+from survcart.families import _Weibull, exact_mask, inv_sqrt
 
-from conftest import censored_exponential, rng_for
+from conftest import censored_exponential, exponential_mle, rng_for
 
 ALL_FAMILIES = ("exponential", "weibull", "lognormal", "normal")
 
@@ -73,11 +72,9 @@ def test_weibull_tied_times_do_not_converge(n_tied):
 def test_weibull_nests_exponential_loglik():
     rng = rng_for(102, 0)
     t, e = censored_exponential(rng, 300, 0.1, 0.3)
-    lam = e.sum() / t.sum()
-    w = e.astype(float)
-    ll_exp = _Exponential.loglik(t, w, (lam,))
-    ll_wei = _Weibull.loglik(t, w, (1.0, lam))
-    assert abs(ll_exp - ll_wei) <= 1e-10
+    m = fit("exponential", EVENT, ds(t, e))
+    ll_wei = _Weibull.loglik(t, e.astype(float), (1.0, m.params[0]))
+    assert abs(m.loglik - ll_wei) <= 1e-10
 
 
 def test_lognormal_uncensored_closed_form():
@@ -174,10 +171,9 @@ def test_nonpositive_time_rejected_outside_normal():
 
 
 def test_n_params():
-    assert n_params("exponential") == 1
-    assert n_params("weibull") == 2
-    assert n_params("lognormal") == 2
-    assert n_params("normal") == 2
+    data = ds([1.0, 2.0, 3.5, 4.0], [1, 0, 1, 1])
+    sizes = {f: fit(f, EVENT, data).params.size for f in ALL_FAMILIES}
+    assert sizes == {"exponential": 1, "weibull": 2, "lognormal": 2, "normal": 2}
 
 
 def test_exact_mask_is_events_or_censorings():
@@ -255,7 +251,7 @@ def test_inv_sqrt_inverts():
        st.sampled_from([EVENT, CENSOR]))
 @settings(max_examples=150, deadline=None)
 def test_one_pass_exponential_fit_matches_family_formulas(times, seed, component):
-    # fit sums D and the exposure once; the three formulas sum them apiece
+    # fit sums D and the exposure once; the oracle applies the closed forms
     events = rng_for(111, seed).random(len(times)) < 0.6
     data = ds(times, events)
     t = np.asarray(times, float)
@@ -265,9 +261,10 @@ def test_one_pass_exponential_fit_matches_family_formulas(times, seed, component
             fit("exponential", component, data)
         return
     m = fit("exponential", component, data)
-    params = _Exponential.fit_params(t, w)
-    loglik = _Exponential.loglik(t, w, params)
-    assert np.array_equal(m.params, params)
-    assert m.loglik == loglik and type(m.loglik) is type(loglik)
-    assert np.array_equal(m.info, _Exponential.information(t, w, params))
+    lam, loglik, info = exponential_mle(t, w)
+    assert m.params.tolist() == [pytest.approx(lam, rel=1e-12)]
+    assert isinstance(m.loglik, float)
+    assert m.loglik == pytest.approx(loglik, rel=1e-12, abs=1e-12)
+    assert m.info.shape == (1, 1)
+    assert m.info[0, 0] == pytest.approx(info, rel=1e-12)
     assert m.n_contributing == int(w.sum())

@@ -21,17 +21,8 @@ def test_km_worked_example():
 def test_km_no_events_flat_curve():
     curve = km_fit(np.array([1.0, 2.0]), np.zeros(2, bool))
     assert curve.times.size == 0
-    assert curve.survival_at(5.0) == 1.0
+    assert curve.survival.size == 0  # S stays 1: no step
     assert km_median(curve) is None
-
-
-def test_km_survival_at_step_lookup():
-    curve = km_fit(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1], bool))
-    assert curve.survival_at(0.5) == 1.0
-    assert curve.survival_at(1.0) == pytest.approx(2.0 / 3.0)
-    assert curve.survival_at(2.9) == pytest.approx(2.0 / 3.0)
-    assert curve.survival_at(3.0) == 0.0
-    assert curve.survival_at(100.0) == 0.0
 
 
 def test_km_median_worked_example():

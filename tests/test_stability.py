@@ -112,6 +112,14 @@ def test_fd_sf_matches_complement_and_keeps_tail_precision():
     assert fd_sf(-3.0) == 1.0
 
 
+def test_fd_tails_of_nan_are_nan():
+    # a NaN bridge statistic gives a NaN p-value, as the categorical
+    # test's chi-square tail does, never the most significant p = 0
+    assert math.isnan(fd_sf(math.nan)) and math.isnan(fd_cdf(math.nan))
+    assert fd_sf(math.inf) == 0.0 and fd_cdf(math.inf) == 1.0
+    assert fd_sf(-math.inf) == 1.0 and fd_cdf(-math.inf) == 0.0
+
+
 # --- Hochberg adjustment ---------------------------------------------------
 
 def test_hochberg_worked_examples():
