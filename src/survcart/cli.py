@@ -4,8 +4,9 @@ Subcommands: fit (grow a tree from CSV), stabtest (instability report
 for one variable), simulate (run a seeded experiment spec).  Exit
 codes: 0 success, 2 data errors (unreadable or malformed input files),
 3 configuration errors (bad flags, or an output file that cannot be
-written), 4 malformed experiment specs, 5 model fit failures (a fit that
-did not converge or a singular information matrix).
+written), 4 malformed experiment specs, 5 model fit failures (a
+stabtest fit that did not converge or whose information matrix is not
+positive definite; fit records such a node as a fit_failure leaf).
 """
 
 from __future__ import annotations

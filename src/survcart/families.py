@@ -31,8 +31,20 @@ lognormal, normal
     hazard-like ratio h(y) = phi(y)/Phi(-y), the scores are
     u(mu) = [d y + (1-d) h(y)] / sigma and
     u(sigma) = [d (y^2 - 1) + (1-d) y h(y)] / sigma.
-    Fitted by a joint Newton step on (mu, sigma) with a numerically
-    differenced Hessian, started from the uncensored closed forms.
+    Fitted by Newton's method on the log likelihood in a = mu/sigma,
+    b = 1/sigma, where it is concave (Olsen 1978, Econometrica 46(5)),
+    with the analytic Hessian and step halving that accepts only a
+    step raising the likelihood, started from the uncensored closed
+    forms.  The information in (mu, sigma) is that Hessian carried
+    back through d(a, b)/d(mu, sigma).
+
+Each family defines ``fitted`` (MLE, log likelihood and average
+information from the times and the 0/1 weights w of the exact ones)
+and ``scores`` (the per-subject score vectors).  ``fit`` checks that a
+two-parameter family's information is positive definite
+(``CheckedInformation``) and reports a fit that fails the check as
+not converged; the exponential's (D/N)/lam^2 is positive by
+construction.
 
 Only these two families need scipy, for the normal log-CDF
 (``scipy.special.log_ndtr``), and the categorical instability test
@@ -50,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -58,6 +70,7 @@ from .errors import (
     DegenerateComponentError,
     InvalidTimeError,
     NonConvergenceError,
+    SingularInformationError,
 )
 
 EVENT = "event"
@@ -88,23 +101,7 @@ def scipy_special():
     return scipy.special
 
 
-def _mills_ratio(y):
-    """h(y) = phi(y) / Phi(-y), computed in log space for large y."""
-    y = np.asarray(y, dtype=float)
-    return np.exp(-0.5 * y * y - _LOG_SQRT_2PI - scipy_special().log_ndtr(-y))
-
-
-class _Family:
-    """What ``fit`` asks of a family, given times and 0/1 weights w."""
-
-    @classmethod
-    def fitted(cls, times, w, d):
-        """MLE, log likelihood and information; d is ``float(w.sum())``."""
-        params = cls.fit_params(times, w)
-        return params, cls.loglik(times, w, params), cls.information(times, w, params)
-
-
-class _Exponential(_Family):
+class _Exponential:
     name = "exponential"
     param_names = ("rate",)
     positive_time = True
@@ -125,10 +122,20 @@ class _Exponential(_Family):
         return params, d * math.log(lam) - lam * st, np.array([[frac / lam**2]])
 
 
-class _Weibull(_Family):
+class _Weibull:
     name = "weibull"
     param_names = ("shape", "rate")
     positive_time = True
+
+    @classmethod
+    def fitted(cls, times, w, d):
+        try:
+            params = cls._profile_fit(times, w)
+        except OverflowError as exc:
+            # tied contributing times have no finite MLE: the shape grows
+            # without bound until a power or the rate overflows
+            raise NonConvergenceError("weibull shape diverged") from exc
+        return params, cls.loglik(times, w, params), cls.information(times, w, params)
 
     @staticmethod
     def _profile_terms(logt, alpha):
@@ -141,15 +148,6 @@ class _Weibull(_Family):
         a1 = float(p @ logt)
         a2 = float(p @ (logt * logt))
         return m, a0, a1, a2
-
-    @classmethod
-    def fit_params(cls, times, w):
-        try:
-            return cls._profile_fit(times, w)
-        except OverflowError as exc:
-            # tied contributing times have no finite MLE: the shape grows
-            # without bound until a power or the rate overflows
-            raise NonConvergenceError("weibull shape diverged") from exc
 
     @classmethod
     def _profile_fit(cls, times, w):
@@ -208,128 +206,102 @@ class _Weibull(_Family):
         return np.array([[j_aa, j_al], [j_al, j_ll]])
 
 
-class _LocationScale(_Family):
-    """Shared Newton machinery for the lognormal and normal families."""
+class _LocationScale:
+    """A normal model for z = log t (lognormal) or z = t (normal)."""
 
     param_names = ("mu", "sigma")
 
     @classmethod
-    def _score_total(cls, z, w, params):
-        mu, sigma = params
-        y = (z - mu) / sigma
-        hy = _mills_ratio(y)
-        cw = 1.0 - w
-        u_mu = (w @ y + cw @ hy) / sigma
-        u_sigma = (w @ (y * y - 1.0) + cw @ (y * hy)) / sigma
-        return np.array([u_mu, u_sigma])
+    def fitted(cls, times, w, d):
+        # Newton's method on the log likelihood in a = mu/sigma,
+        # b = 1/sigma, where it is globally concave (Olsen 1978).  With
+        # y = b z - a, minus its Hessian is sum c (1, -z)'(1, -z) +
+        # diag(0, D/b^2), c = 1 for an exact time and h (h - y) for a
+        # censored one: positive definite, so each step ascends.
+        z = np.log(times) if cls.log_time else times
+        exact = w > 0.0
+        ze, zc = z[exact], z[~exact]
+        sum_e, sum_e2 = float(ze.sum()), float(ze @ ze)
+        # the lognormal density of t carries 1/t, -z on the log scale
+        const = -d * _LOG_SQRT_2PI - (sum_e if cls.log_time else 0.0)
+        log_ndtr = scipy_special().log_ndtr
 
-    @classmethod
-    def _score_jacobian(cls, z, w, params):
-        jac = np.empty((2, 2))
-        for k in range(2):
-            h = 1e-5 * max(1.0, abs(params[k]))
-            hi = params.copy()
-            lo = params.copy()
-            hi[k] += h
-            lo[k] -= h
-            jac[:, k] = (cls._score_total(z, w, hi) - cls._score_total(z, w, lo)) / (
-                2.0 * h
+        def terms(theta):
+            # log likelihood, gradient and minus the Hessian at (a, b)
+            a, b = theta
+            ye = b * ze - a
+            yc = b * zc - a
+            log_sf = log_ndtr(-yc)
+            ll = d * math.log(b) - 0.5 * float(ye @ ye) + float(log_sf.sum()) + const
+            h = np.exp(-0.5 * yc * yc - _LOG_SQRT_2PI - log_sf)  # Mills ratio
+            c = h * (h - yc)
+            cz = c * zc
+            grad = np.array([ye.sum() + h.sum(), d / b - ye @ ze - h @ zc])
+            s1 = sum_e + cz.sum()
+            neg_hess = np.array(
+                [[d + c.sum(), -s1], [-s1, sum_e2 + cz @ zc + d / (b * b)]]
             )
-        return jac
+            return ll, grad, neg_hess
 
-    @classmethod
-    def fit_params(cls, times, w):
-        z = cls.transform(times)
-        contributing = z[w > 0]
-        mu = float(contributing.mean())
-        sigma = float(contributing.std())
-        if sigma <= 0.0:
-            sigma = float(z.std())
-        if sigma <= 0.0:
-            sigma = 1.0
-        params = np.array([mu, sigma])
-        score = cls._score_total(z, w, params)
-        norm = float(np.linalg.norm(score))
+        # start from the uncensored closed forms
+        mu = float(ze.mean())
+        sigma = float(ze.std()) or float(z.std()) or 1.0
+        theta = np.array([mu / sigma, 1.0 / sigma])
+        ll, grad, neg_hess = terms(theta)
         for _ in range(100):
-            if norm < 1e-8:
-                return params
-            jac = cls._score_jacobian(z, w, params)
             try:
-                delta = np.linalg.solve(jac, score)
+                step = np.linalg.solve(neg_hess, grad)
             except np.linalg.LinAlgError as exc:
                 raise NonConvergenceError("singular Newton step") from exc
-            if not np.all(np.isfinite(delta)):
+            if not np.all(np.isfinite(step)):
                 raise NonConvergenceError("Newton step not finite")
-            for _ in range(30):
-                trial = params - delta
+            if grad @ step <= 1e-12 * (1.0 + abs(ll)):
+                # the decrement is roundoff: take the last step whole (it
+                # moves b by at most sqrt(decrement / D) times b)
+                theta = theta + step
+                ll, _, neg_hess = terms(theta)
+                a, b = theta
+                mu, sigma = a / b, 1.0 / b
+                # d(a, b) / d(mu, sigma)
+                jac = np.array([[sigma, -mu], [0.0, -1.0]]) / (sigma * sigma)
+                info = jac.T @ neg_hess @ jac / times.size
+                return np.array([mu, sigma]), ll, info
+            for _ in range(60):  # halve until the step raises ll
+                trial = theta + step
                 if trial[1] > 0.0:
-                    trial_score = cls._score_total(z, w, trial)
-                    trial_norm = float(np.linalg.norm(trial_score))
-                    if math.isfinite(trial_norm) and trial_norm <= max(
-                        norm, 1e-8
-                    ):
+                    trial_terms = terms(trial)
+                    if trial_terms[0] > ll:
                         break
-                delta = 0.5 * delta
+                step = 0.5 * step
             else:
                 raise NonConvergenceError("step halving exhausted")
-            params, score, norm = trial, trial_score, trial_norm
-        if norm < 1e-8:
-            return params
+            theta = trial
+            ll, grad, neg_hess = trial_terms
         raise NonConvergenceError("location-scale fit hit 100 iterations")
-
-    @classmethod
-    def loglik(cls, times, w, params):
-        mu, sigma = params
-        z = cls.transform(times)
-        y = (z - mu) / sigma
-        obs = -math.log(sigma) - _LOG_SQRT_2PI - 0.5 * y * y + cls._jacobian_term(z)
-        cens = scipy_special().log_ndtr(-y)
-        return float(w @ obs + (1.0 - w) @ cens)
 
     @classmethod
     def scores(cls, times, w, params):
         mu, sigma = params
-        z = cls.transform(times)
+        z = np.log(times) if cls.log_time else times
         y = (z - mu) / sigma
-        hy = _mills_ratio(y)
+        # the Mills ratio phi(y) / Phi(-y), in log space for large y
+        hy = np.exp(-0.5 * y * y - _LOG_SQRT_2PI - scipy_special().log_ndtr(-y))
         cw = 1.0 - w
         u_mu = (w * y + cw * hy) / sigma
         u_sigma = (w * (y * y - 1.0) + cw * (y * hy)) / sigma
         return np.column_stack([u_mu, u_sigma])
 
-    @classmethod
-    def information(cls, times, w, params):
-        z = cls.transform(times)
-        jac = cls._score_jacobian(z, w, np.asarray(params, dtype=float))
-        sym = -0.5 * (jac + jac.T) / times.size
-        return sym
-
 
 class _LogNormal(_LocationScale):
     name = "lognormal"
     positive_time = True
-
-    @staticmethod
-    def transform(times):
-        return np.log(times)
-
-    @staticmethod
-    def _jacobian_term(z):
-        # density of log-time carries a 1/t factor, i.e. -z on the log scale
-        return -z
+    log_time = True
 
 
 class _Normal(_LocationScale):
     name = "normal"
     positive_time = False
-
-    @staticmethod
-    def transform(times):
-        return np.asarray(times, dtype=float)
-
-    @staticmethod
-    def _jacobian_term(z):
-        return 0.0
+    log_time = False
 
 
 _FAMILIES = {f.name: f for f in (_Exponential, _Weibull, _LogNormal, _Normal)}
@@ -392,7 +364,8 @@ def fit(family: str, component: str, data) -> FittedModel:
     the roles of events and censorings.  Raises
     DegenerateComponentError when no observation contributes an exact
     time to the chosen component (D = 0 for the event side, D = N for
-    the censor side).
+    the censor side), and NonConvergenceError when the fit fails or a
+    two-parameter information matrix is not positive definite.
     """
     fam = get_family(family)
     times, w = _prepared(fam, component, data)
@@ -403,6 +376,11 @@ def fit(family: str, component: str, data) -> FittedModel:
             f"no contributing observations for the {component} component"
         )
     params, loglik, info = fam.fitted(times, w, d)
+    if params.size > 1:
+        try:
+            CheckedInformation(info)
+        except SingularInformationError as exc:
+            raise NonConvergenceError(f"{fam.name} fit: {exc}") from exc
     return FittedModel(
         family=fam.name,
         component=component,
@@ -451,3 +429,36 @@ def inv_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
     vals = np.maximum(vals, floor)
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+class CheckedInformation:
+    """An average information matrix that is positive definite.
+
+    Raises ``SingularInformationError`` otherwise.  The inverse and the
+    inverse square root are each made on first use, so a tree node that
+    tests many variables against one fitted component makes them once.
+    A 1 x 1 matrix (a one-parameter family) is its own eigenvalue, which
+    is exactly what LAPACK returns for it, so it skips the eigensolver;
+    its inverse is likewise the one division LAPACK's solve makes.  A
+    stack of matrices, one per row of a row-wise continuous test, is
+    checked matrix by matrix and raises if any one is singular.
+    """
+
+    def __init__(self, info):
+        info = np.atleast_2d(np.asarray(info, dtype=float))
+        one = info.shape[-2:] == (1, 1)
+        vals = info[..., 0, :] if one else np.linalg.eigvalsh(info)
+        for row in vals.reshape(-1, vals.shape[-1]).tolist():  # one per matrix
+            if row[0] <= 1e-12 * max(abs(row[-1]), 1e-300):
+                raise SingularInformationError("information matrix is singular")
+        self.matrix = info
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        if self.matrix.shape == (1, 1):
+            return np.array([[1.0 / self.matrix.item()]])
+        return np.linalg.inv(self.matrix)
+
+    @cached_property
+    def inverse_sqrt(self) -> np.ndarray:
+        return inv_sqrt(self.matrix)

@@ -54,21 +54,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .datasets import CATEGORICAL, Grouping, group_starts, sort_order
-from .errors import (
-    EmptyInputError,
-    SingularInformationError,
-    TooFewGroupsError,
-)
+from .errors import EmptyInputError, TooFewGroupsError
 from .families import (
     CENSOR,
     EVENT,
+    CheckedInformation,
     get_family,
-    inv_sqrt,
     score_contributions,
     scipy_special,
 )
@@ -265,39 +260,6 @@ class CategoricalResult:
 class ContinuousResult:
     # one (parameter name, D statistic, raw p) triple per parameter
     entries: tuple
-
-
-class CheckedInformation:
-    """An average information matrix that is positive definite.
-
-    Raises ``SingularInformationError`` otherwise.  The inverse and the
-    inverse square root are each made on first use, so a tree node that
-    tests many variables against one fitted component makes them once.
-    A 1 x 1 matrix (a one-parameter family) is its own eigenvalue, which
-    is exactly what LAPACK returns for it, so it skips the eigensolver;
-    its inverse is likewise the one division LAPACK's solve makes.  A
-    stack of matrices, one per row of a row-wise continuous test, is
-    checked matrix by matrix and raises if any one is singular.
-    """
-
-    def __init__(self, info):
-        info = np.atleast_2d(np.asarray(info, dtype=float))
-        one = info.shape[-2:] == (1, 1)
-        vals = info[..., 0, :] if one else np.linalg.eigvalsh(info)
-        for row in vals.reshape(-1, vals.shape[-1]).tolist():  # one per matrix
-            if row[0] <= 1e-12 * max(abs(row[-1]), 1e-300):
-                raise SingularInformationError("information matrix is singular")
-        self.matrix = info
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        if self.matrix.shape == (1, 1):
-            return np.array([[1.0 / self.matrix.item()]])
-        return np.linalg.inv(self.matrix)
-
-    @cached_property
-    def inverse_sqrt(self) -> np.ndarray:
-        return inv_sqrt(self.matrix)
 
 
 def _checked(info) -> CheckedInformation:

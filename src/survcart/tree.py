@@ -203,7 +203,8 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
         per_variable = np.array([reports[name].variable_p for name in var_names])
         adjusted = hochberg(per_variable)
         best = int(np.argmin(adjusted))
-        if adjusted[best] > config.alpha or not reports[var_names[best]].testable:
+        # a NaN p-value (argmin's pick when there is one) never splits
+        if not adjusted[best] <= config.alpha or not reports[var_names[best]].testable:
             subset.drop_groupings()
             leaf(node, STOP_NO_SIGNIFICANT_VARIABLE)
             return

@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
+from scipy.stats import norm
 
 from survcart import CovariateSpec, SurvivalDataset
 from survcart.dataio import MISSING_TOKENS
@@ -38,6 +39,38 @@ from survcart.stability import (
 
 def rng_for(*key):
     return Generator(Philox(key=list(key)))
+
+
+def small_random_dataset(rng, low, high):
+    """Between ``low`` and ``high - 1`` subjects with a float "x" and a factor "g".
+
+    Times are Exp(mean 10) + 0.01, each an event with probability 0.6;
+    "x" is standard normal and "g" has three levels.  Grown with tiny
+    nodes and every family pair, these datasets once aborted ``grow``
+    on singular information matrices.
+    """
+    n = int(rng.integers(low, high))
+    t = rng.exponential(10.0, n) + 0.01
+    e = rng.random(n) < 0.6
+    x = rng.normal(size=n)
+    g = np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, n)]
+    return SurvivalDataset(
+        t, e,
+        meta=(CovariateSpec("x", "continuous"), CovariateSpec("g", "categorical")),
+        columns={"x": x, "g": g},
+    )
+
+
+def censored_normal_loglik(z, exact, mu, sigma):
+    """Log likelihood of z ~ N(mu, sigma^2), right censored where not ``exact``.
+
+    scipy.stats' normal log density and log survival of each subject,
+    summed with ``math.fsum``.  A lognormal likelihood in t = exp(z)
+    adds -z for each exact time.
+    """
+    y = (np.asarray(z, dtype=float) - mu) / sigma
+    terms = np.where(exact, norm.logpdf(y) - math.log(sigma), norm.logsf(y))
+    return math.fsum(terms.tolist())
 
 
 def brute_logrank(times, events, group):

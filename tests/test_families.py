@@ -22,7 +22,12 @@ from survcart import (
 )
 from survcart.families import _Weibull, exact_mask, inv_sqrt
 
-from conftest import censored_exponential, exponential_mle, rng_for
+from conftest import (
+    censored_exponential,
+    censored_normal_loglik,
+    exponential_mle,
+    rng_for,
+)
 
 ALL_FAMILIES = ("exponential", "weibull", "lognormal", "normal")
 
@@ -95,6 +100,43 @@ def test_lognormal_censored_score_example():
     u = score_contributions(model, data)
     assert u[0, 0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
     assert u[0, 1] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_location_scale_fit_maximizes_the_likelihood():
+    # Newton on the score norm used to stop at sigma ~ 1e8-1e10, where
+    # the score vanishes but the likelihood is far below its maximum;
+    # a fit now has no perturbation of (mu, sigma) with a higher
+    # likelihood, or it reports that it did not converge (one exact
+    # time above every censored one has no MLE)
+    rng = rng_for(112, 0)
+    steps = [(s * dmu, s * dlog) for s in (1e-3, 0.1)
+             for dmu, dlog in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
+    fitted = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 200))
+        t = rng.exponential(10.0, n) + 0.01
+        e = rng.random(n) < rng.uniform(0.1, 0.9)
+        for family in ("lognormal", "normal"):
+            z = np.log(t) if family == "lognormal" else t
+            for component in (EVENT, CENSOR):
+                exact = exact_mask(e, component)
+                try:
+                    m = fit(family, component, ds(t, e))
+                except (DegenerateComponentError, NonConvergenceError):
+                    continue
+                fitted += 1
+                jacobian = -math.fsum(z[exact]) if family == "lognormal" else 0.0
+
+                def loglik(mu, sigma):
+                    return censored_normal_loglik(z, exact, mu, sigma) + jacobian
+
+                mu, sigma = m.params
+                top = loglik(mu, sigma)
+                assert m.loglik == pytest.approx(top, rel=1e-9, abs=1e-9)
+                for dmu, dlog in steps:
+                    moved = loglik(mu + dmu * sigma, sigma * math.exp(dlog))
+                    assert moved <= top + 1e-9 * (1.0 + abs(top))
+    assert fitted > 1100
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

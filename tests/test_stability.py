@@ -32,7 +32,8 @@ from survcart.errors import (
     SingularInformationError,
 )
 from survcart.datasets import Grouping
-from survcart.stability import CheckedInformation, _grouped_sums
+from survcart.families import CheckedInformation, inv_sqrt
+from survcart.stability import _grouped_sums
 
 from conftest import (
     censored_exponential,
@@ -442,7 +443,7 @@ def test_one_by_one_information_matches_eigensolver(entry):
     for floor in (1e-12, 0.5):
         vals, vecs = np.linalg.eigh(np.array([[entry]]))
         want = (vecs / np.sqrt(np.maximum(vals, floor))) @ vecs.T
-        got = stability.inv_sqrt(np.array([[entry]]), floor)
+        got = inv_sqrt(np.array([[entry]]), floor)
         assert got.shape == (1, 1)
         assert np.array_equal(got, want, equal_nan=True)
 

@@ -1,3 +1,4 @@
+import itertools
 from unittest.mock import patch
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from survcart import (
     CENSOR,
     EVENT,
+    FAMILY_NAMES,
     MissingValueError,
     SchemaMismatchError,
     SurvTree,
@@ -30,6 +32,7 @@ from survcart.splitting import candidate_splits
 from survcart.tree import (
     STOP_FIT_FAILURE,
     STOP_MAX_DEPTH,
+    STOP_NO_ADMISSIBLE_SPLIT,
     STOP_NO_SIGNIFICANT_VARIABLE,
     STOP_NO_TESTABLE_COMPONENT,
     STOP_TOO_SMALL,
@@ -37,7 +40,12 @@ from survcart.tree import (
     _split_masks,
 )
 
-from conftest import factor_child_node, missing_labels, rng_for
+from conftest import (
+    factor_child_node,
+    missing_labels,
+    rng_for,
+    small_random_dataset,
+)
 
 
 def two_group_data(rng, n=300, rate_a=0.2, rate_b=0.02, censor_rate=0.05,
@@ -99,6 +107,22 @@ def test_homogeneous_data_stays_single_leaf():
         columns={"x": rng.uniform(0.0, 1.0, n)},
     )
     tree = grow(data, TreeConfig(alpha=0.01, minsplit=40, minbucket=20))
+    assert tree.n_leaves == 1
+    assert tree.root.stop_reason == STOP_NO_SIGNIFICANT_VARIABLE
+
+
+def test_nan_p_value_never_splits():
+    # a NaN adjusted p-value is not significant: argmin picks the NaN
+    # and NaN > alpha is False, so this grew 18 leaves
+    rng = rng_for(540, 0)
+    n = 200
+    data = SurvivalDataset(
+        rng.exponential(10.0, n), rng.random(n) < 0.7,
+        meta=(CovariateSpec("x1", "continuous"), CovariateSpec("x2", "continuous")),
+        columns={"x1": rng.uniform(0.0, 1.0, n), "x2": rng.normal(size=n)},
+    )
+    with patch.object(stability, "fd_sf", lambda x: float("nan")):
+        tree = grow(data, TreeConfig(minsplit=20, minbucket=10))
     assert tree.n_leaves == 1
     assert tree.root.stop_reason == STOP_NO_SIGNIFICANT_VARIABLE
 
@@ -427,6 +451,50 @@ def test_grow_survives_weibull_fits_on_tied_times():
     # no MLE at the root: a recorded stop, not an exception
     tied = SurvivalDataset(np.full(5, 0.3), np.ones(5, bool))
     assert grow(tied, config).root.stop_reason == STOP_FIT_FAILURE
+
+
+# --- grow is total ----------------------------------------------------------
+
+FAMILY_PAIRS = tuple(itertools.product(sorted(FAMILY_NAMES), repeat=2))
+STOP_REASONS = {STOP_TOO_SMALL, STOP_MAX_DEPTH, STOP_NO_TESTABLE_COMPONENT,
+                STOP_NO_SIGNIFICANT_VARIABLE, STOP_NO_ADMISSIBLE_SPLIT,
+                STOP_FIT_FAILURE}
+
+
+def assert_grown(data, config):
+    tree = grow(data, config)
+    assert sum(leaf.n for leaf in tree.leaves()) == data.n
+    assert {leaf.stop_reason for leaf in tree.leaves()} <= STOP_REASONS
+
+
+def test_grow_is_total_on_tiny_nodes_of_every_family_pair():
+    # 35 of these 600 datasets aborted grow with SingularInformationError:
+    # lognormal and normal fits at saddles of the score norm, and Weibull
+    # fits on 1-4 contributing times
+    rng = np.random.default_rng(7)
+    for event_dist, censor_dist in itertools.islice(itertools.cycle(FAMILY_PAIRS), 600):
+        assert_grown(small_random_dataset(rng, 8, 120), TreeConfig(
+            alpha=0.5, minsplit=4, minbucket=2,
+            event_dist=event_dist, censor_dist=censor_dist))
+
+
+def test_grow_is_total_on_lognormal_nodes_of_twenty():
+    # not only tiny nodes: 2 of these 150 aborted grow
+    rng = np.random.default_rng(11)
+    config = TreeConfig(alpha=0.5, minsplit=20, minbucket=5,
+                        event_dist="lognormal", censor_dist="lognormal")
+    for _ in range(150):
+        assert_grown(small_random_dataset(rng, 60, 400), config)
+
+
+@given(seed=st.integers(0, 2**31 - 1), pair=st.sampled_from(FAMILY_PAIRS),
+       minbucket=st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_grow_returns_a_tree_for_every_family_pair(seed, pair, minbucket):
+    data = small_random_dataset(rng_for(541, seed), 2, 120)
+    assert_grown(data, TreeConfig(alpha=0.5, minsplit=2 * minbucket,
+                                  minbucket=minbucket,
+                                  event_dist=pair[0], censor_dist=pair[1]))
 
 
 # --- recovery metrics -------------------------------------------------------
