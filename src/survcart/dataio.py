@@ -35,7 +35,7 @@ from .errors import (
     MissingColumnError,
     ParseError,
 )
-from .families import FittedModel
+from .families import CheckedInformation, FittedModel
 from .km import km_fit
 from .tree import SplitInfo, SurvTree, TreeConfig, TreeNode
 
@@ -222,7 +222,7 @@ def _model_payload(model: FittedModel):
         "component": model.component,
         "params": [float(v) for v in model.params],
         "loglik": float(model.loglik),
-        "info": [[float(v) for v in row] for row in np.atleast_2d(model.info)],
+        "info": [[float(v) for v in row] for row in model.info.matrix],
         "n_used": model.n_used,
         "n_contributing": model.n_contributing,
     }
@@ -236,7 +236,7 @@ def _model_from_payload(payload):
         component=payload["component"],
         params=np.array(payload["params"], dtype=float),
         loglik=payload["loglik"],
-        info=np.array(payload["info"], dtype=float),
+        info=CheckedInformation(payload["info"]),
         n_used=payload["n_used"],
         n_contributing=payload["n_contributing"],
     )

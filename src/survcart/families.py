@@ -40,11 +40,16 @@ lognormal, normal
 
 Each family defines ``fitted`` (MLE, log likelihood and average
 information from the times and the 0/1 weights w of the exact ones)
-and ``scores`` (the per-subject score vectors).  ``fit`` checks that a
-two-parameter family's information is positive definite
-(``CheckedInformation``) and reports a fit that fails the check as
-not converged; the exponential's (D/N)/lam^2 is positive by
-construction.
+and ``scores`` (the per-subject score vectors).  ``fit`` is the one
+place that decides whether an information matrix is usable: it wraps
+every family's matrix, the exponential's included, in a
+``CheckedInformation`` and reports a matrix that fails the check, or a
+math error inside ``fitted``, as a fit that did not converge.  Even the
+exponential's (D/N)/lam^2 fails at extreme time units, where lam^2
+overflows or underflows.  The check is relative, so scaling a matrix
+does not change its verdict: the instability tests standardize by
+J^(-1/2), which makes them free of the time unit, and an absolute
+floor on J would not be.
 
 Only these two families need scipy, for the normal log-CDF
 (``scipy.special.log_ndtr``), and the categorical instability test
@@ -129,12 +134,7 @@ class _Weibull:
 
     @classmethod
     def fitted(cls, times, w, d):
-        try:
-            params = cls._profile_fit(times, w)
-        except OverflowError as exc:
-            # tied contributing times have no finite MLE: the shape grows
-            # without bound until a power or the rate overflows
-            raise NonConvergenceError("weibull shape diverged") from exc
+        params = cls._profile_fit(times, w)
         return params, cls.loglik(times, w, params), cls.information(times, w, params)
 
     @staticmethod
@@ -249,10 +249,8 @@ class _LocationScale:
         theta = np.array([mu / sigma, 1.0 / sigma])
         ll, grad, neg_hess = terms(theta)
         for _ in range(100):
-            try:
-                step = np.linalg.solve(neg_hess, grad)
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergenceError("singular Newton step") from exc
+            # a singular Hessian raises LinAlgError, a ValueError: the fit fails
+            step = np.linalg.solve(neg_hess, grad)
             if not np.all(np.isfinite(step)):
                 raise NonConvergenceError("Newton step not finite")
             if grad @ step <= 1e-12 * (1.0 + abs(ll)):
@@ -325,7 +323,7 @@ class FittedModel:
     component: str
     params: np.ndarray
     loglik: float
-    info: np.ndarray
+    info: CheckedInformation
     n_used: int
     n_contributing: int
 
@@ -364,8 +362,10 @@ def fit(family: str, component: str, data) -> FittedModel:
     the roles of events and censorings.  Raises
     DegenerateComponentError when no observation contributes an exact
     time to the chosen component (D = 0 for the event side, D = N for
-    the censor side), and NonConvergenceError when the fit fails or a
-    two-parameter information matrix is not positive definite.
+    the censor side), and NonConvergenceError when the fit fails: the
+    iteration does not converge, an estimate or the log likelihood
+    overflows or leaves the domain of a math function, or the
+    information matrix fails ``CheckedInformation``.
     """
     fam = get_family(family)
     times, w = _prepared(fam, component, data)
@@ -375,12 +375,14 @@ def fit(family: str, component: str, data) -> FittedModel:
         raise DegenerateComponentError(
             f"no contributing observations for the {component} component"
         )
-    params, loglik, info = fam.fitted(times, w, d)
-    if params.size > 1:
-        try:
-            CheckedInformation(info)
-        except SingularInformationError as exc:
-            raise NonConvergenceError(f"{fam.name} fit: {exc}") from exc
+    try:
+        params, loglik, info = fam.fitted(times, w, d)
+        info = CheckedInformation(info)
+    except (ArithmeticError, ValueError, SingularInformationError) as exc:
+        # e.g. tied Weibull times, whose shape grows until a power
+        # overflows, or times so large that their sum overflows, the
+        # exponential rate is 0.0 and its log leaves the domain
+        raise NonConvergenceError(f"{fam.name} fit: {exc}") from exc
     return FittedModel(
         family=fam.name,
         component=component,
@@ -416,8 +418,8 @@ def loglik_and_aic(leaves) -> tuple:
     return total, -2.0 * total + 2.0 * k
 
 
-def inv_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Symmetric inverse square root with eigenvalues clipped at ``floor``.
+def inv_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root of a positive definite matrix.
 
     ``matrix`` is one matrix or a stack of them along leading axes.  A
     1 x 1 matrix is its own eigenvalue with eigenvector 1.0, as LAPACK
@@ -425,33 +427,40 @@ def inv_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[-2:] == (1, 1):
-        return 1.0 / np.sqrt(np.maximum(matrix, floor))
+        return 1.0 / np.sqrt(matrix)
     vals, vecs = np.linalg.eigh(matrix)
-    vals = np.maximum(vals, floor)
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 class CheckedInformation:
-    """An average information matrix that is positive definite.
+    """An average information matrix that is finite and positive definite.
 
-    Raises ``SingularInformationError`` otherwise.  The inverse and the
-    inverse square root are each made on first use, so a tree node that
-    tests many variables against one fitted component makes them once.
-    A 1 x 1 matrix (a one-parameter family) is its own eigenvalue, which
-    is exactly what LAPACK returns for it, so it skips the eigensolver;
-    its inverse is likewise the one division LAPACK's solve makes.  A
-    stack of matrices, one per row of a row-wise continuous test, is
-    checked matrix by matrix and raises if any one is singular.
+    Raises ``SingularInformationError`` otherwise.  The check is
+    relative: the smallest eigenvalue must exceed 1e-12 times the
+    largest, so a change of time unit, which scales the eigenvalues,
+    does not change its verdict.  A NaN or infinite entry fails it.  A
+    1 x 1 matrix (a one-parameter family) is its own eigenvalue, which
+    is exactly what LAPACK returns for it, so its check is one
+    comparison, 0 < J < inf, and its inverse is the one division
+    LAPACK's solve makes.  The inverse and the inverse square root are
+    each made on first use, so a tree node that tests many variables
+    against one fitted component makes them once.
     """
 
-    def __init__(self, info):
-        info = np.atleast_2d(np.asarray(info, dtype=float))
-        one = info.shape[-2:] == (1, 1)
-        vals = info[..., 0, :] if one else np.linalg.eigvalsh(info)
-        for row in vals.reshape(-1, vals.shape[-1]).tolist():  # one per matrix
-            if row[0] <= 1e-12 * max(abs(row[-1]), 1e-300):
-                raise SingularInformationError("information matrix is singular")
-        self.matrix = info
+    def __init__(self, matrix):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape == (1, 1):
+            low = high = matrix.item()
+        elif np.isfinite(matrix).all():
+            vals = np.linalg.eigvalsh(matrix)
+            low, high = float(vals[0]), float(vals[-1])
+        else:
+            low = high = math.nan
+        if not low > 1e-12 * high:  # False for NaN, and for inf > inf
+            raise SingularInformationError(
+                "information matrix is not finite and positive definite"
+            )
+        self.matrix = matrix
 
     @cached_property
     def inverse(self) -> np.ndarray:

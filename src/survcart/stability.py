@@ -36,13 +36,15 @@ the root, so a node's tests sort nothing; bare covariate values are
 grouped with one sort (``Grouping.of``).
 Each fitted component likewise gets one workspace per node, kept by the
 node's dataset next to its groupings: the component's score
-contributions at the node's data, computed once, and its information
-matrix, checked once, with the inverse (categorical tests) and the
-inverse square root (continuous tests) each made on first use.  Every
-variable's test reads that workspace, so a node with K variables
-evaluates each component's scores once instead of K times.  A
-one-parameter family's 1 x 1 information is checked and inverted in
-closed form, with the bits LAPACK would give.
+contributions at the node's data, computed once.  Every variable's test
+reads that workspace, so a node with K variables evaluates each
+component's scores once instead of K times.  The tests take the
+model's information as ``fit`` checked it, a ``CheckedInformation``,
+and check nothing again; its inverse (categorical tests) and inverse
+square root (continuous tests) are each made once per model.  A
+one-parameter family's 1 x 1 information is inverted in closed form,
+with the bits LAPACK would give.  Because the continuous statistic is
+standardized by J^(-1/2), the tests do not depend on the time unit.
 
 ``continuous_test`` also takes many samples at once, one per row of a
 2-d covariate array, as a Monte Carlo cell does: the rows share one
@@ -62,8 +64,8 @@ from .errors import EmptyInputError, TooFewGroupsError
 from .families import (
     CENSOR,
     EVENT,
-    CheckedInformation,
     get_family,
+    inv_sqrt,
     score_contributions,
     scipy_special,
 )
@@ -73,7 +75,6 @@ __all__ = [
     "fd_sf",
     "fd_quantile",
     "hochberg",
-    "CheckedInformation",
     "CategoricalResult",
     "ContinuousResult",
     "ComponentTest",
@@ -262,21 +263,17 @@ class ContinuousResult:
     entries: tuple
 
 
-def _checked(info) -> CheckedInformation:
-    return info if isinstance(info, CheckedInformation) else CheckedInformation(info)
-
-
 def categorical_test(scores, info, labels) -> CategoricalResult:
     """Joint chi-square instability test over the levels of a factor.
 
-    info is the information matrix, or its ``CheckedInformation``;
-    labels are the factor's values, or their ``Grouping``.
+    info is the ``CheckedInformation`` of the fitted model (its
+    ``model.info``); labels are the factor's values, or their
+    ``Grouping``.
     """
     grouping, sums = _grouped_sums(labels, scores)
     n_groups = grouping.distinct.size
     if n_groups < 2:
         raise TooFewGroupsError("categorical test needs at least 2 levels")
-    info = _checked(info)
     quad = np.einsum("gi,ij,gj->g", sums, info.inverse, sums)
     stat = float(np.sum(quad / grouping.counts))
     df = info.matrix.shape[0] * (n_groups - 1)
@@ -291,41 +288,38 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
 def continuous_test(scores, info, x, param_names=None):
     """Per-parameter bridge-supremum instability test along an ordering.
 
-    info is the information matrix, or its ``CheckedInformation``; x is
-    the covariate values, or their ``Grouping``.
+    info is the ``CheckedInformation`` of the fitted model (its
+    ``model.info``); x is the covariate values, or their ``Grouping``.
 
     A 2-d x holds R samples of n subjects, one per row.  scores are then
-    R x n x p (or R x n for one parameter), info is the R x p x p stack
-    of the rows' information matrices (or a sequence of them, or their
-    ``CheckedInformation``), and the result is a tuple of R results,
-    one per row.  The rows share each numpy step of the test: one
-    row-wise sort, one bincount, one cumulative sum, one matrix product
-    and one maximum.  A row's result equals its own one-row call bit for
+    R x n x p (or R x n for one parameter), info is a sequence of the
+    rows' R ``CheckedInformation``, and the result is a tuple of R
+    results, one per row.  The rows share each numpy step of the test:
+    one row-wise sort, one bincount, one cumulative sum, one matrix
+    product and one maximum.  A row's result equals its own one-row call bit for
     bit when p = 1; with more parameters the stacked matrix product may
     round a last bit differently.  A row with fewer than two distinct
-    values raises ``TooFewGroupsError``, as its own call would; failing
-    that, any singular information raises ``SingularInformationError``.
+    values raises ``TooFewGroupsError``, as its own call would.
     """
     if isinstance(x, Grouping) or np.ndim(x) != 2:
         grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
         n, size = grouping.values.size, grouping.distinct.size
-        inv_sqrt = _inverse_sqrt(size, info)
+        _require_groups(size)
         sums = _cell_sums(grouping.inverse, _score_matrix(scores, n), size)
-        return _bridge_results(sums[None], inv_sqrt, n, param_names)[0]
+        return _bridge_results(sums[None], info.inverse_sqrt, n, param_names)[0]
     x = np.asarray(x)
     cells, n_groups, width = _row_cells(x)
     rows, n = x.shape
-    inv_sqrt = _inverse_sqrt(int(n_groups.min()), info)
+    _require_groups(int(n_groups.min()))
+    roots = inv_sqrt(np.array([row_info.matrix for row_info in info]))
     scores = np.asarray(scores, dtype=float).reshape(rows, n, -1)
     sums = _cell_sums(cells, scores, rows * width)
-    return _bridge_results(sums.reshape(rows, width, -1), inv_sqrt, n, param_names)
+    return _bridge_results(sums.reshape(rows, width, -1), roots, n, param_names)
 
 
-def _inverse_sqrt(n_groups, info):
-    """J^(-1/2), or one per row, for rows of at least n_groups values."""
+def _require_groups(n_groups):
     if n_groups < 2:
         raise TooFewGroupsError("continuous test needs at least 2 distinct values")
-    return _checked(info).inverse_sqrt
 
 
 def _bridge_results(sums, inv_sqrt, n, param_names):
@@ -394,10 +388,10 @@ def _skipped(component, reason):
     )
 
 
-def _component_test(component, model, scores, kind, x, info):
+def _component_test(component, model, scores, kind, x):
     names = get_family(model.family).param_names
     if kind == CATEGORICAL:
-        res = categorical_test(scores, info, x)
+        res = categorical_test(scores, model.info, x)
         return ComponentTest(
             component=component,
             tested=True,
@@ -407,7 +401,7 @@ def _component_test(component, model, scores, kind, x, info):
             df=res.df,
             small_groups=res.small_groups,
         )
-    res = continuous_test(scores, info, x, param_names=names)
+    res = continuous_test(scores, model.info, x, param_names=names)
     raw = [e[2] for e in res.entries]
     if len(raw) == 1:  # Hochberg's adjustment of one p-value caps it
         component_p = min(raw[0], 1.0)
@@ -425,16 +419,14 @@ def _component_test(component, model, scores, kind, x, info):
     )
 
 
-def _workspace(data, model):
-    """Scores of ``model`` at ``data`` and its checked information.
+def _scores(data, model):
+    """Scores of ``model`` at ``data``.
 
     Made on the first test of a node and kept by ``data`` (one per
     component, for this model object) until ``drop_groupings``.
     """
     return data.workspace(
-        model.component,
-        model,
-        lambda: (score_contributions(model, data), CheckedInformation(model.info)),
+        model.component, model, lambda: score_contributions(model, data)
     )
 
 
@@ -483,15 +475,11 @@ def variable_test(
         )
 
     if event_model is not None:
-        scores, info = _workspace(data, event_model)
-        event_ct = _component_test(
-            EVENT, event_model, present(scores), spec.kind, grouping, info
-        )
+        scores = present(_scores(data, event_model))
+        event_ct = _component_test(EVENT, event_model, scores, spec.kind, grouping)
     if censor_enabled and censor_model is not None:
-        scores, info = _workspace(data, censor_model)
-        censor_ct = _component_test(
-            CENSOR, censor_model, present(scores), spec.kind, grouping, info
-        )
+        scores = present(_scores(data, censor_model))
+        censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, grouping)
 
     tested = [ct for ct in (event_ct, censor_ct) if ct.tested]
     cross = {EVENT: 1.0, CENSOR: 1.0}

@@ -373,12 +373,10 @@ def label_variable_test(data, labels, variable, event_model, censor_model,
 
     if event_model is not None:
         scores = score_contributions(event_model, data)[include]
-        event_ct = _component_test(EVENT, event_model, scores, spec.kind, x,
-                                   event_model.info)
+        event_ct = _component_test(EVENT, event_model, scores, spec.kind, x)
     if censor_enabled and censor_model is not None:
         scores = score_contributions(censor_model, data)[include]
-        censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, x,
-                                    censor_model.info)
+        censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, x)
 
     tested = [ct for ct in (event_ct, censor_ct) if ct.tested]
     cross = {EVENT: 1.0, CENSOR: 1.0}

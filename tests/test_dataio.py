@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from survcart import (
     ParseError,
     SchemaSpec,
     TreeConfig,
+    TreeRecoveryDesign,
     document_to_tree,
     grow,
     load_csv,
@@ -22,6 +24,7 @@ from survcart import (
     parse_variable_flags,
     predict_node,
     render_text,
+    replicate_rng,
     save_tree,
     tree_to_document,
 )
@@ -30,6 +33,7 @@ from survcart.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_SPEC, m
 from survcart.dataio import KM_COLUMNS, km_leaf_rows, rows_to_csv_text, tree_to_dot
 from survcart.datasets import CovariateSpec
 from survcart.km import km_fit
+from survcart.simlab import generate_tree_data
 
 from conftest import dict_rows_load_csv, rng_for
 
@@ -340,6 +344,49 @@ def test_cli_fit_happy_path(demo_csv, tmp_path, capsys):
     assert out.exists()
     loaded = load_tree(str(out))
     assert loaded.n_leaves >= 1
+
+
+EXTREME_UNITS = (1e300, 1e305, 1e-318)
+
+
+@pytest.fixture(scope="module")
+def extreme_unit_csvs(tmp_path_factory):
+    """The four-subgroup design (1,200 rows) with its times in extreme units.
+
+    At 1e300 the exponential information overflows, at 1e305 the sum of
+    the times does, and at 1e-318 the times are subnormal.
+    """
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                 replicate_rng(1, 0))
+    names = [m.name for m in data.meta]
+    columns = [data.covariate(name) for name in names]
+    paths = {}
+    for scale in EXTREME_UNITS:
+        path = tmp_path_factory.mktemp("units") / "design.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "status"] + names)
+            for i, (t, e) in enumerate(zip(data.times.tolist(), data.events.tolist())):
+                writer.writerow([repr(t * scale), int(e)] + [c[i] for c in columns])
+        paths[scale] = str(path)
+    return paths
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize("scale", EXTREME_UNITS)
+@pytest.mark.parametrize("flag", ["--time-dist", "--cens-dist"])
+@pytest.mark.parametrize("family", ["exponential", "weibull", "lognormal", "normal"])
+def test_cli_fit_never_exits_5_at_extreme_time_units(extreme_unit_csvs, tmp_path,
+                                                     capsys, scale, flag, family):
+    # a fit whose rate, log likelihood or information leaves the floats is
+    # a fit_failure leaf, not an exit 5 (or 3, for a math domain error)
+    out = tmp_path / "tree.json"
+    code = main(["fit", "--data", extreme_unit_csvs[scale], "--time", "time",
+                 "--event", "status",
+                 "--vars", "X1:cat,X2:cont,X3:cont,X4:cont,X5:cat,X6:cat",
+                 flag, family, "--out", str(out)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert load_tree(str(out)).n_leaves >= 1
 
 
 def test_cli_fit_reads_a_file_with_byte_order_mark(demo_csv, tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_exponential_information_identity():
     ev = fit("exponential", EVENT, data)
     lam = ev.params[0]
     d, n = 2, 4
-    assert ev.info[0, 0] == pytest.approx((d / n) / lam**2, rel=1e-12)
+    assert ev.info.matrix[0, 0] == pytest.approx((d / n) / lam**2, rel=1e-12)
 
 
 def test_weibull_recovers_exponential_sample():
@@ -172,7 +172,7 @@ def test_information_matches_average_hessian(family):
                 sc = fam.scores(t, w.astype(float), tuple(q)).sum(axis=0)
                 hess[:, j] += sgn * sc / (2.0 * h)
         avg = -0.5 * (hess + hess.T) / data.n
-        rel = np.abs(m.info - avg).max() / np.abs(avg).max()
+        rel = np.abs(m.info.matrix - avg).max() / np.abs(avg).max()
         assert rel < 1e-4
 
 
@@ -307,6 +307,6 @@ def test_one_pass_exponential_fit_matches_family_formulas(times, seed, component
     assert m.params.tolist() == [pytest.approx(lam, rel=1e-12)]
     assert isinstance(m.loglik, float)
     assert m.loglik == pytest.approx(loglik, rel=1e-12, abs=1e-12)
-    assert m.info.shape == (1, 1)
-    assert m.info[0, 0] == pytest.approx(info, rel=1e-12)
+    assert m.info.matrix.shape == (1, 1)
+    assert m.info.matrix[0, 0] == pytest.approx(info, rel=1e-12)
     assert m.n_contributing == int(w.sum())

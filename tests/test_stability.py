@@ -84,7 +84,8 @@ def test_fd_cdf_and_sf_at_tiny_arguments():
 def test_continuous_test_on_tiny_scores_is_not_significant():
     rng = rng_for(210, 0)
     scores = rng.normal(0.0, 1e-170, 50)
-    res = continuous_test(scores, np.array([[1.0]]), rng.uniform(0.0, 1.0, 50))
+    res = continuous_test(scores, CheckedInformation([[1.0]]),
+                          rng.uniform(0.0, 1.0, 50))
     (_, d, p), = res.entries
     assert 0.0 < d < 1e-160
     assert p == 1.0
@@ -389,7 +390,7 @@ def test_continuous_test_rows_equal_one_row_calls(seed, n, levels, width, nan):
         x[rng.random(x.shape) < 0.2] = np.nan
     scores = rng.normal(0.0, 1.0, (len(levels), n, width))
     roots = rng.normal(0.0, 1.0, (len(levels), width, width))
-    infos = [a @ a.T + np.eye(width) for a in roots]
+    infos = [CheckedInformation(a @ a.T + np.eye(width)) for a in roots]
     singles = []
     for row, u, info in zip(x, scores, infos):
         try:
@@ -413,13 +414,19 @@ def test_continuous_test_rows_equal_one_row_calls(seed, n, levels, width, nan):
 
 
 def eigh_checked(entry):
-    """CheckedInformation and inv_sqrt of [[entry]] through LAPACK."""
+    """CheckedInformation and inv_sqrt of [[entry]] through LAPACK.
+
+    A finite matrix whose smallest eigenvalue exceeds 1e-12 times its
+    largest passes; any other raises.
+    """
     info = np.array([[entry]])
+    if not np.isfinite(info).all():
+        raise SingularInformationError("information matrix is not finite")
     vals = np.linalg.eigvalsh(info)
-    if vals[0] <= 1e-12 * max(abs(vals[-1]), 1e-300):
+    if not vals[0] > 1e-12 * vals[-1]:
         raise SingularInformationError("information matrix is singular")
     vals, vecs = np.linalg.eigh(info)
-    return (vecs / np.sqrt(np.maximum(vals, 1e-12))) @ vecs.T
+    return (vecs / np.sqrt(vals)) @ vecs.T
 
 
 INFO_POOL = (5e-324, 1e-300, 1e-13, 1e-12, 0.25, 1e300, np.inf, 0.0, -0.0,
@@ -439,28 +446,24 @@ def test_one_by_one_information_matches_eigensolver(entry):
         assert np.array_equal(checked.inverse_sqrt, want, equal_nan=True)
         assert np.array_equal(checked.inverse, np.linalg.inv(np.array([[entry]])),
                               equal_nan=True)
-    # inv_sqrt itself, singular or not
-    for floor in (1e-12, 0.5):
+    # inv_sqrt itself, checked or not (a negative or NaN entry gives NaN)
+    with np.errstate(all="ignore"):
         vals, vecs = np.linalg.eigh(np.array([[entry]]))
-        want = (vecs / np.sqrt(np.maximum(vals, floor))) @ vecs.T
-        got = inv_sqrt(np.array([[entry]]), floor)
-        assert got.shape == (1, 1)
-        assert np.array_equal(got, want, equal_nan=True)
+        want = (vecs / np.sqrt(vals)) @ vecs.T
+        got = inv_sqrt(np.array([[entry]]))
+    assert got.shape == (1, 1)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_tests_take_checked_information():
-    rng = rng_for(310, 0)
-    t, e = censored_exponential(rng, 80, 0.1, 0.3)
-    data = SurvivalDataset(t, e)
-    m = fit("weibull", EVENT, data)
-    u = score_contributions(m, data)
-    checked = CheckedInformation(m.info)
-    x = rng.normal(0.0, 1.0, 80)
-    labels = np.array(["a", "b", "c"], object)[rng.integers(0, 3, 80)]
-    assert continuous_test(u, checked, x) == continuous_test(u, m.info, x)
-    assert categorical_test(u, checked, labels) == categorical_test(u, m.info, labels)
-    with pytest.raises(SingularInformationError):
-        CheckedInformation(np.diag([1.0, 0.0]))
+@pytest.mark.parametrize("scale", [1e-290, 1e-8, 1.0, 1e8, 1e290])
+def test_information_check_is_relative_and_rejects_non_finite(scale):
+    # the verdict on c J is the verdict on J, at any time unit
+    CheckedInformation(scale * np.array([[2.0, 1e-5], [1e-5, 1e-9]]))
+    for bad in (np.diag([1.0, 0.0]), np.diag([1.0, 1e-13]), np.ones((2, 2)),
+                np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                np.array([[1.0, 0.0], [0.0, np.inf]])):
+        with pytest.raises(SingularInformationError):
+            CheckedInformation(scale * bad)
 
 
 # --- per-variable combination ----------------------------------------------
@@ -471,13 +474,6 @@ def _fit_or_none(family, component, data):
     except (DegenerateComponentError, NonConvergenceError):
         # fit failures are not what these tests check
         return None
-
-
-def _report_or_error(run):
-    try:
-        return run()
-    except SingularInformationError:
-        return "singular"
 
 
 @given(
@@ -496,10 +492,8 @@ def test_coded_variable_test_equals_label_oracle(seed, families,
     ev = _fit_or_none(families[0], EVENT, node)
     ce = _fit_or_none(families[1], CENSOR, node)
     for name, raw in (("g", labels), ("x", x)):
-        want = _report_or_error(lambda: label_variable_test(
-            node, raw, name, ev, ce, censor_enabled))
-        got = _report_or_error(lambda: variable_test(
-            node, name, ev, ce, censor_enabled=censor_enabled))
+        want = label_variable_test(node, raw, name, ev, ce, censor_enabled)
+        got = variable_test(node, name, ev, ce, censor_enabled=censor_enabled)
         assert got == want
 
 

@@ -27,6 +27,7 @@ from survcart import (
 from survcart import datasets, km, splitting, stability
 from survcart import tree as tree_module
 from survcart.datasets import CovariateSpec
+from survcart.families import CheckedInformation
 from survcart.simlab import generate_tree_data
 from survcart.splitting import candidate_splits
 from survcart.tree import (
@@ -404,6 +405,40 @@ def test_grow_scores_each_component_once_per_node():
                        for seen, c in scored[:i])
 
 
+def test_grow_checks_each_fitted_information_once():
+    # fit makes a model's one CheckedInformation; the tests only read it
+    checks, fitted, testing = [], [], []
+    real_init = CheckedInformation.__init__
+    real_fit = tree_module.fit
+    real_test = tree_module.variable_test
+
+    def counting_init(self, matrix):
+        real_init(self, matrix)
+        checks.append(bool(testing))
+
+    def counting_fit(*args, **kwargs):
+        model = real_fit(*args, **kwargs)
+        fitted.append(model)
+        return model
+
+    def flagged_test(*args, **kwargs):
+        testing.append(True)
+        try:
+            return real_test(*args, **kwargs)
+        finally:
+            testing.pop()
+
+    with patch.object(CheckedInformation, "__init__", counting_init), \
+            patch.object(tree_module, "fit", counting_fit), \
+            patch.object(tree_module, "variable_test", flagged_test):
+        grown = grow(four_subgroup_data(),
+                     TreeConfig(event_dist="weibull", censor_dist="weibull"))
+    assert grown.n_leaves > 2
+    assert len(checks) == len(fitted) > 0
+    assert not any(checks)
+    assert all(isinstance(model.info, CheckedInformation) for model in fitted)
+
+
 def test_grow_builds_only_the_candidates_it_reads():
     built, read, returned = [], [], []
     real_candidate = splitting.SplitCandidate
@@ -591,6 +626,32 @@ def test_time_rescaling_keeps_partition_for_exponential():
         assert nid in b.nodes
         if not a.nodes[nid].is_leaf:
             assert a.nodes[nid].split.variable == b.nodes[nid].split.variable
+
+
+def test_exponential_tree_does_not_depend_on_the_time_unit():
+    # the information check is relative: with an absolute floor of 1e-12
+    # on J, the tree at 1e-8 (where one node's J is 1.8e-13) had 3 leaves
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                 replicate_rng(1, 0))
+    cfg = TreeConfig(event_dist="exponential", censor_dist="exponential")
+    grown = [
+        grow(SurvivalDataset(scale * data.times, data.events, meta=data.meta,
+                             columns=data.columns), cfg)
+        for scale in (1e-8, 1.0, 1e8)
+    ]
+    want = grown[1]
+    assert want.n_leaves == 4
+    for tree in grown:
+        assert tree.n_leaves == want.n_leaves
+        assert tree.nodes.keys() == want.nodes.keys()
+        for nid, node in want.nodes.items():
+            got = tree.nodes[nid]
+            assert got.is_leaf == node.is_leaf
+            if not node.is_leaf:
+                assert got.split.variable == node.split.variable
+                assert got.split.cutpoint == node.split.cutpoint
+                assert got.split.adjusted_p == pytest.approx(node.split.adjusted_p,
+                                                              rel=1e-9)
 
 
 def test_categorical_relabeling_keeps_partition():
