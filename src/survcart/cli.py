@@ -18,6 +18,8 @@ import os
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from .dataio import (
     KM_COLUMNS,
     SchemaSpec,
@@ -365,11 +367,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "stabtest":
-            return _cmd_stabtest(args)
-        return _cmd_simulate(args)
+        # a fit that overflows at an extreme time unit fails or is a
+        # fit_failure leaf, so numpy's floating-point warnings say nothing
+        with np.errstate(all="ignore"):
+            if args.command == "fit":
+                return _cmd_fit(args)
+            if args.command == "stabtest":
+                return _cmd_stabtest(args)
+            return _cmd_simulate(args)
     except (_ConfigError, ValueError, UnknownVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

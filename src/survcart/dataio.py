@@ -7,6 +7,12 @@ like the original tree.  Floats go through Python's shortest
 round-trip repr, so parameter values survive a save/load cycle bit for
 bit.  DOT output is presentation only.
 
+A Weibull model's params are (mu, sigma), the extreme-value location
+and scale of log t.  A document written before the Weibull was fitted
+in that form stores (shape, rate) instead: its params load as they
+are, and it routes subjects the same way, since routing reads only the
+splits.  Refit to get (mu, sigma).
+
 The product-limit export (``survcart fit --km-out``) is a CSV with the
 header ``leaf,flavor,time,surv,n.risk,n.event`` (``KM_COLUMNS``) and
 one row per grid time of each leaf's event and censoring curves, from

@@ -21,21 +21,24 @@ Families
 exponential
     f(t) = lam * exp(-lam t).  MLE lam = D / sum(t); score per subject
     u(lam) = d/lam - t; information J = (D/N) / lam^2.
-weibull
-    f(t) = a * lam * t^(a-1) * exp(-lam t^a), so S(t) = exp(-lam t^a).
-    Scores u(a) = d/a + d log t - lam t^a log t and u(lam) = d/lam - t^a.
-    lam profiles out as lam(a) = D / sum(t^a); a solves the profile
-    score by Newton iteration.
-lognormal, normal
-    With y = (log t - mu)/sigma (normal: y = (t - mu)/sigma) and the
-    hazard-like ratio h(y) = phi(y)/Phi(-y), the scores are
-    u(mu) = [d y + (1-d) h(y)] / sigma and
-    u(sigma) = [d (y^2 - 1) + (1-d) y h(y)] / sigma.
+weibull, lognormal, normal
+    Location-scale models: y = (z - mu)/sigma has a standard law, with
+    z = log t (weibull, lognormal) or z = t (normal).  The Weibull's is
+    the extreme-value (EV) law of log t, log f0(y) = y - e^y and
+    log S0(y) = -e^y, so S(t) = exp(-(t / e^mu)^(1/sigma)): scale e^mu
+    and shape 1/sigma (Kalbfleisch & Prentice 2002, ch. 2; R's
+    ``survreg`` uses the same form).  The other two use the standard
+    normal.  With g1 the derivative in y of log f0 (exact time) or of
+    log S0 (censored) and w the 0/1 exact weight, the scores are
+    u(mu) = -g1 / sigma and u(sigma) = (-w - y g1) / sigma.
     Fitted by Newton's method on the log likelihood in a = mu/sigma,
-    b = 1/sigma, where it is concave (Olsen 1978, Econometrica 46(5)),
-    with the analytic Hessian and step halving that accepts only a
-    step raising the likelihood, started from the uncensored closed
-    forms.  The information in (mu, sigma) is that Hessian carried
+    b = 1/sigma, where it is concave for a log-concave f0 and S0
+    (Olsen 1978, Econometrica 46(5); Pratt 1981, JASA 76(373)), with
+    the analytic Hessian and step halving that accepts only a step
+    raising the likelihood; no profile iteration.  When every exact z
+    is tied and no censored z lies above it, the likelihood rises
+    without bound as sigma -> 0, and the fit fails before Newton
+    starts.  The information in (mu, sigma) is that Hessian carried
     back through d(a, b)/d(mu, sigma).
 
 Each family defines ``fitted`` (MLE, log likelihood and average
@@ -48,12 +51,13 @@ math error inside ``fitted``, as a fit that did not converge.  Even the
 exponential's (D/N)/lam^2 fails at extreme time units, where lam^2
 overflows or underflows.  The check is relative, so scaling a matrix
 does not change its verdict: the instability tests standardize by
-J^(-1/2), which makes them free of the time unit, and an absolute
-floor on J would not be.
+J^(-1/2), which makes them free of the time unit in all four families
+(a change of unit scales lam, shifts mu on the log scale, or scales
+mu and sigma of the normal), and an absolute floor on J would not be.
 
-Only these two families need scipy, for the normal log-CDF
-(``scipy.special.log_ndtr``), and the categorical instability test
-needs it for the chi-square tail.  ``scipy_special`` imports
+Only the lognormal and normal families need scipy, for the normal
+log-CDF (``scipy.special.log_ndtr``), and the categorical instability
+test needs it for the chi-square tail.  ``scipy_special`` imports
 ``scipy.special`` on its first call, so a process that fits only
 exponential and Weibull components and runs only continuous tests
 never loads scipy.
@@ -82,6 +86,7 @@ EVENT = "event"
 CENSOR = "censor"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_EV_SD = math.pi / math.sqrt(6.0)  # standard deviation of the standard EV
 
 
 def exact_mask(events, component) -> np.ndarray:
@@ -127,154 +132,127 @@ class _Exponential:
         return params, d * math.log(lam) - lam * st, np.array([[frac / lam**2]])
 
 
-class _Weibull:
-    name = "weibull"
-    param_names = ("shape", "rate")
-    positive_time = True
-
-    @classmethod
-    def fitted(cls, times, w, d):
-        params = cls._profile_fit(times, w)
-        return params, cls.loglik(times, w, params), cls.information(times, w, params)
+class _StandardNormal:
+    """The standard normal, for the lognormal and normal families."""
 
     @staticmethod
-    def _profile_terms(logt, alpha):
-        # ratios of sum(t^a * logt^k) computed with a common scale factor
-        # so large alpha * log t does not overflow
-        e = alpha * logt
-        m = e.max()
-        p = np.exp(e - m)
-        a0 = p.sum()
-        a1 = float(p @ logt)
-        a2 = float(p @ (logt * logt))
-        return m, a0, a1, a2
-
-    @classmethod
-    def _profile_fit(cls, times, w):
-        logt = np.log(times)
-        d = float(w.sum())
-        swl = float(w @ logt)
-        alpha = 1.0
-        for _ in range(100):
-            m, a0, a1, a2 = cls._profile_terms(logt, alpha)
-            g = d / alpha + swl - d * a1 / a0
-            gprime = -d / alpha**2 - d * (a2 * a0 - a1 * a1) / a0**2
-            if not (math.isfinite(g) and math.isfinite(gprime)) or gprime == 0.0:
-                raise NonConvergenceError("weibull profile score not finite")
-            step = g / gprime
-            while alpha - step <= 0.0:
-                step *= 0.5
-            alpha -= step
-            if abs(step) < 1e-8:
-                m, a0, _, _ = cls._profile_terms(logt, alpha)
-                lam = math.exp(math.log(d) - (m + math.log(a0)))
-                if not math.isfinite(lam) or lam <= 0.0:
-                    raise NonConvergenceError("weibull rate overflowed")
-                return np.array([alpha, lam])
-        raise NonConvergenceError("weibull profile iteration hit 100 steps")
+    def start(ze, z, d):
+        # the uncensored closed forms
+        return float(ze.mean()), float(ze.std()) or float(z.std()) or 1.0
 
     @staticmethod
-    def loglik(times, w, params):
-        alpha, lam = params
-        logt = np.log(times)
-        ta = np.power(times, alpha)
-        return float(
-            w.sum() * (math.log(alpha) + math.log(lam))
-            + (alpha - 1.0) * (w @ logt)
-            - lam * ta.sum()
-        )
+    def exact(y):
+        return -0.5 * y * y - _LOG_SQRT_2PI, -y, np.ones_like(y)
 
     @staticmethod
-    def scores(times, w, params):
-        alpha, lam = params
-        logt = np.log(times)
-        ta = np.power(times, alpha)
-        u_alpha = w / alpha + w * logt - lam * ta * logt
-        u_lam = w / lam - ta
-        return np.column_stack([u_alpha, u_lam])
+    def censored(y):
+        log_sf = scipy_special().log_ndtr(-y)
+        h = np.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_sf)  # Mills ratio
+        return log_sf, -h, h * (h - y)
+
+
+class _StandardExtremeValue:
+    """The standard (minimum) extreme-value distribution, for the Weibull."""
 
     @staticmethod
-    def information(times, w, params):
-        alpha, lam = params
-        n = times.size
-        logt = np.log(times)
-        ta = np.power(times, alpha)
-        frac = float(w.sum()) / n
-        j_aa = frac / alpha**2 + lam * float(ta @ (logt * logt)) / n
-        j_al = float(ta @ logt) / n
-        j_ll = frac / lam**2
-        return np.array([[j_aa, j_al], [j_al, j_ll]])
+    def start(ze, z, d):
+        # sigma from the spread of the exact z (the standard deviation of
+        # y is pi/sqrt(6)), then the mu that maximizes the likelihood at
+        # that sigma: sum e^y = D, so no e^y exceeds D
+        sigma = float(ze.std()) / _EV_SD or float(z.std()) or 1.0
+        s = z / sigma
+        top = float(s.max())
+        return sigma * (top + math.log(float(np.exp(s - top).sum()) / d)), sigma
+
+    @staticmethod
+    def exact(y):
+        ey = np.exp(y)
+        return y - ey, 1.0 - ey, ey
+
+    @staticmethod
+    def censored(y):
+        ey = np.exp(y)
+        return -ey, -ey, ey
 
 
 class _LocationScale:
-    """A normal model for z = log t (lognormal) or z = t (normal)."""
+    """A model for z = log t or z = t: (z - mu)/sigma has a standard law.
+
+    ``standard`` supplies, for an exact and for a censored y, the log
+    density log f0(y) or the log survival log S0(y), its derivative g1
+    in y and minus its second derivative g2.
+    """
 
     param_names = ("mu", "sigma")
+    positive_time = True
+    log_time = True
 
     @classmethod
     def fitted(cls, times, w, d):
         # Newton's method on the log likelihood in a = mu/sigma,
-        # b = 1/sigma, where it is globally concave (Olsen 1978).  With
-        # y = b z - a, minus its Hessian is sum c (1, -z)'(1, -z) +
-        # diag(0, D/b^2), c = 1 for an exact time and h (h - y) for a
-        # censored one: positive definite, so each step ascends.
+        # b = 1/sigma, where it is globally concave for a log-concave f0
+        # and S0.  With y = b z - a its gradient is (-sum g1, D/b +
+        # sum g1 z) and minus its Hessian sum g2 (1, -z)'(1, -z) +
+        # diag(0, D/b^2): positive definite, so each step ascends.
         z = np.log(times) if cls.log_time else times
         exact = w > 0.0
         ze, zc = z[exact], z[~exact]
-        sum_e, sum_e2 = float(ze.sum()), float(ze @ ze)
-        # the lognormal density of t carries 1/t, -z on the log scale
-        const = -d * _LOG_SQRT_2PI - (sum_e if cls.log_time else 0.0)
-        log_ndtr = scipy_special().log_ndtr
-
-        def terms(theta):
-            # log likelihood, gradient and minus the Hessian at (a, b)
-            a, b = theta
-            ye = b * ze - a
-            yc = b * zc - a
-            log_sf = log_ndtr(-yc)
-            ll = d * math.log(b) - 0.5 * float(ye @ ye) + float(log_sf.sum()) + const
-            h = np.exp(-0.5 * yc * yc - _LOG_SQRT_2PI - log_sf)  # Mills ratio
-            c = h * (h - yc)
-            cz = c * zc
-            grad = np.array([ye.sum() + h.sum(), d / b - ye @ ze - h @ zc])
-            s1 = sum_e + cz.sum()
-            neg_hess = np.array(
-                [[d + c.sum(), -s1], [-s1, sum_e2 + cz @ zc + d / (b * b)]]
+        if ze.min() == ze.max() and not (zc > ze[0]).any():
+            # sigma -> 0 at mu = the tied z raises the likelihood without bound
+            raise NonConvergenceError(
+                "every exact time is tied, with no censored time above it"
             )
-            return ll, grad, neg_hess
+        # the density of t carries 1/t, -z on the log scale
+        jacobian = float(ze.sum()) if cls.log_time else 0.0
+        standard = cls.standard
 
-        # start from the uncensored closed forms
-        mu = float(ze.mean())
-        sigma = float(ze.std()) or float(z.std()) or 1.0
-        theta = np.array([mu / sigma, 1.0 / sigma])
-        ll, grad, neg_hess = terms(theta)
+        def terms(a, b):
+            # log likelihood, gradient (ga, gb) and minus the Hessian
+            # [[haa, -s1], [-s1, hbb]] at (a, b)
+            log_fe, g1e, g2e = standard.exact(b * ze - a)
+            log_sc, g1c, g2c = standard.censored(b * zc - a)
+            ll = d * math.log(b) + float(log_fe.sum()) + float(log_sc.sum()) - jacobian
+            g2ze, g2zc = g2e * ze, g2c * zc
+            return (
+                ll,
+                -float(g1e.sum() + g1c.sum()),
+                d / b + float(g1e @ ze + g1c @ zc),
+                float(g2e.sum() + g2c.sum()),
+                float(g2ze.sum() + g2zc.sum()),
+                float(g2ze @ ze + g2zc @ zc) + d / (b * b),
+            )
+
+        mu, sigma = standard.start(ze, z, d)
+        a, b = mu / sigma, 1.0 / sigma
+        ll, ga, gb, haa, s1, hbb = terms(a, b)
         for _ in range(100):
-            # a singular Hessian raises LinAlgError, a ValueError: the fit fails
-            step = np.linalg.solve(neg_hess, grad)
-            if not np.all(np.isfinite(step)):
+            # the Newton step, minus the Hessian's inverse times the gradient
+            det = haa * hbb - s1 * s1
+            da = (hbb * ga + s1 * gb) / det
+            db = (s1 * ga + haa * gb) / det
+            if not (math.isfinite(da) and math.isfinite(db)):
                 raise NonConvergenceError("Newton step not finite")
-            if grad @ step <= 1e-12 * (1.0 + abs(ll)):
+            if ga * da + gb * db <= 1e-12 * (1.0 + abs(ll)):
                 # the decrement is roundoff: take the last step whole (it
                 # moves b by at most sqrt(decrement / D) times b)
-                theta = theta + step
-                ll, _, neg_hess = terms(theta)
-                a, b = theta
+                a, b = a + da, b + db
+                ll, _, _, haa, s1, hbb = terms(a, b)
                 mu, sigma = a / b, 1.0 / b
                 # d(a, b) / d(mu, sigma)
                 jac = np.array([[sigma, -mu], [0.0, -1.0]]) / (sigma * sigma)
+                neg_hess = np.array([[haa, -s1], [-s1, hbb]])
                 info = jac.T @ neg_hess @ jac / times.size
                 return np.array([mu, sigma]), ll, info
             for _ in range(60):  # halve until the step raises ll
-                trial = theta + step
-                if trial[1] > 0.0:
-                    trial_terms = terms(trial)
-                    if trial_terms[0] > ll:
+                if b + db > 0.0:
+                    trial = terms(a + da, b + db)
+                    if trial[0] > ll:
                         break
-                step = 0.5 * step
+                da, db = 0.5 * da, 0.5 * db
             else:
                 raise NonConvergenceError("step halving exhausted")
-            theta = trial
-            ll, grad, neg_hess = trial_terms
+            a, b = a + da, b + db
+            ll, ga, gb, haa, s1, hbb = trial
         raise NonConvergenceError("location-scale fit hit 100 iterations")
 
     @classmethod
@@ -282,22 +260,27 @@ class _LocationScale:
         mu, sigma = params
         z = np.log(times) if cls.log_time else times
         y = (z - mu) / sigma
-        # the Mills ratio phi(y) / Phi(-y), in log space for large y
-        hy = np.exp(-0.5 * y * y - _LOG_SQRT_2PI - scipy_special().log_ndtr(-y))
-        cw = 1.0 - w
-        u_mu = (w * y + cw * hy) / sigma
-        u_sigma = (w * (y * y - 1.0) + cw * (y * hy)) / sigma
-        return np.column_stack([u_mu, u_sigma])
+        exact = w > 0.0
+        g1 = np.empty_like(y)
+        g1[exact] = cls.standard.exact(y[exact])[1]
+        g1[~exact] = cls.standard.censored(y[~exact])[1]
+        # u(mu) = -g1 / sigma, u(sigma) = (-w - y g1) / sigma
+        return np.column_stack([-g1, -w - y * g1]) / sigma
+
+
+class _Weibull(_LocationScale):
+    name = "weibull"
+    standard = _StandardExtremeValue
 
 
 class _LogNormal(_LocationScale):
     name = "lognormal"
-    positive_time = True
-    log_time = True
+    standard = _StandardNormal
 
 
 class _Normal(_LocationScale):
     name = "normal"
+    standard = _StandardNormal
     positive_time = False
     log_time = False
 
@@ -379,9 +362,8 @@ def fit(family: str, component: str, data) -> FittedModel:
         params, loglik, info = fam.fitted(times, w, d)
         info = CheckedInformation(info)
     except (ArithmeticError, ValueError, SingularInformationError) as exc:
-        # e.g. tied Weibull times, whose shape grows until a power
-        # overflows, or times so large that their sum overflows, the
-        # exponential rate is 0.0 and its log leaves the domain
+        # e.g. times so large that their sum overflows: the exponential
+        # rate is 0.0 and its log leaves the domain
         raise NonConvergenceError(f"{fam.name} fit: {exc}") from exc
     return FittedModel(
         family=fam.name,

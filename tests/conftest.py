@@ -73,6 +73,23 @@ def censored_normal_loglik(z, exact, mu, sigma):
     return math.fsum(terms.tolist())
 
 
+def extreme_value_loglik(times, exact, mu, sigma):
+    """Weibull log likelihood of ``times``, right censored where not ``exact``.
+
+    log t = mu + sigma y with y standard extreme value: an exact time
+    adds y - e^y - log(sigma) - log(t) (the density of t), a censored one
+    -e^y, per subject with ``math`` and summed with ``math.fsum``.  At
+    sigma = 1 it is the exponential likelihood with rate e^-mu.
+    """
+    terms = []
+    for t, ex in zip(np.asarray(times, dtype=float).tolist(),
+                     np.asarray(exact, dtype=bool).tolist()):
+        y = (math.log(t) - mu) / sigma
+        terms.append(y - math.exp(y) - math.log(sigma) - math.log(t) if ex
+                     else -math.exp(y))
+    return math.fsum(terms)
+
+
 def brute_logrank(times, events, group):
     """(O - E)/sqrt(V) for the group-True side, tallied per risk set."""
     times = np.asarray(times, dtype=float)

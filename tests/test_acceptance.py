@@ -6,6 +6,7 @@ criteria run at frozen seeds; the measured values under those seeds are
 recorded next to each band.
 """
 
+import math
 import os
 import time
 
@@ -37,7 +38,6 @@ from survcart import (
 )
 from survcart.datasets import CovariateSpec
 from survcart.stability import categorical_test, continuous_test
-from survcart.families import get_family
 
 from conftest import (
     TIE_RTOL,
@@ -46,6 +46,7 @@ from conftest import (
     brute_km,
     brute_logrank,
     censored_exponential,
+    extreme_value_loglik,
     one_var_dataset,
     rng_for,
 )
@@ -195,16 +196,18 @@ def test_criterion_5_algebraic_equivalences(capsys):
         worst_d = max(worst_d, abs(simplified_d - generic_d))
         checked += 1
 
-    worst_nest = 0.0
-    weib = get_family("weibull")
+    worst_nest = worst_weib = 0.0
     for _ in range(25):
         n = int(rng.integers(20, 80))
         t, e = censored_exponential(rng, n, 0.1, 0.3)
         data = SurvivalDataset(t, e)
         m = fit("exponential", EVENT, data)
         exp_ll = m.loglik
-        weib_ll = weib.loglik(t, e.astype(float), (1.0, m.params[0]))
+        weib_ll = extreme_value_loglik(t, e, -math.log(m.params[0]), 1.0)
         worst_nest = max(worst_nest, abs(weib_ll - exp_ll))
+        w = fit("weibull", EVENT, data)
+        oracle = extreme_value_loglik(t, e, *w.params)
+        worst_weib = max(worst_weib, abs(w.loglik - oracle) / abs(oracle))
 
     worst_stat = 0.0
     stat_counts = {}
@@ -229,19 +232,21 @@ def test_criterion_5_algebraic_equivalences(capsys):
                     stat_counts[name] = stat_counts.get(name, 0) + 1
 
     ok = (checked >= 90 and worst_chi <= 1e-10 and worst_d <= 1e-10
-          and worst_nest <= 1e-10 and worst_stat <= 1e-6
+          and worst_nest <= 1e-10 and worst_weib <= 1e-12 and worst_stat <= 1e-6
           and all(stat_counts.get(f, 0) >= 8 for f in
                   ("exponential", "weibull", "lognormal", "normal")))
     report(capsys, ok, "criterion 5 (algebraic equivalences)",
            f"chi-square dev={worst_chi:.2e}, D dev={worst_d:.2e} "
            f"(both <= 1e-10 on {checked} datasets), Weibull-at-1 "
-           f"dev={worst_nest:.2e} (<= 1e-10), stationarity "
+           f"dev={worst_nest:.2e} (<= 1e-10), Weibull fit loglik rel "
+           f"dev={worst_weib:.2e} (<= 1e-12), stationarity "
            f"max|mean score|={worst_stat:.2e} (<= 1e-6, "
            f"{sum(stat_counts.values())} fits over 4 families)")
     assert checked >= 90
     assert worst_chi <= 1e-10
     assert worst_d <= 1e-10
     assert worst_nest <= 1e-10
+    assert worst_weib <= 1e-12
     assert worst_stat <= 1e-6
     for fam_name in ("exponential", "weibull", "lognormal", "normal"):
         assert stat_counts.get(fam_name, 0) >= 8
@@ -353,8 +358,15 @@ def test_criterion_7_invariances(capsys):
     warped = grow(dataset(times, lv, np.exp(g / 4.0)), cfg)
     transform_ok = _partition(base) == _partition(warped)
 
-    scaled = grow(dataset(5.0 * times, lv, g), cfg)
-    rescale_ok = _partition(base) == _partition(scaled)
+    # a change of time unit, under every family
+    rescaled = {}
+    for family in ("exponential", "weibull", "lognormal", "normal"):
+        family_cfg = TreeConfig(minsplit=40, minbucket=20, event_dist=family,
+                                censor_dist=family)
+        family_base = grow(dataset(times, lv, g), family_cfg)
+        scaled = grow(dataset(5.0 * times, lv, g), family_cfg)
+        rescaled[family] = _partition(family_base) == _partition(scaled)
+    rescale_ok = all(rescaled.values())
 
     perm = rng.permutation(n)
     reordered = grow(dataset(times, lv, g).subset(perm), cfg)
@@ -366,7 +378,8 @@ def test_criterion_7_invariances(capsys):
     report(capsys, ok, "criterion 7 (invariance suite)",
            f"label permutation={'ok' if label_ok else 'BROKEN'}, "
            f"monotone transform={'ok' if transform_ok else 'BROKEN'}, "
-           f"time rescaling={'ok' if rescale_ok else 'BROKEN'}, "
+           f"time rescaling={'ok' if rescale_ok else 'BROKEN'} "
+           f"({', '.join(f for f, ok in rescaled.items() if ok)}), "
            f"subject reorder={'ok' if reorder_ok else 'BROKEN'} "
            f"({base.n_leaves} leaves)")
     assert label_ok and transform_ok and rescale_ok and reorder_ok

@@ -4,8 +4,10 @@ Only the lognormal and normal families (the normal log-CDF) and the
 categorical instability test (the chi-square tail) need
 ``scipy.special``, and they import it on first use.  A fresh
 interpreter that imports the package and the CLI, runs size and power
-cells and grows an exponential tree on continuous covariates must never
-load scipy; its first categorical test then does, and gets its p-value
+cells and grows an exponential and a Weibull tree on continuous
+covariates must never load scipy (the Weibull shares its fit with the
+lognormal and normal families, but its extreme-value terms are plain
+numpy); its first categorical test then does, and gets its p-value
 from ``scipy.special.chdtrc``.
 """
 
@@ -50,6 +52,7 @@ data = SurvivalDataset(full.times, full.events,
                        [CovariateSpec(name, CONTINUOUS) for name in names],
                        {name: full.covariate(name) for name in names})
 tree = grow(data, TreeConfig(event_dist="exponential", censor_dist="exponential"))
+weibull_tree = grow(data, TreeConfig(event_dist="weibull", censor_dist="weibull"))
 cold = scipy_modules()
 
 model = fit("exponential", "event", data)
@@ -61,6 +64,7 @@ import scipy.special
 print(json.dumps({
     "cold": cold,
     "leaves": tree.n_leaves,
+    "weibull_leaves": weibull_tree.n_leaves,
     "loaded": loaded,
     "same_p": res.p == float(scipy.special.chdtrc(res.df, res.statistic)),
 }))
@@ -78,5 +82,6 @@ def test_cold_path_never_loads_scipy():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["cold"] == []
     assert out["leaves"] > 1  # the split search ran
+    assert out["weibull_leaves"] > 1
     assert out["loaded"]
     assert out["same_p"]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import replace
 from unittest.mock import patch
@@ -268,6 +269,25 @@ def test_tree_document_shape():
     assert rebuilt.n_leaves == tree.n_leaves
 
 
+def test_weibull_document_with_shape_rate_params_loads_and_routes_the_same():
+    # a document written while the Weibull was fitted as (shape, rate)
+    # holds those params: they load as they are and routing is unchanged
+    _, data = grown_tree()
+    tree = grow(data, TreeConfig(minsplit=40, minbucket=20, event_dist="weibull"))
+    assert tree.n_leaves > 1
+    doc = tree_to_document(tree)
+    for node in doc["nodes"]:
+        mu, sigma = node["event_model"]["params"]
+        node["event_model"]["params"] = [1.0 / sigma, math.exp(-mu / sigma)]
+    loaded = document_to_tree(json.loads(json.dumps(doc)))
+    for node in doc["nodes"]:
+        got = loaded.nodes[node["id"]].event_model.params
+        assert got.tolist() == node["event_model"]["params"]
+    for i in range(data.n):
+        cov = {m.name: data.covariate(m.name)[i] for m in data.meta}
+        assert predict_node(loaded, cov) == predict_node(tree, cov)
+
+
 def test_deterministic_document_is_byte_stable(tmp_path):
     tree, _ = grown_tree()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -372,7 +392,7 @@ def extreme_unit_csvs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences numpy's overflows
 @pytest.mark.parametrize("scale", EXTREME_UNITS)
 @pytest.mark.parametrize("flag", ["--time-dist", "--cens-dist"])
 @pytest.mark.parametrize("family", ["exponential", "weibull", "lognormal", "normal"])
@@ -385,7 +405,9 @@ def test_cli_fit_never_exits_5_at_extreme_time_units(extreme_unit_csvs, tmp_path
                  "--event", "status",
                  "--vars", "X1:cat,X2:cont,X3:cont,X4:cont,X5:cat,X6:cat",
                  flag, family, "--out", str(out)])
-    assert code == EXIT_OK, capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == EXIT_OK, err
+    assert err == ""
     assert load_tree(str(out)).n_leaves >= 1
 
 

@@ -20,12 +20,13 @@ from survcart import (
     loglik_and_aic,
     score_contributions,
 )
-from survcart.families import _Weibull, exact_mask, inv_sqrt
+from survcart.families import exact_mask, inv_sqrt
 
 from conftest import (
     censored_exponential,
     censored_normal_loglik,
     exponential_mle,
+    extreme_value_loglik,
     rng_for,
 )
 
@@ -60,26 +61,54 @@ def test_weibull_recovers_exponential_sample():
     t = rng.exponential(20.0, 2000)
     data = ds(t, np.ones(2000))
     m = fit("weibull", EVENT, data)
-    alpha, lam = m.params
-    assert 0.95 <= alpha <= 1.05
-    assert 0.045 <= lam <= 0.055
+    mu, sigma = m.params
+    shape, rate = 1.0 / sigma, math.exp(-mu / sigma)
+    assert 0.95 <= shape <= 1.05
+    assert 0.045 <= rate <= 0.055
 
 
 @pytest.mark.parametrize("n_tied", [1, 2, 3, 5])
 def test_weibull_tied_times_do_not_converge(n_tied):
-    # all times tied: the profile likelihood rises without bound in the
-    # shape, so there is no MLE (1, 2 and 5 tied times used to overflow
+    # all times tied: the likelihood rises without bound as the shape
+    # grows, so there is no MLE (1, 2 and 5 tied times used to overflow
     # instead of failing cleanly)
     with pytest.raises(NonConvergenceError):
         fit("weibull", EVENT, ds(np.full(n_tied, 0.3), np.ones(n_tied)))
+
+
+@pytest.mark.parametrize("family", ["weibull", "lognormal", "normal"])
+@pytest.mark.parametrize("n_tied", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("censored", [(), (0.1,), (0.05, 0.2, 0.3)])
+def test_tied_exact_times_with_no_censored_time_above_have_no_mle(
+        family, n_tied, censored):
+    # sigma -> 0 at mu = the tied z raises the likelihood without bound;
+    # Newton used to stop on the way at a "converged" sigma (1.8e-8 for
+    # 3 tied lognormal times)
+    t = np.array([0.3] * n_tied + list(censored))
+    e = np.arange(t.size) < n_tied
+    with pytest.raises(NonConvergenceError, match="tied"):
+        fit(family, EVENT, ds(t, e))
+
+
+@pytest.mark.parametrize("family", ["weibull", "lognormal", "normal"])
+def test_tied_exact_times_below_a_censored_time_fit(family):
+    # a censored time above the tie bounds the likelihood as sigma -> 0
+    data = ds([0.3, 0.3, 0.3, 0.1, 0.5], [1, 1, 1, 0, 0])
+    m = fit(family, EVENT, data)
+    assert m.params[1] > 1e-3
+    assert np.abs(score_contributions(m, data).sum(axis=0)).max() <= 1e-8
 
 
 def test_weibull_nests_exponential_loglik():
     rng = rng_for(102, 0)
     t, e = censored_exponential(rng, 300, 0.1, 0.3)
     m = fit("exponential", EVENT, ds(t, e))
-    ll_wei = _Weibull.loglik(t, e.astype(float), (1.0, m.params[0]))
+    ll_wei = extreme_value_loglik(t, e, -math.log(m.params[0]), 1.0)
     assert abs(m.loglik - ll_wei) <= 1e-10
+    w = fit("weibull", EVENT, ds(t, e))
+    assert w.loglik == pytest.approx(extreme_value_loglik(t, e, *w.params),
+                                     rel=1e-12)
+    assert w.loglik >= m.loglik
 
 
 def test_lognormal_uncensored_closed_form():

@@ -628,12 +628,15 @@ def test_time_rescaling_keeps_partition_for_exponential():
             assert a.nodes[nid].split.variable == b.nodes[nid].split.variable
 
 
-def test_exponential_tree_does_not_depend_on_the_time_unit():
-    # the information check is relative: with an absolute floor of 1e-12
-    # on J, the tree at 1e-8 (where one node's J is 1.8e-13) had 3 leaves
+def assert_tree_free_of_the_time_unit(family):
+    """The four-subgroup tree of ``family``/``family`` at times x1e-8, x1, x1e8.
+
+    Same 4 leaves, split variables and cutpoints, and adjusted p-values
+    within 1e-9 relative.
+    """
     data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
                                  replicate_rng(1, 0))
-    cfg = TreeConfig(event_dist="exponential", censor_dist="exponential")
+    cfg = TreeConfig(event_dist=family, censor_dist=family)
     grown = [
         grow(SurvivalDataset(scale * data.times, data.events, meta=data.meta,
                              columns=data.columns), cfg)
@@ -652,6 +655,20 @@ def test_exponential_tree_does_not_depend_on_the_time_unit():
                 assert got.split.cutpoint == node.split.cutpoint
                 assert got.split.adjusted_p == pytest.approx(node.split.adjusted_p,
                                                               rel=1e-9)
+
+
+def test_exponential_tree_does_not_depend_on_the_time_unit():
+    # the information check is relative: with an absolute floor of 1e-12
+    # on J, the tree at 1e-8 (where one node's J is 1.8e-13) had 3 leaves
+    assert_tree_free_of_the_time_unit("exponential")
+
+
+def test_weibull_tree_does_not_depend_on_the_time_unit():
+    # fitted in (shape, rate), a change of unit moved the rate and the
+    # shape score by a non-scalar Jacobian: node 2's adjusted p for X2
+    # read 0.0075 at x0.01 and 0.00084 at x100, and the tree was one leaf
+    # at x1e-6; mu = log scale only shifts with the unit
+    assert_tree_free_of_the_time_unit("weibull")
 
 
 def test_categorical_relabeling_keeps_partition():
