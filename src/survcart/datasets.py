@@ -173,20 +173,30 @@ def _encode(name, labels):
 
 
 class SurvivalDataset:
-    """Column-oriented survival sample with a fixed covariate schema."""
+    """Column-oriented survival sample with a fixed covariate schema.
+
+    Without covariates, times and events may instead be R x n: R samples
+    of n subjects, one per row, such as a size or power cell's chunk of
+    replicates.  ``fit`` and ``score_contributions`` take such a dataset
+    (the exponential fits all its rows in one pass), and ``subset`` with
+    a mask of R selects rows.  The times are kept in C order, so that a
+    row's sum adds in the order of the row's own sum.
+    """
 
     def __init__(self, times, events, meta=(), columns=None, subject_ids=None):
-        times = np.asarray(times, dtype=float)
+        times = np.ascontiguousarray(times, dtype=float)
         events = np.asarray(events, dtype=bool)
-        if times.ndim != 1:
-            raise SchemaMismatchError("times must be one-dimensional")
+        meta = tuple(meta)
+        if times.ndim != 1 and (times.ndim != 2 or meta):
+            raise SchemaMismatchError(
+                "times must be one-dimensional, or rows without covariates"
+            )
         if times.shape != events.shape:
             raise SchemaMismatchError("times and events must have equal length")
         if times.size == 0:
             raise EmptyDatasetError("dataset has no subjects")
         if not np.isfinite(times).all():
             raise SchemaMismatchError("times must be finite")
-        meta = tuple(meta)
         columns = {} if columns is None else dict(columns)
         names = [m.name for m in meta]
         if len(set(names)) != len(names):
@@ -206,7 +216,7 @@ class SurvivalDataset:
                 levels[m.name], col = _encode(m.name, col)
             stored[m.name] = col
         if subject_ids is None:
-            subject_ids = np.arange(times.size)
+            subject_ids = np.arange(times.size).reshape(times.shape)
         subject_ids = np.asarray(subject_ids)
         if subject_ids.shape != times.shape:
             raise SchemaMismatchError("subject_ids has wrong length")

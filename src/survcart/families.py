@@ -20,7 +20,12 @@ Families
 --------
 exponential
     f(t) = lam * exp(-lam t).  MLE lam = D / sum(t); score per subject
-    u(lam) = d/lam - t; information J = (D/N) / lam^2.
+    u(lam) = d/lam - t; information J = (D/N) / lam^2.  Its ``fitted``
+    and ``scores`` take a leading row axis, so a dataset of R samples,
+    one per row (a size or power cell's chunk of replicates), is fitted,
+    checked and scored in one numpy pass.  Each row gets the bits of its
+    own one-sample fit: lam^2 is libm's pow and the log likelihood uses
+    math.log, as a one-sample fit always has.
 weibull, lognormal, normal
     Location-scale models: y = (z - mu)/sigma has a standard law, with
     z = log t (weibull, lognormal) or z = t (normal).  The Weibull's is
@@ -86,6 +91,8 @@ EVENT = "event"
 CENSOR = "censor"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# math.log's bits, which a tree's JSON keeps, also on an array; ValueError at 0.0
+_math_log = np.vectorize(math.log, otypes=[float])
 _EV_SD = math.pi / math.sqrt(6.0)  # standard deviation of the standard EV
 
 
@@ -118,18 +125,19 @@ class _Exponential:
 
     @staticmethod
     def scores(times, w, params):
-        lam = params[0]
-        return (w / lam - times)[:, None]
+        return (w / params - times)[..., None]
 
     @staticmethod
     def fitted(times, w, d):
-        # closed forms: lam = D / sum(t), loglik = D log lam - lam sum(t),
-        # information (D/N) / lam^2
-        st = float(times.sum())
-        params = np.array([d / st])
-        lam = params[0]
-        frac = d / times.size
-        return params, d * math.log(lam) - lam * st, np.array([[frac / lam**2]])
+        # closed forms, row by row: lam = D / sum(t), loglik = D log lam -
+        # lam sum(t), information (D/N) / lam^2.  float_power is libm's
+        # pow, as ** on one row's numpy scalar lam; ** 2 on an array
+        # multiplies, which rounds differently
+        st = times.sum(axis=-1)
+        lam = d / st
+        info = d / times.shape[-1] / np.float_power(lam, 2.0)
+        loglik = d * _math_log(lam) - lam * st
+        return lam[..., None], loglik, info[..., None, None]
 
 
 class _StandardNormal:
@@ -349,15 +357,27 @@ def fit(family: str, component: str, data) -> FittedModel:
     iteration does not converge, an estimate or the log likelihood
     overflows or leaves the domain of a math function, or the
     information matrix fails ``CheckedInformation``.
+
+    The exponential also fits a dataset of R samples, one per row (a
+    size or power cell's chunk), in one pass: params are R x 1, loglik
+    has R entries, info checks an R x 1 x 1 stack and n_contributing is
+    an array.  Each row's numbers are the bits of its own fit, and the
+    stack raises what any of its rows would.
     """
     fam = get_family(family)
     times, w = _prepared(fam, component, data)
-    d = float(w.sum())
-    n_contributing = int(round(d))
-    if n_contributing == 0:
+    d = w.sum(axis=-1)
+    if not d.all():
         raise DegenerateComponentError(
             f"no contributing observations for the {component} component"
         )
+    if w.ndim == 1:
+        # one sample: Python numbers, for the JSON of a tree and the
+        # scalar arithmetic of the Newton loops
+        d = float(d)
+        n_contributing = int(d)
+    else:
+        n_contributing = d.astype(int)
     try:
         params, loglik, info = fam.fitted(times, w, d)
         info = CheckedInformation(info)
@@ -371,7 +391,7 @@ def fit(family: str, component: str, data) -> FittedModel:
         params=params,
         loglik=loglik,
         info=info,
-        n_used=times.size,
+        n_used=times.shape[-1],
         n_contributing=n_contributing,
     )
 
@@ -427,18 +447,23 @@ class CheckedInformation:
     LAPACK's solve makes.  The inverse and the inverse square root are
     each made on first use, so a tree node that tests many variables
     against one fitted component makes them once.
+
+    ``matrix`` may also be a stack of R matrices, R x p x p, such as the
+    informations of a size or power cell's rows.  The stack passes only
+    if each of its matrices does, an R x 1 x 1 stack in one vectorized
+    comparison, and its inverse square root is a stack too.
     """
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape == (1, 1):
-            low = high = matrix.item()
+        if matrix.shape[-2:] == (1, 1):
+            low = high = matrix
         elif np.isfinite(matrix).all():
             vals = np.linalg.eigvalsh(matrix)
-            low, high = float(vals[0]), float(vals[-1])
+            low, high = vals[..., :1], vals[..., -1:]
         else:
-            low = high = math.nan
-        if not low > 1e-12 * high:  # False for NaN, and for inf > inf
+            low = high = np.array(np.nan)
+        if not (low > 1e-12 * high).all():  # False for NaN, and for inf > inf
             raise SingularInformationError(
                 "information matrix is not finite and positive definite"
             )

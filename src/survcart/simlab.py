@@ -23,9 +23,11 @@ execution order and thread count; the generator identity is recorded
 in every result row.  Size and power cells evaluate their replicates
 in chunks: a chunk fills one block of uniforms, one row per replicate
 from that replicate's stream, and tests all its rows in one
-``event_rate_instability_p`` call.  A row's p-value is the bits of the
-replicate's own one-row call, so the rows are independent of the
-chunking too.
+``event_rate_instability_p`` call.  That call treats the rows as one
+dataset of samples: one ``fit`` and one ``score_contributions`` of the
+exponential over all rows, and one ``continuous_test``.  A row's
+p-value is the bits of the replicate's own one-row call, so the rows
+are independent of the chunking too.
 """
 
 from __future__ import annotations
@@ -225,30 +227,34 @@ def event_rate_instability_p(times, events, x):
 
     1-d arguments are one sample and give a float.  (R, n) arguments
     are R samples, one per row, and give an array of R p-values, each
-    the bits of its row's own call: every row is fitted and scored on
-    its own, and the live rows share one ``continuous_test``.  A row
-    with no events has p = 1.
+    the bits of its row's own call.  The rows form one dataset, so one
+    ``fit``, one ``score_contributions`` and one ``continuous_test``
+    serve them all.  A row with no events has p = 1: when there is one,
+    every row's times are still checked, as its own call checks them,
+    and the rows with events are fitted on their own.  A row that fails
+    makes the whole call raise the error of its own call; among several,
+    the error of the earliest check wins (finite times, positive times,
+    the information, two distinct x).
     """
     times, events, x = (np.asarray(a) for a in (times, events, x))
     one = x.ndim == 1
     if one:
         times, events, x = times[None], events[None], x[None]
     p = np.ones(len(x))
-    live, scores, infos = [], [], []
-    for r in range(len(x)):
-        data = SurvivalDataset(times[r], events[r])
-        try:
-            model = fit("exponential", EVENT, data)
-        except DegenerateComponentError:
-            continue
-        live.append(r)
-        scores.append(score_contributions(model, data))
-        infos.append(model.info)
-    if live:
-        results = continuous_test(
-            np.array(scores), infos, x[live], param_names=("rate",)
-        )
-        p[live] = [res.entries[0][2] for res in results]
+    data = SurvivalDataset(times, events)
+    live = slice(None)
+    try:
+        model = fit("exponential", EVENT, data)
+    except DegenerateComponentError:
+        live = data.events.any(axis=1)
+        if not live.any():
+            return float(p[0]) if one else p
+        data = data.subset(live)
+        model = fit("exponential", EVENT, data)
+    results = continuous_test(
+        score_contributions(model, data), model.info, x[live], param_names=("rate",)
+    )
+    p[live] = [res.entries[0][2] for res in results]
     return float(p[0]) if one else p
 
 

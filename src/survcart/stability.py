@@ -65,7 +65,6 @@ from .families import (
     CENSOR,
     EVENT,
     get_family,
-    inv_sqrt,
     score_contributions,
     scipy_special,
 )
@@ -142,12 +141,12 @@ def fd_sf(x: float) -> float:
     return min(1.0, max(0.0, total))
 
 
-def fd_quantile(p: float, tol: float = 1e-10) -> float:
-    """Inverse of fd_cdf by bisection."""
+def fd_quantile(p: float) -> float:
+    """Inverse of fd_cdf, by bisection to a bracket of 1e-10."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
     lo, hi = 0.0, 10.0
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if fd_cdf(mid) < p:
             lo = mid
@@ -292,11 +291,12 @@ def continuous_test(scores, info, x, param_names=None):
     ``model.info``); x is the covariate values, or their ``Grouping``.
 
     A 2-d x holds R samples of n subjects, one per row.  scores are then
-    R x n x p (or R x n for one parameter), info is a sequence of the
-    rows' R ``CheckedInformation``, and the result is a tuple of R
-    results, one per row.  The rows share each numpy step of the test:
-    one row-wise sort, one bincount, one cumulative sum, one matrix
-    product and one maximum.  A row's result equals its own one-row call bit for
+    R x n x p (or R x n for one parameter), info is the rows' stacked
+    ``CheckedInformation`` (R x p x p, as ``fit`` makes it for a dataset
+    of rows), and the result is a tuple of R results, one per row.  The
+    rows share each numpy step of the test: one row-wise sort, one
+    bincount, one cumulative sum, one matrix product and one maximum.
+    A row's result equals its own one-row call bit for
     bit when p = 1; with more parameters the stacked matrix product may
     round a last bit differently.  A row with fewer than two distinct
     values raises ``TooFewGroupsError``, as its own call would.
@@ -311,10 +311,11 @@ def continuous_test(scores, info, x, param_names=None):
     cells, n_groups, width = _row_cells(x)
     rows, n = x.shape
     _require_groups(int(n_groups.min()))
-    roots = inv_sqrt(np.array([row_info.matrix for row_info in info]))
     scores = np.asarray(scores, dtype=float).reshape(rows, n, -1)
     sums = _cell_sums(cells, scores, rows * width)
-    return _bridge_results(sums.reshape(rows, width, -1), roots, n, param_names)
+    return _bridge_results(
+        sums.reshape(rows, width, -1), info.inverse_sqrt, n, param_names
+    )
 
 
 def _require_groups(n_groups):

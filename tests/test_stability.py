@@ -381,20 +381,21 @@ def test_grouped_sums_equal_add_at(seed, n, n_values, width):
 )
 @settings(max_examples=150, deadline=None)
 def test_continuous_test_rows_equal_one_row_calls(seed, n, levels, width, nan):
-    # R rows in one call: each row's result is its own call's, bit for
-    # bit with one parameter; one distinct value in a row raises as the
-    # row's own call does
+    # R rows in one call, with their informations in one stack: each
+    # row's result is its own call's, bit for bit with one parameter;
+    # one distinct value in a row raises as the row's own call does
     rng = rng_for(311, seed)
     x = np.array([rng.integers(0, k, n).astype(float) for k in levels])
     if nan:
         x[rng.random(x.shape) < 0.2] = np.nan
     scores = rng.normal(0.0, 1.0, (len(levels), n, width))
     roots = rng.normal(0.0, 1.0, (len(levels), width, width))
-    infos = [CheckedInformation(a @ a.T + np.eye(width)) for a in roots]
+    matrices = roots @ roots.transpose(0, 2, 1) + np.eye(width)
+    infos = CheckedInformation(matrices)
     singles = []
-    for row, u, info in zip(x, scores, infos):
+    for row, u, matrix in zip(x, scores, matrices):
         try:
-            singles.append(continuous_test(u, info, row))
+            singles.append(continuous_test(u, CheckedInformation(matrix), row))
         except TooFewGroupsError:
             singles.append(None)
     if None in singles:
