@@ -6,7 +6,9 @@ codes: 0 success, 2 data errors (unreadable or malformed input files),
 3 configuration errors (bad flags, or an output file that cannot be
 written), 4 malformed experiment specs, 5 model fit failures (a
 stabtest fit that did not converge or whose information matrix is not
-positive definite; fit records such a node as a fit_failure leaf).
+positive definite; fit records such a node as a fit_failure leaf), 6
+out of memory (the input is too large for the memory the process may
+use).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_SPEC = 4
 EXIT_FIT = 5
+EXIT_MEMORY = 6
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "SURVCART_SEED"
@@ -387,6 +390,9 @@ def main(argv=None) -> int:
     except SurvcartError as exc:
         print(f"error: model fit failed: {exc}", file=sys.stderr)
         return EXIT_FIT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

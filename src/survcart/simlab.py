@@ -251,10 +251,8 @@ def event_rate_instability_p(times, events, x):
             return float(p[0]) if one else p
         data = data.subset(live)
         model = fit("exponential", EVENT, data)
-    results = continuous_test(
-        score_contributions(model, data), model.info, x[live], param_names=("rate",)
-    )
-    p[live] = [res.entries[0][2] for res in results]
+    _, pvalues = continuous_test(score_contributions(model, data), model.info, x[live])
+    p[live] = pvalues[:, 0]
     return float(p[0]) if one else p
 
 

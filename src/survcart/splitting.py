@@ -257,7 +257,13 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, want=1):
     band = g[high >= floor]
     variance = _band_variances(k, bounds[band], a, n_risk)
     stats = numer[band] / np.sqrt(variance)
-    cuts = 0.5 * (values[band] + values[band + 1])
+    # the midpoint, or the lower value where the midpoint is not below
+    # the upper one (adjacent doubles, a sum that overflows, an infinite
+    # upper value), so that the upper value always goes right
+    lower, upper = values[band], values[band + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cuts = 0.5 * (lower + upper)
+    cuts = np.where(cuts < upper, cuts, lower)
     best_first = _tolerance_order(stats, cuts)
     ranked = (cuts[best_first].tolist(), stats[best_first].tolist(),
               bounds[band][best_first].tolist())

@@ -26,7 +26,9 @@ distribution of the bridge supremum,
 
 one raw p-value per parameter, combined within a component by
 Hochberg's step-up adjustment.  A variable's overall p-value applies
-the same adjustment once more across the tested components.
+the same adjustment once more across the tested components, and
+``grow`` once more across the variables; all three steps run the one
+``hochberg``, whatever the number of p-values.
 
 Within a tree node, a covariate is grouped once
 (``SurvivalDataset.grouping``, by integer code for a factor) and that
@@ -46,10 +48,13 @@ one-parameter family's 1 x 1 information is inverted in closed form,
 with the bits LAPACK would give.  Because the continuous statistic is
 standardized by J^(-1/2), the tests do not depend on the time unit.
 
-``continuous_test`` also takes many samples at once, one per row of a
-2-d covariate array, as a Monte Carlo cell does: the rows share one
-row-wise sort, one bincount, one cumulative sum and one standardization,
-and a tree node's one-row call runs the same steps on a row of one.
+``continuous_test`` returns two arrays, the D statistics and their raw
+p-values, one entry per parameter; the component test names them with
+the family's parameter names.  It also takes many samples at once, one
+per row of a 2-d covariate array, as a Monte Carlo cell does, and then
+returns R x p arrays: the rows share one row-wise sort, one bincount,
+one cumulative sum and one standardization, and a tree node's one-row
+call runs the same steps on a row of one.
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ __all__ = [
     "fd_quantile",
     "hochberg",
     "CategoricalResult",
-    "ContinuousResult",
     "ComponentTest",
     "StabilityReport",
     "categorical_test",
@@ -161,33 +165,20 @@ def hochberg(pvalues) -> np.ndarray:
     With ascending p_(1) <= ... <= p_(m): adj_(m) = p_(m) and
     adj_(i) = min(adj_(i+1), (m - i + 1) p_(i)), capped at 1.
 
-    One or two p-values, the usual case inside a tree, take the same
-    steps in plain Python: the same products, the same tie order as the
-    stable argsort (NaN sorting last) and the same NaN-keeping minima.
+    One plain-Python step-up for every m (inside a tree m is mostly one
+    or two): NaN sorts last and ties keep their input order, as in a
+    stable argsort, and a NaN stays NaN through the minima.
     """
-    p = np.asarray(pvalues, dtype=float)
-    if p.size == 0:
+    p = np.asarray(pvalues, dtype=float).tolist()
+    if not p:
         raise EmptyInputError("hochberg needs at least one p-value")
-    if p.size == 1:
-        return np.minimum(p, 1.0)
-    if p.size == 2:
-        a, b = p.tolist()
-        swapped = b < a or (a != a and b == b)
-        low, high = (b, a) if swapped else (a, b)
-        low = min(min(high, 2 * low), 1.0)
-        high = min(high, 1.0)
-        return np.array([high, low] if swapped else [low, high])
-    order = np.argsort(p, kind="stable")
-    sp = p[order]
-    m = p.size
-    adj = np.empty(m)
-    adj[m - 1] = sp[m - 1]
-    for i in range(m - 2, -1, -1):
-        adj[i] = min(adj[i + 1], (m - i) * sp[i])
-    np.minimum(adj, 1.0, out=adj)
-    out = np.empty(m)
-    out[order] = adj
-    return out
+    order = sorted(range(len(p)), key=lambda i: (p[i] != p[i], p[i]))
+    out = [0.0] * len(p)
+    adj = p[order[-1]]
+    for factor, i in enumerate(reversed(order), start=1):
+        adj = min(adj, factor * p[i])
+        out[i] = min(adj, 1.0)
+    return np.array(out)
 
 
 def _score_matrix(scores, n):
@@ -256,12 +247,6 @@ class CategoricalResult:
     small_groups: bool
 
 
-@dataclass(frozen=True)
-class ContinuousResult:
-    # one (parameter name, D statistic, raw p) triple per parameter
-    entries: tuple
-
-
 def categorical_test(scores, info, labels) -> CategoricalResult:
     """Joint chi-square instability test over the levels of a factor.
 
@@ -284,38 +269,37 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
     )
 
 
-def continuous_test(scores, info, x, param_names=None):
+def continuous_test(scores, info, x):
     """Per-parameter bridge-supremum instability test along an ordering.
 
     info is the ``CheckedInformation`` of the fitted model (its
     ``model.info``); x is the covariate values, or their ``Grouping``.
+    Returns the D statistics and their raw p-values, one per parameter:
+    two arrays of shape (p,).
 
     A 2-d x holds R samples of n subjects, one per row.  scores are then
     R x n x p (or R x n for one parameter), info is the rows' stacked
     ``CheckedInformation`` (R x p x p, as ``fit`` makes it for a dataset
-    of rows), and the result is a tuple of R results, one per row.  The
+    of rows), and the two arrays are R x p, one row per sample.  The
     rows share each numpy step of the test: one row-wise sort, one
     bincount, one cumulative sum, one matrix product and one maximum.
-    A row's result equals its own one-row call bit for
-    bit when p = 1; with more parameters the stacked matrix product may
-    round a last bit differently.  A row with fewer than two distinct
-    values raises ``TooFewGroupsError``, as its own call would.
+    A row's arrays equal its own one-row call bit for bit when p = 1;
+    with more parameters the stacked matrix product may round a last
+    bit differently.  A row with fewer than two distinct values raises
+    ``TooFewGroupsError``, as its own call would.
     """
     if isinstance(x, Grouping) or np.ndim(x) != 2:
-        grouping = x if isinstance(x, Grouping) else Grouping.of(np.asarray(x))
-        n, size = grouping.values.size, grouping.distinct.size
-        _require_groups(size)
-        sums = _cell_sums(grouping.inverse, _score_matrix(scores, n), size)
-        return _bridge_results(sums[None], info.inverse_sqrt, n, param_names)[0]
+        grouping, sums = _grouped_sums(x, scores)
+        _require_groups(grouping.distinct.size)
+        stats, pvalues = _bridge(sums[None], info.inverse_sqrt, grouping.values.size)
+        return stats[0], pvalues[0]
     x = np.asarray(x)
     cells, n_groups, width = _row_cells(x)
     rows, n = x.shape
     _require_groups(int(n_groups.min()))
     scores = np.asarray(scores, dtype=float).reshape(rows, n, -1)
     sums = _cell_sums(cells, scores, rows * width)
-    return _bridge_results(
-        sums.reshape(rows, width, -1), info.inverse_sqrt, n, param_names
-    )
+    return _bridge(sums.reshape(rows, width, -1), info.inverse_sqrt, n)
 
 
 def _require_groups(n_groups):
@@ -323,8 +307,9 @@ def _require_groups(n_groups):
         raise TooFewGroupsError("continuous test needs at least 2 distinct values")
 
 
-def _bridge_results(sums, inv_sqrt, n, param_names):
-    """The bridge-supremum results of R rows of n subjects.
+def _bridge(sums, inv_sqrt, n):
+    """The R x p bridge-supremum statistics and p-values of R rows of n
+    subjects.
 
     ``sums`` is R x width x p: row r's G_r group score sums, ascending,
     fill its last G_r cells and the cells before them are 0.0, so its
@@ -343,14 +328,7 @@ def _bridge_results(sums, inv_sqrt, n, param_names):
     d_stats = np.maximum.reduce(
         np.abs(rotated.transpose(0, 2, 1), order="C"), axis=2
     ) / math.sqrt(n)
-    if param_names is None:
-        param_names = tuple(f"param{q}" for q in range(d_stats.shape[1]))
-    return tuple([
-        ContinuousResult(
-            entries=tuple([(name, d, fd_sf(d)) for name, d in zip(param_names, row)])
-        )
-        for row in d_stats.tolist()
-    ])
+    return d_stats, np.array([[fd_sf(d) for d in row] for row in d_stats.tolist()])
 
 
 @dataclass(frozen=True)
@@ -390,7 +368,6 @@ def _skipped(component, reason):
 
 
 def _component_test(component, model, scores, kind, x):
-    names = get_family(model.family).param_names
     if kind == CATEGORICAL:
         res = categorical_test(scores, model.info, x)
         return ComponentTest(
@@ -402,21 +379,17 @@ def _component_test(component, model, scores, kind, x):
             df=res.df,
             small_groups=res.small_groups,
         )
-    res = continuous_test(scores, model.info, x, param_names=names)
-    raw = [e[2] for e in res.entries]
-    if len(raw) == 1:  # Hochberg's adjustment of one p-value caps it
-        component_p = min(raw[0], 1.0)
-        adjusted = (component_p,)
-    else:
-        adjusted = hochberg(raw)
-        component_p = float(adjusted.min())
-        adjusted = tuple(adjusted.tolist())
+    stats, pvalues = continuous_test(scores, model.info, x)
+    adjusted = hochberg(pvalues).tolist()
+    names = get_family(model.family).param_names
     return ComponentTest(
         component=component,
         tested=True,
-        component_p=component_p,
-        entries=res.entries,
-        adjusted=adjusted,
+        # one NaN p-value makes every adjusted one NaN, so the plain
+        # minimum is NaN exactly when numpy's would be
+        component_p=min(adjusted),
+        entries=tuple(zip(names, stats.tolist(), pvalues.tolist())),
+        adjusted=tuple(adjusted),
     )
 
 
@@ -460,25 +433,11 @@ def variable_test(
 
     event_ct = _skipped(EVENT, "degenerate")
     censor_ct = _skipped(CENSOR, "disabled" if not censor_enabled else "degenerate")
-
-    if distinct.size < 2:
-        return StabilityReport(
-            variable=variable,
-            kind=spec.kind,
-            testable=False,
-            n_used=n_used,
-            n_groups=int(distinct.size),
-            event=event_ct,
-            censor=censor_ct,
-            cross_adjusted=(1.0, 1.0),
-            variable_p=1.0,
-            more_heterogeneous=EVENT,
-        )
-
-    if event_model is not None:
+    # a variable with fewer than two distinct values tests neither component
+    if distinct.size > 1 and event_model is not None:
         scores = present(_scores(data, event_model))
         event_ct = _component_test(EVENT, event_model, scores, spec.kind, grouping)
-    if censor_enabled and censor_model is not None:
+    if distinct.size > 1 and censor_enabled and censor_model is not None:
         scores = present(_scores(data, censor_model))
         censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, grouping)
 

@@ -158,6 +158,8 @@ def _split_masks(subset: SurvivalDataset, split: SplitInfo):
 
 def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
     """Grow a tree on ``data``; node ids are heap-ordered with root 1."""
+    if data.times.ndim != 1:
+        raise SchemaMismatchError("grow needs one sample; got a dataset of rows")
     nodes = {}
     improvements = []
     var_names = [m.name for m in data.meta]
@@ -188,6 +190,9 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             return
         if event_model is None and censor_model is None:
             leaf(node, STOP_NO_TESTABLE_COMPONENT)
+            return
+        if not var_names:
+            leaf(node, STOP_NO_SIGNIFICANT_VARIABLE)
             return
 
         reports = {

@@ -189,7 +189,7 @@ def test_criterion_5_algebraic_equivalences(capsys):
             worst_chi = max(worst_chi, abs(simplified - generic))
 
         x = rng.uniform(0.0, 1.0, n)
-        generic_d = continuous_test(scores, model.info, x).entries[0][1]
+        generic_d = continuous_test(scores, model.info, x)[0][0]
         order = np.argsort(x, kind="stable")
         partial = np.cumsum(e[order] - lam * t[order])[:-1]
         simplified_d = np.abs(partial).max() / np.sqrt(d)

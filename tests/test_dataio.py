@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -30,7 +32,9 @@ from survcart import (
     tree_to_document,
 )
 from survcart import dataio
-from survcart.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_SPEC, main
+from survcart.cli import (
+    EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_MEMORY, EXIT_OK, EXIT_SPEC, main,
+)
 from survcart.dataio import KM_COLUMNS, km_leaf_rows, rows_to_csv_text, tree_to_dot
 from survcart.datasets import CovariateSpec
 from survcart.km import km_fit
@@ -683,6 +687,33 @@ def test_cli_stabtest_reports_components(demo_csv, capsys):
     assert "component_p" in header and "variable_p" in header
 
 
+# sha256 of stabtest's stdout on golden_csv, recorded while Hochberg
+# still had one-, two- and many-value paths and continuous_test returned
+# one result object per sample
+GOLDEN_STABTEST_SHA256 = {
+    ("x", "exponential"):
+        "8c4ac3611c5cc0f5d2946a8b1ac02ea75d69cff70970367677726d82638f5271",
+    ("x", "weibull"):
+        "fd5104b5be55dc8da57db14be3cae054c15ab44ed6ccdd3069bbcd9d23d3f019",
+    ("group", "exponential"):
+        "84cd4f2050e0b9d21b07164e2958739fb3ff4785041a77d941e20139fceae87b",
+    ("group", "weibull"):
+        "c5201e117631fb32bd1eaeadc9a5ce58b15e432400730e36067bc2af29ce78db",
+}
+
+
+@pytest.mark.parametrize("var, dist", sorted(GOLDEN_STABTEST_SHA256))
+def test_cli_stabtest_golden_bytes(tmp_path, capsys, var, dist):
+    # the Weibull's two parameters run Hochberg within the event component
+    data = golden_csv(tmp_path / "golden.csv")
+    code = main(["stabtest", "--data", data, "--time", "time", "--event",
+                 "status", "--id", "id", "--vars", "x:cont,group:cat",
+                 "--var", var, "--time-dist", dist])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STABTEST_SHA256[var, dist]
+
+
 def test_cli_stabtest_weibull_on_tied_times_is_fit_error(tmp_path, capsys):
     # every event at one time: the Weibull fit has no MLE, which used to
     # escape as an OverflowError traceback
@@ -703,6 +734,51 @@ def test_cli_stabtest_unknown_variable_is_config_error(demo_csv, capsys):
                  "--event", "status", "--vars", "age:cont",
                  "--var", "weight"])
     assert code == EXIT_CONFIG
+
+
+# Caps the child's address space 40 MiB above its size after the import,
+# then runs the CLI; OPENBLAS_NUM_THREADS=1 keeps BLAS thread buffers out
+# of that headroom
+OUT_OF_MEMORY_CHILD = """
+import resource
+import sys
+
+from survcart.cli import main
+
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (kib * 1024 + 40 * 2**20, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_out_of_memory_is_one_error_line(tmp_path):
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmSize from /proc")
+    # 200,000 rows of eight continuous covariates: fit needs about 90 MiB
+    # above the import, and loads no scipy
+    names = [f"x{j}" for j in range(8)]
+    path = tmp_path / "big.csv"
+    times = rng_for(650, 0).exponential(10.0, 200_000)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["time", "status"] + names) + "\n")
+        fh.writelines(
+            f"{t!r},{i % 3 != 0:d}," + ",".join(str(i * k % 997) for k in range(7, 15))
+            + "\n" for i, t in enumerate(times.tolist()))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dataio.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_CHILD, "fit", "--data", str(path),
+         "--time", "time", "--event", "status",
+         "--vars", ",".join(f"{name}:cont" for name in names)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_MEMORY, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_cli_simulate_deterministic_csv(tmp_path, capsys):

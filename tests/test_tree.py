@@ -157,6 +157,44 @@ def test_stop_reason_no_testable_component():
     assert tree.root.stop_reason == STOP_NO_TESTABLE_COMPONENT
 
 
+def test_grow_without_covariates_is_one_fitted_leaf():
+    rng = rng_for(541, 0)
+    data = SurvivalDataset(rng.exponential(10.0, 100), rng.random(100) < 0.7)
+    tree = grow(data, TreeConfig(minsplit=20, minbucket=10))
+    assert tree.n_leaves == 1
+    root = tree.root
+    assert root.stop_reason == STOP_NO_SIGNIFICANT_VARIABLE
+    assert root.event_model is not None and root.censor_model is not None
+    assert tree.loglik == root.event_model.loglik + root.censor_model.loglik
+
+
+def test_grow_rejects_a_dataset_of_rows():
+    rng = rng_for(542, 0)
+    data = SurvivalDataset(rng.exponential(10.0, (3, 60)), rng.random((3, 60)) < 0.7)
+    with pytest.raises(SchemaMismatchError):
+        grow(data, TreeConfig(minsplit=20, minbucket=10))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (np.nextafter(1.0, 0.0), 1.0),  # the midpoint rounds onto 1.0
+    (1.5e308, 1.6e308),             # the midpoint overflows
+    (1.0, np.inf),                  # the midpoint is inf
+    (-np.inf, np.inf),              # the midpoint is NaN
+])
+def test_continuous_cut_between_two_values_splits_them(lower, upper):
+    # a cut at or above the upper value, or a NaN cut, puts everyone on one side
+    rng = rng_for(543, 0)
+    x = np.repeat([lower, upper], 200)
+    times = rng.exponential(1.0, 400) * np.where(x == lower, 1.0, 20.0)
+    data = SurvivalDataset(times, np.ones(400, bool),
+                           meta=(CovariateSpec("x", "continuous"),),
+                           columns={"x": x})
+    tree = grow(data, TreeConfig(max_depth=1))
+    assert tree.root.split is not None
+    assert lower <= tree.root.split.cutpoint < upper
+    assert [tree.nodes[c].n for c in tree.root.children] == [200, 200]
+
+
 def test_max_depth_one_limits_to_two_leaves():
     rng = rng_for(505, 0)
     data, _ = two_group_data(rng, n=400, rate_a=0.5, rate_b=0.02)
