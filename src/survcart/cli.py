@@ -50,6 +50,10 @@ EXIT_SPEC = 4
 EXIT_FIT = 5
 EXIT_MEMORY = 6
 
+# the dynamic loader's message when mmap of a shared library fails, as it
+# does when the address space is exhausted
+_OUT_OF_MEMORY_IMPORT = "failed to map segment from shared object"
+
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "SURVCART_SEED"
 
@@ -391,6 +395,13 @@ def main(argv=None) -> int:
         print(f"error: model fit failed: {exc}", file=sys.stderr)
         return EXIT_FIT
     except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
+    except ImportError as exc:
+        # scipy.special is imported at the first categorical test; near
+        # the memory limit the loader cannot map its shared libraries
+        if _OUT_OF_MEMORY_IMPORT not in str(exc):
+            raise
         print("error: out of memory", file=sys.stderr)
         return EXIT_MEMORY
 

@@ -73,7 +73,8 @@ def restrict_order(order, mask) -> np.ndarray:
     place is a stable partition, so the stable sort of a column restricts
     to the stable sort of the column's subset.  O(n) per row.
     """
-    rank = np.cumsum(mask) - 1  # new number of each selected subject
+    # the new number of each selected subject (an integer running sum)
+    rank = np.add.accumulate(mask.astype(np.intp)) - 1
     kept = order[mask[order]]
     return rank[kept].reshape(order.shape[:-1] + (-1,))
 
@@ -117,12 +118,14 @@ class Grouping:
         return_inverse=True, return_counts=True)``, built from the same
         single argsort (the default quicksort, so even which of -0.0 and
         0.0 stands for their group agrees): ``group_starts`` flags where
-        the sorted values change, the running count of those flags scattered
-        back through the sort order is the inverse, and the gaps between
-        flagged positions are the counts.  As in ``np.unique``, all float
-        NaNs form one group, the last.  A given ``order``, the stable sort
-        of ``values``, replaces the argsort; it gives the same groups, but
-        the first of -0.0 and 0.0 in subject order stands for their group.
+        the sorted values change, the gaps between flagged positions are
+        the counts, and each group's index repeated by its count and
+        scattered back through the sort order is the inverse (an integer
+        repeat costs about half a running count of the boolean flags).
+        As in ``np.unique``, all float NaNs form one group, the last.  A
+        given ``order``, the stable sort of ``values``, replaces the
+        argsort; it gives the same groups, but the first of -0.0 and 0.0
+        in subject order stands for their group.
         """
         by = sort_order(values, kind=None) if order is None else order
         ordered = values[by]
@@ -130,15 +133,12 @@ class Grouping:
         if n == 0:
             empty = np.empty(0, dtype=np.intp)
             return cls(include, values, ordered, empty, empty, order)
-        starts_group = group_starts(ordered)
-        starts = starts_group.nonzero()[0]
-        codes = np.cumsum(starts_group)
-        codes -= 1
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[by] = codes
+        starts = group_starts(ordered).nonzero()[0]
         counts = np.empty(starts.size, dtype=np.intp)
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
         counts[-1] = n - starts[-1]
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[by] = np.arange(starts.size).repeat(counts)
         return cls(include, values, ordered[starts], inverse, counts, order)
 
 
@@ -297,10 +297,11 @@ class SurvivalDataset:
         """
         grouped = self._groupings.get(name)
         if grouped is None:
-            include = ~self.missing_mask(name)
+            missing = self.missing_mask(name)
+            include = ~missing
             row = 1 + list(self._stored).index(name)
             values, order = self._stored[name], self._presorted()[row]
-            if not include.all():
+            if np.count_nonzero(missing):
                 values, order = values[include], restrict_order(order, include)
             grouped = Grouping.of(values, include, order)
             self._groupings[name] = grouped
@@ -326,14 +327,17 @@ class SurvivalDataset:
 
     def subset(self, index) -> "SurvivalDataset":
         """The subjects at ``index``, an integer array or a boolean mask;
-        a mask hands the child this dataset's sort orders, if made."""
+        a mask hands the child this dataset's sort orders, if made, and
+        every column is taken at the positions it selects."""
         index = np.asarray(index)
-        times = self.times[index]
+        times = self.times[index]  # a mask of the wrong length raises here
         if times.size == 0:
             raise EmptyDatasetError("dataset has no subjects")
         orders = None
-        if index.dtype == bool and self._orders is not None:
-            orders = restrict_order(self._orders, index)
+        if index.dtype == bool:
+            if self._orders is not None:
+                orders = restrict_order(self._orders, index)
+            index = index.nonzero()[0]
         out = object.__new__(type(self))
         out._assign(
             times,

@@ -91,8 +91,9 @@ EVENT = "event"
 CENSOR = "censor"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# math.log's bits, which a tree's JSON keeps, also on an array; ValueError at 0.0
-_math_log = np.vectorize(math.log, otypes=[float])
+# math.log's bits, which a tree's JSON keeps, also on an array; ValueError at
+# 0.0.  A float in gives a float out, an array an object array
+_math_log = np.frompyfunc(math.log, 1, 1)
 _EV_SD = math.pi / math.sqrt(6.0)  # standard deviation of the standard EV
 
 
@@ -136,7 +137,7 @@ class _Exponential:
         st = times.sum(axis=-1)
         lam = d / st
         info = d / times.shape[-1] / np.float_power(lam, 2.0)
-        loglik = d * _math_log(lam) - lam * st
+        loglik = d * np.asarray(_math_log(lam), dtype=float) - lam * st
         return lam[..., None], loglik, info[..., None, None]
 
 
@@ -367,7 +368,7 @@ def fit(family: str, component: str, data) -> FittedModel:
     fam = get_family(family)
     times, w = _prepared(fam, component, data)
     d = w.sum(axis=-1)
-    if not d.all():
+    if np.count_nonzero(d) < d.size:
         raise DegenerateComponentError(
             f"no contributing observations for the {component} component"
         )

@@ -184,6 +184,11 @@ TREE_VARIABLES = (
 )
 
 
+# the factor labels "0" ... "6": each subject's label is one of these str
+# objects, whose hash is computed once, not a fresh string per subject
+_DIGITS = np.array([str(v) for v in range(7)], dtype=object)
+
+
 def generate_tree_data(design: TreeRecoveryDesign, rng) -> tuple:
     """One training dataset plus its ground truth."""
     m = design.n_per_subgroup
@@ -200,12 +205,8 @@ def generate_tree_data(design: TreeRecoveryDesign, rng) -> tuple:
         cols["X2"].append(lo2 + (hi2 - lo2) * rng.random(m))
         cols["X3"].append(lo3 + (hi3 - lo3) * rng.random(m))
         cols["X4"].append(100.0 * rng.random(m))
-        cols["X5"].append(
-            np.where(rng.random(m) < 0.5, "0", "1").astype(object)
-        )
-        cols["X6"].append(
-            rng.integers(1, 7, size=m).astype(str).astype(object)
-        )
+        cols["X5"].append(_DIGITS[np.where(rng.random(m) < 0.5, 0, 1)])
+        cols["X6"].append(_DIGITS[rng.integers(1, 7, size=m)])
         times.append(np.minimum(tstar, cens))
         events.append(tstar <= cens)
         labels.append(np.full(m, k + 1))
@@ -436,9 +437,14 @@ def run_tree_recovery(
     def one(rep: int):
         rng = replicate_rng(seed, rep)
         data, truth = generate_tree_data(design, rng)
+        # grow releases its root's sort orders once the root is split, so
+        # each config grows a copy that inherits them: the replicate's
+        # columns are sorted once, not once per config
+        data.time_order
+        everyone = np.ones(data.n, dtype=bool)
         out = {}
         for name, config in configs.items():
-            tree = grow(data, config)
+            tree = grow(data.subset(everyone), config)
             root = tree.root
             first = root.split.variable if not root.is_leaf else None
             metrics = tree_metrics(tree, data, truth)

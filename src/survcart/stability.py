@@ -53,14 +53,16 @@ p-values, one entry per parameter; the component test names them with
 the family's parameter names.  It also takes many samples at once, one
 per row of a 2-d covariate array, as a Monte Carlo cell does, and then
 returns R x p arrays: the rows share one row-wise sort, one bincount,
-one cumulative sum and one standardization, and a tree node's one-row
-call runs the same steps on a row of one.
+one cumulative sum and one standardization, and a tree node's call
+runs the same steps on its G x p sums, with no row axis.  The records a
+test returns are named tuples, built in a third of a frozen dataclass's
+time, and a skipped component's record is made only for the report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,18 +168,24 @@ def hochberg(pvalues) -> np.ndarray:
     adj_(i) = min(adj_(i+1), (m - i + 1) p_(i)), capped at 1.
 
     One plain-Python step-up for every m (inside a tree m is mostly one
-    or two): NaN sorts last and ties keep their input order, as in a
-    stable argsort, and a NaN stays NaN through the minima.
+    or two), on the p-values as Python floats: NaN sorts last and ties
+    keep their input order, as in a stable argsort, and a NaN stays NaN
+    through the minima.
     """
-    p = np.asarray(pvalues, dtype=float).tolist()
+    p = [float(v) for v in pvalues]
     if not p:
         raise EmptyInputError("hochberg needs at least one p-value")
-    order = sorted(range(len(p)), key=lambda i: (p[i] != p[i], p[i]))
+    keys = [(v != v, v) for v in p]  # NaN last
+    order = sorted(range(len(p)), key=keys.__getitem__)
     out = [0.0] * len(p)
     adj = p[order[-1]]
     for factor, i in enumerate(reversed(order), start=1):
-        adj = min(adj, factor * p[i])
-        out[i] = min(adj, 1.0)
+        # min(adj, factor p) and min(adj, 1.0), as the builtin takes them:
+        # the first argument unless the second is smaller
+        scaled = factor * p[i]
+        if scaled < adj:
+            adj = scaled
+        out[i] = 1.0 if 1.0 < adj else adj
     return np.array(out)
 
 
@@ -239,8 +247,7 @@ def _row_cells(x):
     return cells, n_groups, width
 
 
-@dataclass(frozen=True)
-class CategoricalResult:
+class CategoricalResult(NamedTuple):
     statistic: float
     df: int
     p: float
@@ -258,14 +265,15 @@ def categorical_test(scores, info, labels) -> CategoricalResult:
     n_groups = grouping.distinct.size
     if n_groups < 2:
         raise TooFewGroupsError("categorical test needs at least 2 levels")
+    counts = grouping.counts
     quad = np.einsum("gi,ij,gj->g", sums, info.inverse, sums)
-    stat = float(np.sum(quad / grouping.counts))
+    stat = float((quad / counts).sum())
     df = info.matrix.shape[0] * (n_groups - 1)
     return CategoricalResult(
-        statistic=stat,
-        df=df,
-        p=float(scipy_special().chdtrc(df, stat)),  # the chi-square upper tail
-        small_groups=bool(grouping.counts.min() < 5),
+        stat,
+        df,
+        float(scipy_special().chdtrc(df, stat)),  # the chi-square upper tail
+        bool(counts.min() < 5),
     )
 
 
@@ -291,8 +299,7 @@ def continuous_test(scores, info, x):
     if isinstance(x, Grouping) or np.ndim(x) != 2:
         grouping, sums = _grouped_sums(x, scores)
         _require_groups(grouping.distinct.size)
-        stats, pvalues = _bridge(sums[None], info.inverse_sqrt, grouping.values.size)
-        return stats[0], pvalues[0]
+        return _bridge(sums, info.inverse_sqrt, grouping.values.size)
     x = np.asarray(x)
     cells, n_groups, width = _row_cells(x)
     rows, n = x.shape
@@ -308,17 +315,18 @@ def _require_groups(n_groups):
 
 
 def _bridge(sums, inv_sqrt, n):
-    """The R x p bridge-supremum statistics and p-values of R rows of n
-    subjects.
+    """The bridge-supremum statistics and p-values of samples of n
+    subjects: p of each for one sample, R x p for R rows.
 
-    ``sums`` is R x width x p: row r's G_r group score sums, ascending,
-    fill its last G_r cells and the cells before them are 0.0, so its
-    running sums stay 0.0 until its first group.  Each row's last
-    running sum, its total, is the one boundary dropped: every row is
-    standardized and maximized at its own G_r - 1 boundaries, by
-    ``inv_sqrt``, its J^(-1/2) (or one per row).
+    ``sums`` is G x p for one sample, its group score sums in ascending
+    order.  For R rows it is R x width x p: row r's G_r group sums fill
+    its last G_r cells and the cells before them are 0.0, so its running
+    sums stay 0.0 until its first group.  A sample's last running sum,
+    its total, is the one boundary dropped: every sample is standardized
+    and maximized at its own G - 1 boundaries, by ``inv_sqrt``, its
+    J^(-1/2) (or one per row).
     """
-    partial = np.add.accumulate(sums, axis=1)[:, :-1]
+    partial = np.add.accumulate(sums, axis=-2)[..., :-1, :]
     rotated = partial @ inv_sqrt
     # |J^(-1/2) partial sums| laid out parameter by parameter, so that
     # each maximum runs along a contiguous row: reducing the strided
@@ -326,13 +334,13 @@ def _bridge(sums, inv_sqrt, n):
     # by sqrt(N) rounds monotonically and symmetrically, so dividing the
     # maxima gives the bits that dividing every sum first would.
     d_stats = np.maximum.reduce(
-        np.abs(rotated.transpose(0, 2, 1), order="C"), axis=2
+        np.abs(rotated.swapaxes(-1, -2), order="C"), axis=-1
     ) / math.sqrt(n)
-    return d_stats, np.array([[fd_sf(d) for d in row] for row in d_stats.tolist()])
+    pvalues = [fd_sf(d) for d in d_stats.ravel().tolist()]
+    return d_stats, np.array(pvalues).reshape(d_stats.shape)
 
 
-@dataclass(frozen=True)
-class ComponentTest:
+class ComponentTest(NamedTuple):
     """Instability evidence from one likelihood component."""
 
     component: str
@@ -345,8 +353,7 @@ class ComponentTest:
     small_groups: bool = False
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Combined instability verdict for one partitioning variable."""
 
     variable: str
@@ -362,34 +369,28 @@ class StabilityReport:
 
 
 def _skipped(component, reason):
-    return ComponentTest(
-        component=component, tested=False, component_p=1.0, skip_reason=reason
-    )
+    return ComponentTest(component, False, 1.0, reason)
 
 
 def _component_test(component, model, scores, kind, x):
     if kind == CATEGORICAL:
-        res = categorical_test(scores, model.info, x)
+        stat, df, p, small_groups = categorical_test(scores, model.info, x)
         return ComponentTest(
-            component=component,
-            tested=True,
-            component_p=res.p,
-            entries=(("joint", res.statistic, res.p),),
-            adjusted=(res.p,),
-            df=res.df,
-            small_groups=res.small_groups,
+            component, True, p, None, (("joint", stat, p),), (p,), df, small_groups
         )
     stats, pvalues = continuous_test(scores, model.info, x)
+    pvalues = pvalues.tolist()
     adjusted = hochberg(pvalues).tolist()
     names = get_family(model.family).param_names
     return ComponentTest(
-        component=component,
-        tested=True,
+        component,
+        True,
         # one NaN p-value makes every adjusted one NaN, so the plain
         # minimum is NaN exactly when numpy's would be
-        component_p=min(adjusted),
-        entries=tuple(zip(names, stats.tolist(), pvalues.tolist())),
-        adjusted=tuple(adjusted),
+        min(adjusted),
+        None,
+        tuple(zip(names, stats.tolist(), pvalues)),
+        tuple(adjusted),
     )
 
 
@@ -417,56 +418,54 @@ def variable_test(
     component whose model is None is skipped (p = 1): "degenerate" when
     the node had no contributing observations, "disabled" when the
     censoring side is not modeled at all.  Skipped components do not
-    enter the across-component Hochberg family.  Both components use
-    the grouping that ``data`` keeps for the variable, which the split
-    search of the node reuses, and each component's workspace that
-    ``data`` keeps for the node's other variables.
+    enter the across-component Hochberg family, and their records are
+    made only for the report.  Both components use the grouping that
+    ``data`` keeps for the variable, which the split search of the node
+    reuses, and each component's workspace that ``data`` keeps for the
+    node's other variables.
     """
-    spec = data.spec_for(variable)
+    kind = data.spec_for(variable).kind
     grouping = data.grouping(variable)
-    include = grouping.include
-    n_used = int(grouping.values.size)
-    distinct = grouping.distinct
-
-    def present(scores):  # the rows of the subjects with a value
-        return scores if n_used == data.n else scores[include]
-
-    event_ct = _skipped(EVENT, "degenerate")
-    censor_ct = _skipped(CENSOR, "disabled" if not censor_enabled else "degenerate")
+    n_used = grouping.values.size
+    n_groups = grouping.distinct.size
+    tested = {}
     # a variable with fewer than two distinct values tests neither component
-    if distinct.size > 1 and event_model is not None:
-        scores = present(_scores(data, event_model))
-        event_ct = _component_test(EVENT, event_model, scores, spec.kind, grouping)
-    if distinct.size > 1 and censor_enabled and censor_model is not None:
-        scores = present(_scores(data, censor_model))
-        censor_ct = _component_test(CENSOR, censor_model, scores, spec.kind, grouping)
+    if n_groups > 1:
+        models = (event_model, censor_model if censor_enabled else None)
+        for component, model in zip((EVENT, CENSOR), models):
+            if model is not None:
+                scores = _scores(data, model)
+                if n_used != data.n:  # the rows of the subjects with a value
+                    scores = scores[grouping.include]
+                tested[component] = _component_test(
+                    component, model, scores, kind, grouping
+                )
 
-    tested = [ct for ct in (event_ct, censor_ct) if ct.tested]
     cross = {EVENT: 1.0, CENSOR: 1.0}
+    variable_p = 1.0
     if tested:
-        adj = hochberg([ct.component_p for ct in tested])
-        for ct, a in zip(tested, adj):
-            cross[ct.component] = float(a)
-        variable_p = float(adj.min())
-    else:
-        variable_p = 1.0
+        adjusted = hochberg([ct.component_p for ct in tested.values()]).tolist()
+        cross.update(zip(tested, adjusted))
+        variable_p = min(adjusted)
+    event_ct = tested.get(EVENT) or _skipped(EVENT, "degenerate")
+    censor_ct = tested.get(CENSOR) or _skipped(
+        CENSOR, "degenerate" if censor_enabled else "disabled"
+    )
 
-    if event_ct.tested and censor_ct.tested:
+    if len(tested) == 2:
         mode = EVENT if event_ct.component_p <= censor_ct.component_p else CENSOR
-    elif censor_ct.tested:
-        mode = CENSOR
     else:
-        mode = EVENT
+        mode = CENSOR if censor_ct.tested else EVENT
 
     return StabilityReport(
-        variable=variable,
-        kind=spec.kind,
-        testable=bool(tested),
-        n_used=n_used,
-        n_groups=int(distinct.size),
-        event=event_ct,
-        censor=censor_ct,
-        cross_adjusted=(cross[EVENT], cross[CENSOR]),
-        variable_p=variable_p,
-        more_heterogeneous=mode,
+        variable,
+        kind,
+        bool(tested),
+        n_used,
+        n_groups,
+        event_ct,
+        censor_ct,
+        (cross[EVENT], cross[CENSOR]),
+        variable_p,
+        mode,
     )

@@ -205,7 +205,7 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             )
             for name in var_names
         }
-        per_variable = np.array([reports[name].variable_p for name in var_names])
+        per_variable = [reports[name].variable_p for name in var_names]
         adjusted = hochberg(per_variable)
         best = int(np.argmin(adjusted))
         # a NaN p-value (argmin's pick when there is one) never splits
@@ -224,7 +224,7 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
                 cutpoint=cand.cutpoint,
                 mode=cand.mode,
                 statistic=cand.statistic,
-                variable_p=float(per_variable[best]),
+                variable_p=per_variable[best],
                 adjusted_p=float(adjusted[best]),
             )
             left_mask, right_mask = _split_masks(subset, split)
@@ -357,22 +357,25 @@ def tree_metrics(tree: SurvTree, data: SurvivalDataset, truth: TruthSpec) -> Tre
         fitted_event[idx] = lam_t
         fitted_censor[idx] = lam_c
 
+    # each subgroup's subjects, true rates and rates on the perfect
+    # partition, for both components
+    groups = []
+    for lab in unique_labels:
+        mask = labels == lab
+        est = _exp_rates(data.times[mask], data.events[mask])
+        groups.append((mask, truth.rates[lab], est))
+
     def averaged(fitted, which):
-        devs = []
-        for lab in unique_labels:
-            lam = truth.rates[lab][which]
-            mask = labels == lab
-            devs.append(float(np.mean(np.abs(lam - fitted[mask]) / lam)))
-        return float(np.mean(devs))
+        return float(np.mean([
+            float((np.abs(rates[which] - fitted[mask]) / rates[which]).mean())
+            for mask, rates, _ in groups
+        ]))
 
     def perfect(which):
-        devs = []
-        for lab in unique_labels:
-            mask = labels == lab
-            lam = truth.rates[lab][which]
-            est = _exp_rates(data.times[mask], data.events[mask])[which]
-            devs.append(abs(lam - est) / lam)
-        return float(np.mean(devs))
+        return float(np.mean([
+            abs(rates[which] - est[which]) / rates[which]
+            for _, rates, est in groups
+        ]))
 
     mad_event = averaged(fitted_event, 0)
     mad_censor = averaged(fitted_censor, 1)

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import hashlib
 import json
@@ -31,7 +32,7 @@ from survcart import (
     save_tree,
     tree_to_document,
 )
-from survcart import dataio
+from survcart import dataio, families
 from survcart.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_MEMORY, EXIT_OK, EXIT_SPEC, main,
 )
@@ -605,6 +606,39 @@ def test_cli_fit_signed_zero_golden_bytes(tmp_path):
     assert hashlib.sha256(km.read_bytes()).hexdigest() == SIGNED_ZERO_KM_SHA256
 
 
+# sha256 of save_tree(..., deterministic=True) for the four-subgroup
+# design (TreeRecoveryDesign(n_per_subgroup=300), replicate_rng(1, 0)),
+# recorded before the per-node test path was made leaner: every node's
+# fitted parameters, medians and split p-values, including the
+# two-parameter Weibull tests, to the last bit
+FOUR_SUBGROUP_TREE_SHA256 = {
+    ("weibull", "exponential"):
+        "65eb9a9ac89f50a1900fa1ec1e1aa8f9c6e614b2207c2833e8b417f63851fbc1",
+    ("weibull", "weibull"):
+        "0e16d7fa64bb75c8e2f43e6459fe903eb7def2bc72582d474df1a0752de2a0be",
+    ("exponential", "na"):
+        "968d38705d13c7a9f6838ed1942dc62c916dbf466898e6aab0f83c1dbc043752",
+}
+
+
+@pytest.mark.parametrize("event_dist, censor_dist",
+                         sorted(FOUR_SUBGROUP_TREE_SHA256))
+def test_four_subgroup_tree_golden_bytes(tmp_path, event_dist, censor_dist):
+    # "na" is the censoring-blind config of a tree-recovery spec
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                 replicate_rng(1, 0))
+    blind = censor_dist == "na"
+    config = TreeConfig(
+        event_dist=event_dist,
+        censor_dist=TreeConfig.censor_dist if blind else censor_dist,
+        censor_heterogeneity=not blind,
+    )
+    path = tmp_path / "tree.json"
+    save_tree(grow(data, config), str(path), deterministic=True)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == FOUR_SUBGROUP_TREE_SHA256[event_dist, censor_dist]
+
+
 @pytest.mark.parametrize("bad", ["--out", "--dot", "--km-out"])
 def test_cli_fit_checks_output_dirs_before_loading(demo_csv, tmp_path, capsys,
                                                    bad):
@@ -753,32 +787,108 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_cli_out_of_memory_is_one_error_line(tmp_path):
+def run_out_of_memory_fit(tmp_path, factor):
+    """survcart fit on 200,000 rows in a child whose address space is
+    capped (OUT_OF_MEMORY_CHILD).
+
+    Without ``factor`` the child fits eight continuous covariates.  With
+    it the file gains a three-level factor g, and the child fits g and
+    one continuous covariate: few enough columns for the file to load
+    under the cap, so that the root's first test, g's, imports
+    scipy.special there.
+    """
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/status"):
         pytest.skip("reads VmSize from /proc")
-    # 200,000 rows of eight continuous covariates: fit needs about 90 MiB
-    # above the import, and loads no scipy
     names = [f"x{j}" for j in range(8)]
+    variables = [f"{name}:cont" for name in names]
+    levels = [""] * 3  # no factor column
+    if factor:
+        names.insert(0, "g")
+        variables = ["g:cat", "x0:cont"]
+        levels = ["a,", "b,", "c,"]
     path = tmp_path / "big.csv"
     times = rng_for(650, 0).exponential(10.0, 200_000)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["time", "status"] + names) + "\n")
         fh.writelines(
-            f"{t!r},{i % 3 != 0:d}," + ",".join(str(i * k % 997) for k in range(7, 15))
+            f"{t!r},{i % 3 != 0:d},{levels[i % 3]}"
+            + ",".join(str(i * k % 997) for k in range(7, 15))
             + "\n" for i, t in enumerate(times.tolist()))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(dataio.__file__))]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", OUT_OF_MEMORY_CHILD, "fit", "--data", str(path),
-         "--time", "time", "--event", "status",
-         "--vars", ",".join(f"{name}:cont" for name in names)],
+         "--time", "time", "--event", "status", "--vars", ",".join(variables)],
         env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_out_of_memory_is_one_error_line(tmp_path):
+    # eight continuous covariates: fit needs about 90 MiB above the
+    # import, and loads no scipy
+    proc = run_out_of_memory_fit(tmp_path, factor=False)
     assert proc.returncode == EXIT_MEMORY, proc.stderr
     assert proc.stderr == "error: out of memory\n"
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_cli_out_of_memory_at_a_categorical_test_is_one_error_line(tmp_path):
+    # the factor's test imports scipy.special under the cap, where the
+    # loader failed to map libscipy_openblas: that ImportError is out of
+    # memory too, not a traceback and exit 1
+    proc = run_out_of_memory_fit(tmp_path, factor=True)
+    assert proc.returncode == EXIT_MEMORY, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.fixture
+def failing_scipy_import(monkeypatch):
+    """Makes ``import scipy.special`` raise the ImportError it is given.
+
+    ``families.scipy_special`` caches the module, so its cache is cleared
+    before and after, and the import statement runs again.
+    """
+    real_import = builtins.__import__
+
+    def install(message):
+        def importing(name, *args, **kwargs):
+            if name == "scipy.special":
+                raise ImportError(message)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", importing)
+
+    families.scipy_special.cache_clear()
+    yield install
+    monkeypatch.undo()
+    families.scipy_special.cache_clear()
+
+
+def test_cli_fit_maps_an_unmappable_scipy_library_to_out_of_memory(
+        tmp_path, capsys, failing_scipy_import):
+    # the message the loader gave when scipy.special was first imported
+    # near the memory limit, at the first categorical test
+    failing_scipy_import(
+        "libscipy_openblas-68440149.so: failed to map segment from shared object")
+    data = golden_csv(tmp_path / "golden.csv")
+    code = main(["fit", "--data", data, "--time", "time", "--event", "status",
+                 "--vars", "group:cat,x:cont"])
+    assert code == EXIT_MEMORY
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+
+
+def test_cli_fit_lets_any_other_import_error_propagate(
+        tmp_path, capsys, failing_scipy_import):
+    failing_scipy_import("No module named 'scipy'")
+    data = golden_csv(tmp_path / "golden.csv")
+    with pytest.raises(ImportError, match="No module named 'scipy'"):
+        main(["fit", "--data", data, "--time", "time", "--event", "status",
+              "--vars", "group:cat,x:cont"])
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_simulate_deterministic_csv(tmp_path, capsys):

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survcart import CENSOR, EVENT, EmptyInputError, km_fit, km_median
+from survcart import (
+    CENSOR,
+    EVENT,
+    EmptyInputError,
+    SurvivalDataset,
+    TreeConfig,
+    grow,
+    km_fit,
+    km_median,
+)
+from survcart.families import exact_mask
 from survcart.km import risk_table
 
 from conftest import brute_km, brute_km_median, rng_for, unique_risk_table
@@ -64,6 +74,29 @@ def test_km_matches_brute_force_small_samples():
         assert curve.times.tolist() == bt.tolist()
         assert curve.survival == pytest.approx(bs, abs=1e-12)
         assert km_median(curve) == brute_km_median(bt, bs)
+
+
+@pytest.mark.parametrize("censoring", ["some", "all", "none"])
+def test_node_medians_match_brute_force(censoring):
+    # each flavor's median as a tree node records it (km_fit on the
+    # node's stable time order) is the brute product-limit median, None
+    # included: on tied times, with every subject censored (no event
+    # curve) and with none censored (no censoring curve)
+    rng = rng_for(302, ["some", "all", "none"].index(censoring))
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        t = np.round(rng.uniform(0.5, 4.0, n), 1)
+        e = {"some": rng.random(n) < 0.6, "all": np.zeros(n, bool),
+             "none": np.ones(n, bool)}[censoring]
+        data = SurvivalDataset(t, e)
+        for flavor in (EVENT, CENSOR):
+            got = km_median(km_fit(data.times, data.events, flavor,
+                                   order=data.time_order))
+            want = brute_km_median(*brute_km(t, exact_mask(e, flavor)))
+            assert got == want
+        root = grow(data, TreeConfig()).root
+        assert root.km_median_event == brute_km_median(*brute_km(t, e))
+        assert root.km_median_censor == brute_km_median(*brute_km(t, ~e))
 
 
 @given(st.lists(st.tuples(st.floats(0.1, 50.0), st.booleans()),
