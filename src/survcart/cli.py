@@ -14,7 +14,6 @@ use).
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import os
 import sys
@@ -25,6 +24,7 @@ import numpy as np
 from .dataio import (
     KM_COLUMNS,
     SchemaSpec,
+    km_curve_csv,
     km_leaf_rows,
     load_csv,
     parse_variable_flags,
@@ -198,13 +198,13 @@ def _cmd_fit(args) -> int:
         with _writing(args.dot), open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree))
     if args.km_out:
-        rows = km_leaf_rows(tree, data)
+        curves = km_leaf_rows(tree, data)
         with _writing(args.km_out), open(
             args.km_out, "w", newline="", encoding="utf-8"
         ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(KM_COLUMNS)
-            writer.writerows(rows)
+            fh.write(",".join(KM_COLUMNS) + "\r\n")
+            for leaf_id, flavor, curve in curves:
+                fh.write(km_curve_csv(leaf_id, flavor, curve))
     return EXIT_OK
 
 

@@ -13,13 +13,21 @@ in that form stores (shape, rate) instead: its params load as they
 are, and it routes subjects the same way, since routing reads only the
 splits.  Refit to get (mu, sigma).
 
+The CSV loader converts 1,024 records at a time into one numpy array
+per column, appended to one growing buffer per column that becomes the
+dataset's array without a copy.  Only subject ids outlive their chunk
+as Python strings, so a 1,000,000-row file without ids peaks at about
+the size of its dataset's own arrays above the interpreter's start.  A
+factor's labels are numbered by first appearance across the chunks and
+sorted once at the end (``datasets.sorted_codes``).
+
 The product-limit export (``survcart fit --km-out``) is a CSV with the
 header ``leaf,flavor,time,surv,n.risk,n.event`` (``KM_COLUMNS``) and
 one row per grid time of each leaf's event and censoring curves, from
-``km_leaf_rows``.  It is written by a default-dialect ``csv.writer``:
-CRLF line ends, minimal quoting (no cell needs quotes) and floats in
-their shortest round-trip repr (``str(float)``), so the bytes depend
-only on the input.
+``km_leaf_rows``.  ``km_curve_csv`` formats one curve's rows in one
+string, byte for byte as a default-dialect ``csv.writer`` would: CRLF
+line ends, no quotes (no cell needs them) and floats in their shortest
+round-trip repr (``str(float)``), so the bytes depend only on the input.
 """
 
 from __future__ import annotations
@@ -27,22 +35,31 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 
 import numpy as np
 
 from . import __version__
-from .datasets import CATEGORICAL, CONTINUOUS, CovariateSpec, SurvivalDataset
+from .datasets import (
+    CATEGORICAL,
+    CONTINUOUS,
+    CovariateSpec,
+    SurvivalDataset,
+    number_labels,
+    sort_order,
+    sorted_codes,
+)
 from .errors import (
     EmptyDatasetError,
     MissingColumnError,
     ParseError,
 )
 from .families import CheckedInformation, FittedModel
-from .km import km_fit
+from .km import KMCurve, km_fit
 from .tree import SplitInfo, SurvTree, TreeConfig, TreeNode
 
 MISSING_TOKENS = ("", "NA")
@@ -94,11 +111,11 @@ def load_csv(path: str, schema: SchemaSpec) -> SurvivalDataset:
     """Read a survival CSV (RFC 4180, header row required, UTF-8 with or
     without a byte-order mark).
 
-    Missing time or event cells abort with a ``ParseError`` naming the
-    file line the record ends on (blank lines count) and the column;
-    missing partitioning values (empty or NA) are kept as missing and
-    the affected subject simply drops out of that variable's tests and
-    split candidacy.
+    Missing time or event cells, and times that are not finite numbers,
+    abort with a ``ParseError`` naming the file line the record ends on
+    (blank lines count) and the column; missing partitioning values
+    (empty or NA) are kept as missing and the affected subject simply
+    drops out of that variable's tests and split candidacy.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         return _read_csv(fh, schema)
@@ -124,8 +141,12 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
     index = {name: i for i, name in enumerate(header)}
     width = max(index[column] for column in needed) + 1
 
-    times, events, ids = [], [], []
-    columns = {v.name: [] for v in schema.variables}
+    # each chunk's array of a column is appended, as bytes, to one
+    # growing buffer per column; a factor's holds label numbers from one
+    # first-seen dict per factor
+    times, events, ids = bytearray(), bytearray(), []
+    columns = {v.name: bytearray() for v in schema.variables}
+    first_seen = {v.name: {} for v in schema.variables if v.kind == CATEGORICAL}
     records, lines = [], []
     for row in reader:
         if row:  # a blank line holds no record
@@ -133,57 +154,78 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
             lines.append(reader.line_num)
             if len(records) == _CHUNK_ROWS:
                 _convert_records(records, lines, index, width, schema,
-                                 times, events, columns, ids)
+                                 times, events, columns, ids, first_seen)
                 records, lines = [], []
     if records:
         _convert_records(records, lines, index, width, schema,
-                         times, events, columns, ids)
+                         times, events, columns, ids, first_seen)
     if not times:
         raise EmptyDatasetError("file has no data rows")
+    levels = {}
+    for spec in schema.variables:
+        name = spec.name
+        if spec.kind == CONTINUOUS:
+            columns[name] = np.frombuffer(columns[name], dtype=float)
+            continue
+        distinct = [None if v in MISSING_TOKENS else v for v in first_seen[name]]
+        levels[name], columns[name] = sorted_codes(
+            distinct, np.frombuffer(columns[name], dtype=np.intp))
     return SurvivalDataset(
-        times,
-        events,
+        np.frombuffer(times, dtype=float),
+        np.frombuffer(events, dtype=bool),
         schema.variables,
         columns,
         np.array(ids, dtype=object) if ids else None,
+        levels,
     )
 
 
 def _convert_records(records, lines, index, width, schema,
-                     times, events, columns, ids):
-    """Append the cells of some records to the columns, column by column.
+                     times, events, columns, ids, first_seen):
+    """Append the cells of some records to the columns, one array each.
 
-    A bad cell raises the ParseError of the first one, record by record.
+    A number column is one ``float`` pass (``float`` ignores the
+    whitespace ``str.strip`` removes); only a column that fails it looks
+    for missing tokens cell by cell.  A bad cell, or a time that is not
+    finite, raises the ParseError of the first one, record by record.
     """
     if min(map(len, records)) < width:  # the cells a short row lacks are empty
         records = [row + [""] * (width - len(row)) for row in records]
+    n = len(records)
+
+    def cells(name):
+        return map(itemgetter(index[name]), records)
 
     def stripped(name):
-        return list(map(str.strip, map(itemgetter(index[name]), records)))
+        return list(map(str.strip, cells(name)))
 
     try:
-        new_times = list(map(float, stripped(schema.time_column)))
+        new_times = np.fromiter(map(float, cells(schema.time_column)), float, n)
+        if not np.isfinite(new_times).all():
+            raise ValueError("time not finite")
         raw_events = stripped(schema.event_column)
         if any(token in raw_events for token in MISSING_TOKENS):
             raise ValueError("missing event value")
         new_columns = {}
         for spec in schema.variables:
-            raw = stripped(spec.name)
-            if spec.kind == CONTINUOUS:
-                new_columns[spec.name] = [
-                    np.nan if v in MISSING_TOKENS else float(v) for v in raw
-                ]
-            else:
-                new_columns[spec.name] = [
-                    None if v in MISSING_TOKENS else v for v in raw
-                ]
+            if spec.kind == CATEGORICAL:
+                new_columns[spec.name] = number_labels(
+                    stripped(spec.name), first_seen[spec.name])
+                continue
+            try:
+                values = np.fromiter(map(float, cells(spec.name)), float, n)
+            except ValueError:  # a missing value or a bad cell
+                values = np.array([np.nan if v in MISSING_TOKENS else float(v)
+                                   for v in stripped(spec.name)])
+            new_columns[spec.name] = values
     except ValueError:
         _raise_first_bad_cell(records, lines, index, schema)
         raise
-    times.extend(new_times)
-    events.extend(raw == schema.event_value for raw in raw_events)
+    times += memoryview(new_times)
+    events += memoryview(np.fromiter(
+        map(eq, raw_events, repeat(schema.event_value)), bool, n))
     for name, values in new_columns.items():
-        columns[name].extend(values)
+        columns[name] += memoryview(values)
     if schema.id_column is not None:
         ids.extend(stripped(schema.id_column))
 
@@ -197,11 +239,14 @@ def _raise_first_bad_cell(records, lines, index, schema):
         if raw_time in MISSING_TOKENS:
             raise ParseError(line, schema.time_column, "missing time value")
         try:
-            float(raw_time)
+            time = float(raw_time)
         except ValueError:
             raise ParseError(
                 line, schema.time_column, f"not a number: {raw_time!r}"
             ) from None
+        if not math.isfinite(time):
+            raise ParseError(
+                line, schema.time_column, f"not a finite number: {raw_time!r}")
         if row[event_at].strip() in MISSING_TOKENS:
             raise ParseError(line, schema.event_column, "missing event value")
         for name in continuous:
@@ -450,28 +495,35 @@ KM_COLUMNS = ("leaf", "flavor", "time", "surv", "n.risk", "n.event")
 
 
 def km_leaf_rows(tree: SurvTree, data: SurvivalDataset) -> list:
-    """Per-leaf product-limit curves as row tuples in ``KM_COLUMNS`` order.
+    """Per-leaf product-limit curves as ``(leaf_id, flavor, KMCurve)``.
 
     Leaves come in node-id order, each with its event curve and then its
-    censoring curve; a curve with no exact times has no rows.  Cells are
-    Python ints and floats, so a ``csv.writer`` prints the floats in
-    their shortest round-trip repr.
+    censoring curve; a curve with no exact times is left out.  Both
+    curves of a leaf share one sort of its times.
     """
-    rows = []
+    curves = []
     for node in sorted(tree.leaves(), key=lambda n: n.node_id):
         idx = node.subject_index
         times, events = data.times[idx], data.events[idx]
+        order = sort_order(times)
         for flavor in ("event", "censor"):
-            curve = km_fit(times, events, flavor=flavor)
-            rows.extend(zip(
-                repeat(node.node_id),
-                repeat(flavor),
-                curve.times.tolist(),
-                curve.survival.tolist(),
-                curve.at_risk.tolist(),
-                curve.n_events.tolist(),
-            ))
-    return rows
+            curve = km_fit(times, events, flavor=flavor, order=order)
+            if curve.times.size:
+                curves.append((node.node_id, flavor, curve))
+    return curves
+
+
+def km_curve_csv(leaf_id: int, flavor: str, curve: KMCurve) -> str:
+    """The ``KM_COLUMNS`` rows of one curve, as a default-dialect
+    ``csv.writer`` writes them: CRLF line ends, no quotes, and each float
+    in its shortest round-trip repr (``%r``, which is ``str(float)``)."""
+    line = f"{leaf_id:d},{flavor},%r,%r,%d,%d\r\n"
+    return "".join(map(line.__mod__, zip(
+        curve.times.tolist(),
+        curve.survival.tolist(),
+        curve.at_risk.tolist(),
+        curve.n_events.tolist(),
+    )))
 
 
 def write_csv_rows(fh, rows: list):

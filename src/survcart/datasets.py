@@ -6,9 +6,12 @@ partitioning covariates, each declared categorical or continuous.
 Continuous columns are float arrays with NaN marking a missing value.
 Categorical columns are given as labels, with None or a float NaN (as
 pandas writes it) marking a missing value; the labels of one column
-must be hashable and mutually orderable.  Each factor is encoded once, when the
-dataset is built, as integer codes into its sorted distinct labels
-(-1 for missing), and subsets slice the codes without re-encoding.
+must be hashable and mutually orderable.  Each factor is encoded once,
+when the dataset is built, as integer codes into its sorted distinct
+labels (-1 for missing), and subsets slice the codes without
+re-encoding.  A caller that numbers labels itself (the CSV loader, chunk
+by chunk, with ``number_labels``) hands over the codes of the same
+``sorted_codes`` step instead, with their ``levels``.
 Because codes follow label order, grouping by code groups exactly as
 grouping by label would.  Missing covariate values are legal, missing
 times or indicators are not.
@@ -149,27 +152,43 @@ def is_missing_value(value) -> bool:
     )
 
 
-def _encode(name, labels):
+def number_labels(labels, first_seen) -> np.ndarray:
+    """Number a list of labels in order of first appearance.
+
+    ``first_seen`` maps each label met so far to its number and gains
+    the new ones, so one dict numbers several sequences, such as the
+    chunks of a file, consistently.  Hashing passes only: the distinct
+    labels of ``labels``, then one lookup per label.
+    """
+    for v in dict.fromkeys(labels):
+        first_seen.setdefault(v, len(first_seen))
+    return np.fromiter(map(first_seen.__getitem__, labels), dtype=np.intp,
+                       count=len(labels))
+
+
+def sorted_codes(distinct, seen):
     """Sorted distinct labels and one code per subject, -1 where missing.
 
-    Labels are numbered in order of first appearance, which takes one
-    hashing pass, and only the distinct ones are sorted.
+    ``distinct`` lists the labels by number, a missing one as None or a
+    float NaN, and ``seen`` holds each subject's number; only the
+    distinct labels are sorted.
     """
+    levels = sorted(v for v in distinct if not is_missing_value(v))
+    code = {v: c for c, v in enumerate(levels)}
+    recode = np.array([code.get(v, -1) for v in distinct], dtype=np.intp)
+    return np.array(levels, dtype=object), recode[seen]
+
+
+def _encode(name, labels):
+    """Sorted distinct labels and one code per subject, -1 where missing."""
     first_seen = {}
     try:
-        seen = np.fromiter(
-            (first_seen.setdefault(v, len(first_seen)) for v in labels),
-            dtype=np.intp,
-            count=labels.size,
-        )
-        levels = sorted(v for v in first_seen if not is_missing_value(v))
+        seen = number_labels(labels.tolist(), first_seen)
+        return sorted_codes(list(first_seen), seen)
     except TypeError as exc:
         raise SchemaMismatchError(
             f"column {name!r}: labels must be hashable and orderable ({exc})"
         ) from None
-    code = {v: c for c, v in enumerate(levels)}
-    recode = np.array([code.get(v, -1) for v in first_seen], dtype=np.intp)
-    return np.array(levels, dtype=object), recode[seen]
 
 
 class SurvivalDataset:
@@ -181,9 +200,15 @@ class SurvivalDataset:
     (the exponential fits all its rows in one pass), and ``subset`` with
     a mask of R selects rows.  The times are kept in C order, so that a
     row's sum adds in the order of the row's own sum.
+
+    ``levels`` maps a factor to its sorted distinct labels when its
+    column is given already encoded, as the codes ``sorted_codes``
+    returns, rather than as labels (``dataio.load_csv`` numbers a file's
+    labels chunk by chunk).
     """
 
-    def __init__(self, times, events, meta=(), columns=None, subject_ids=None):
+    def __init__(self, times, events, meta=(), columns=None, subject_ids=None,
+                 levels=None):
         times = np.ascontiguousarray(times, dtype=float)
         events = np.asarray(events, dtype=bool)
         meta = tuple(meta)
@@ -205,14 +230,20 @@ class SurvivalDataset:
             raise SchemaMismatchError(
                 f"columns {sorted(columns)} do not match schema {sorted(names)}"
             )
+        coded = {} if levels is None else levels
         stored = {}
         levels = {}
         for m in meta:
             col = columns[m.name]
-            col = np.asarray(col, dtype=float if m.kind == CONTINUOUS else object)
+            if m.name in coded:  # a factor given as codes into its levels
+                col = np.asarray(col, dtype=np.intp)
+            else:
+                col = np.asarray(col, dtype=float if m.kind == CONTINUOUS else object)
             if col.shape != times.shape:
                 raise SchemaMismatchError(f"column {m.name!r} has wrong length")
-            if m.kind == CATEGORICAL:
+            if m.name in coded:
+                levels[m.name] = coded[m.name]
+            elif m.kind == CATEGORICAL:
                 levels[m.name], col = _encode(m.name, col)
             stored[m.name] = col
         if subject_ids is None:

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -36,9 +37,9 @@ from survcart import dataio, families
 from survcart.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_MEMORY, EXIT_OK, EXIT_SPEC, main,
 )
-from survcart.dataio import KM_COLUMNS, km_leaf_rows, rows_to_csv_text, tree_to_dot
+from survcart.dataio import km_curve_csv, km_leaf_rows, rows_to_csv_text, tree_to_dot
 from survcart.datasets import CovariateSpec
-from survcart.km import km_fit
+from survcart.km import KMCurve, km_fit
 from survcart.simlab import generate_tree_data
 
 from conftest import dict_rows_load_csv, rng_for
@@ -122,6 +123,37 @@ def test_load_csv_parse_error_names_the_file_line(tmp_path):
         load_csv(str(path), schema)
     assert err.value.row == 5
     assert err.value.column == "age"
+
+
+@pytest.mark.parametrize("chunk", [2, 1024])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", " NaN ", "1e400"])
+def test_load_csv_non_finite_time_names_the_file_line(tmp_path, cell, chunk):
+    # the blank third line counts: the bad time sits on line 5, in the
+    # second chunk of two records
+    path = tmp_path / "t.csv"
+    path.write_text(f"time,status,age\n1.0,1,0.5\n\n2.0,0,\n{cell},1,3\n4,0,x\n")
+    schema = SchemaSpec("time", "status",
+                        variables=(CovariateSpec("age", "continuous"),))
+    with patch.object(dataio, "_CHUNK_ROWS", chunk), \
+            pytest.raises(ParseError) as err:
+        load_csv(str(path), schema)
+    assert err.value.row == 5
+    assert err.value.column == "time"
+    assert str(err.value) == (
+        f"row 5, column 'time': not a finite number: {cell.strip()!r}")
+
+
+def test_cli_fit_non_finite_time_is_a_data_error_with_its_line(tmp_path,
+                                                                capsys):
+    path = tmp_path / "t.csv"
+    rows = [f"{1 + i % 7},{i % 2},{i}" for i in range(30)]
+    rows[20] = "inf,1,20"
+    path.write_text("time,status,x\n" + "\n".join(rows) + "\n")
+    code = main(["fit", "--data", str(path), "--time", "time",
+                 "--event", "status", "--vars", "x:cont"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: row 22, column 'time': not a finite number: 'inf'\n")
 
 
 def _csv_cell(kind):
@@ -322,27 +354,85 @@ def test_tree_to_dot_is_valid_digraph():
 
 def test_km_leaf_rows_match_direct_fits():
     tree, data = grown_tree()
-    rows = km_leaf_rows(tree, data)
-    assert all(len(row) == len(KM_COLUMNS) for row in rows)
-    curves = {}
-    for leaf, flavor, *cells in rows:
-        curves.setdefault((leaf, flavor), []).append(tuple(cells))
+    curves = km_leaf_rows(tree, data)
+    got = {(leaf, flavor): curve for leaf, flavor, curve in curves}
+    assert len(got) == len(curves)
     expected = {}
     for leaf in sorted(tree.leaves(), key=lambda n: n.node_id):
         idx = leaf.subject_index
         for flavor in ("event", "censor"):
             curve = km_fit(data.times[idx], data.events[idx], flavor=flavor)
-            cells = list(zip(
-                curve.times.tolist(), curve.survival.tolist(),
-                curve.at_risk.tolist(), curve.n_events.tolist()))
-            if cells:  # a curve with no exact times has no rows
-                expected[(leaf.node_id, flavor)] = cells
-    assert curves == expected
+            if curve.times.size:  # a curve with no exact times is left out
+                expected[(leaf.node_id, flavor)] = curve
     # leaves in node-id order, each event curve before its censor curve
-    assert list(curves) == list(expected)
-    # plain Python numbers, so str() is the shortest repr
-    assert all(type(t) is float and type(s) is float and type(r) is int
-               and type(e) is int for _, _, t, s, r, e in rows)
+    assert list(got) == list(expected)
+    for key, curve in expected.items():
+        assert got[key].flavor == curve.flavor
+        for field in ("times", "survival", "at_risk", "n_events"):
+            assert np.array_equal(getattr(got[key], field), getattr(curve, field))
+
+
+def test_km_leaf_rows_sorts_each_leaf_once(monkeypatch):
+    # both flavors of a leaf get the same order, the stable sort of its times
+    tree, data = grown_tree()
+    calls = []
+
+    def spy(times, events, flavor, order=None):
+        calls.append((times, order))
+        return km_fit(times, events, flavor=flavor, order=order)
+
+    monkeypatch.setattr(dataio, "km_fit", spy)
+    km_leaf_rows(tree, data)
+    assert len(calls) == 2 * tree.n_leaves
+    for (times, order), (_, other) in zip(calls[::2], calls[1::2]):
+        assert order is other
+        assert np.array_equal(order, np.argsort(times, kind="stable"))
+
+
+# cells csv.writer prints with care: the smallest subnormal, powers of ten
+# where repr switches to exponent form, a sum with a long repr, the
+# largest float, an integral float, a zero survival and a negative zero
+AWKWARD_FLOATS = (5e-324, 1e-05, 1e16, 0.1 + 0.2, 1.7976931348623157e308,
+                  3.0, 0.0, -0.0, 1e-4, 123456789012345.6)
+
+
+def csv_writer_text(leaf, flavor, curve):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(
+        (leaf, flavor, t, s, r, e) for t, s, r, e in zip(
+            curve.times.tolist(), curve.survival.tolist(),
+            curve.at_risk.tolist(), curve.n_events.tolist()))
+    return buf.getvalue()
+
+
+def test_km_curve_csv_awkward_floats_equal_csv_writer_bytes():
+    floats = np.array(AWKWARD_FLOATS)
+    curve = KMCurve("event", floats, floats[::-1].copy(),
+                    np.arange(floats.size, 0, -1), np.ones(floats.size, dtype=np.intp))
+    text = km_curve_csv(3, "event", curve)
+    assert text == csv_writer_text(3, "event", curve)
+    assert text.split("\r\n")[:3] == [
+        "3,event,5e-324,123456789012345.6,10,1",
+        "3,event,1e-05,0.0001,9,1",
+        "3,event,1e+16,-0.0,8,1",
+    ]
+    assert "0.30000000000000004" in text and ",0.0," in text
+
+
+@given(
+    cells=st.lists(
+        st.tuples(st.sampled_from(AWKWARD_FLOATS) | st.floats(allow_nan=False),
+                  st.sampled_from(AWKWARD_FLOATS) | st.floats(0.0, 1.0),
+                  st.integers(1, 10**6), st.integers(0, 10**6)),
+        min_size=1, max_size=6),
+    leaf=st.integers(1, 10**4),
+    flavor=st.sampled_from(["event", "censor"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_km_curve_csv_equals_csv_writer_bytes(cells, leaf, flavor):
+    times, surv, at_risk, n_events = (np.array(c) for c in zip(*cells))
+    curve = KMCurve(flavor, times, surv, at_risk, n_events)
+    assert km_curve_csv(leaf, flavor, curve) == csv_writer_text(leaf, flavor, curve)
 
 
 def test_rows_to_csv_text_union_header():
