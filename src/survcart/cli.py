@@ -78,7 +78,7 @@ def _add_schema_flags(sub):
         default="1",
         help="cell value meaning an observed event (default: 1)",
     )
-    sub.add_argument("--id", default=None, help="optional subject id column")
+    sub.add_argument("--id", default=None, help="subject id column (checked, not read)")
     sub.add_argument(
         "--vars",
         required=True,

@@ -15,11 +15,11 @@ splits.  Refit to get (mu, sigma).
 
 The CSV loader converts 1,024 records at a time into one numpy array
 per column, appended to one growing buffer per column that becomes the
-dataset's array without a copy.  Only subject ids outlive their chunk
-as Python strings, so a 1,000,000-row file without ids peaks at about
-the size of its dataset's own arrays above the interpreter's start.  A
-factor's labels are numbered by first appearance across the chunks and
-sorted once at the end (``datasets.sorted_codes``).
+dataset's array without a copy; an id column is checked, not read.
+So a 1,000,000-row file peaks at about the size of its dataset's own
+arrays above the interpreter's start.  A factor's labels are numbered
+by first appearance across the chunks and sorted once at the end
+(``datasets.sorted_codes``).
 
 The product-limit export (``survcart fit --km-out``) is a CSV with the
 header ``leaf,flavor,time,surv,n.risk,n.event`` (``KM_COLUMNS``) and
@@ -67,7 +67,7 @@ MISSING_TOKENS = ("", "NA")
 
 @dataclass(frozen=True)
 class SchemaSpec:
-    """Column mapping for survival CSV files."""
+    """Column mapping for survival CSV files; the id column is checked, not read."""
 
     time_column: str
     event_column: str
@@ -144,7 +144,7 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
     # each chunk's array of a column is appended, as bytes, to one
     # growing buffer per column; a factor's holds label numbers from one
     # first-seen dict per factor
-    times, events, ids = bytearray(), bytearray(), []
+    times, events = bytearray(), bytearray()
     columns = {v.name: bytearray() for v in schema.variables}
     first_seen = {v.name: {} for v in schema.variables if v.kind == CATEGORICAL}
     records, lines = [], []
@@ -154,11 +154,11 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
             lines.append(reader.line_num)
             if len(records) == _CHUNK_ROWS:
                 _convert_records(records, lines, index, width, schema,
-                                 times, events, columns, ids, first_seen)
+                                 times, events, columns, first_seen)
                 records, lines = [], []
     if records:
         _convert_records(records, lines, index, width, schema,
-                         times, events, columns, ids, first_seen)
+                         times, events, columns, first_seen)
     if not times:
         raise EmptyDatasetError("file has no data rows")
     levels = {}
@@ -175,13 +175,12 @@ def _read_csv(fh, schema: SchemaSpec) -> SurvivalDataset:
         np.frombuffer(events, dtype=bool),
         schema.variables,
         columns,
-        np.array(ids, dtype=object) if ids else None,
         levels,
     )
 
 
 def _convert_records(records, lines, index, width, schema,
-                     times, events, columns, ids, first_seen):
+                     times, events, columns, first_seen):
     """Append the cells of some records to the columns, one array each.
 
     A number column is one ``float`` pass (``float`` ignores the
@@ -226,8 +225,6 @@ def _convert_records(records, lines, index, width, schema,
         map(eq, raw_events, repeat(schema.event_value)), bool, n))
     for name, values in new_columns.items():
         columns[name] += memoryview(values)
-    if schema.id_column is not None:
-        ids.extend(stripped(schema.id_column))
 
 
 def _raise_first_bad_cell(records, lines, index, schema):

@@ -14,13 +14,13 @@ by chunk, with ``number_labels``) hands over the codes of the same
 ``sorted_codes`` step instead, with their ``levels``.
 Because codes follow label order, grouping by code groups exactly as
 grouping by label would.  Missing covariate values are legal, missing
-times or indicators are not.
+times or indicators are not.  A subject is known by its position.
 
 A dataset is treated as immutable: ``grouping`` caches, per covariate,
 the distinct values of the subjects that have one, for the instability
 tests and the split search of a tree node to share, and ``workspace``
 keeps what those tests derive from a fitted model at the node, and what
-a fit and its scores share (``families``).
+a fit and its scores share (``families``), until ``drop_groupings``.
 
 Who sorts: a dataset makes one stable sort of its times and of each
 covariate (a factor by its codes), together and only when one of them
@@ -207,8 +207,7 @@ class SurvivalDataset:
     labels chunk by chunk).
     """
 
-    def __init__(self, times, events, meta=(), columns=None, subject_ids=None,
-                 levels=None):
+    def __init__(self, times, events, meta=(), columns=None, levels=None):
         times = np.ascontiguousarray(times, dtype=float)
         events = np.asarray(events, dtype=bool)
         meta = tuple(meta)
@@ -246,22 +245,15 @@ class SurvivalDataset:
             elif m.kind == CATEGORICAL:
                 levels[m.name], col = _encode(m.name, col)
             stored[m.name] = col
-        if subject_ids is None:
-            subject_ids = np.arange(times.size).reshape(times.shape)
-        subject_ids = np.asarray(subject_ids)
-        if subject_ids.shape != times.shape:
-            raise SchemaMismatchError("subject_ids has wrong length")
-        self._assign(times, events, meta, stored, levels, subject_ids)
+        self._assign(times, events, meta, stored, levels)
 
-    def _assign(self, times, events, meta, stored, levels, subject_ids,
-                orders=None):
+    def _assign(self, times, events, meta, stored, levels, orders=None):
         self.times = times
         self.events = events
         self.meta = meta
         # float column, or int codes into levels[name] for a factor
         self._stored = stored
         self.levels = levels  # factor name -> its sorted distinct labels
-        self.subject_ids = subject_ids
         self._orders = orders
         self._groupings = {}
         self._workspaces = {}
@@ -350,11 +342,14 @@ class SurvivalDataset:
             held = self._workspaces[key] = (owner, make())
         return held[1]
 
-    def drop_groupings(self) -> None:
-        """Release the groupings, workspaces and sort orders cached so far."""
-        self._groupings.clear()
+    def drop_groupings(self, keep=None) -> None:
+        """Release the groupings, workspaces and sort orders cached so far;
+        with ``keep``, that covariate's grouping and the orders stay."""
+        kept = self._groupings.get(keep)
+        self._groupings = {} if kept is None else {keep: kept}
         self._workspaces.clear()
-        self._orders = None
+        if keep is None:
+            self._orders = None
 
     def subset(self, index) -> "SurvivalDataset":
         """The subjects at ``index``, an integer array or a boolean mask;
@@ -376,7 +371,6 @@ class SurvivalDataset:
             self.meta,
             {name: col[index] for name, col in self._stored.items()},
             self.levels,
-            self.subject_ids[index],
             orders,
         )
         return out

@@ -83,7 +83,6 @@ __all__ = [
     "Candidates",
     "logrank",
     "candidate_splits",
-    "best_split",
 ]
 
 
@@ -568,9 +567,3 @@ def _certified_prefix(mags, floor):
     if mags[q - 1] - floor > _TIE_RTOL * max(1.0, mags[i]):
         return q
     return i
-
-
-def best_split(data, variable, mode, minbucket):
-    """Admissible split maximizing |LR|, or None when no candidate exists."""
-    cands = candidate_splits(data, variable, mode, minbucket)
-    return cands[0] if cands else None

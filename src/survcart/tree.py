@@ -127,6 +127,9 @@ class SurvTree:
         return len(self.leaves())
 
 
+# a fit that overflows at an extreme time unit fails (a fit_failure leaf,
+# or a skipped candidate), so numpy's floating-point warnings say nothing
+@np.errstate(all="ignore")
 def _fit_pair(config: TreeConfig, subset: SurvivalDataset):
     try:
         event_model = fit(config.event_dist, EVENT, subset)
@@ -157,7 +160,8 @@ def _split_masks(subset: SurvivalDataset, split: SplitInfo):
 
 
 def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
-    """Grow a tree on ``data``; node ids are heap-ordered with root 1."""
+    """Grow a tree on ``data``; node ids are heap-ordered with root 1.
+    Releases the caches of ``data`` (``SurvivalDataset.drop_groupings``)."""
     if data.times.ndim != 1:
         raise SchemaMismatchError("grow needs one sample; got a dataset of rows")
     nodes = {}
@@ -216,6 +220,9 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
 
         chosen = var_names[best]
         mode = reports[chosen].more_heterogeneous
+        # the rest of the tests' state goes before the search and the
+        # child copies, which read only this grouping and the orders
+        subset.drop_groupings(keep=chosen)
         accepted = None
         for cand in candidate_splits(subset, chosen, mode, config.minbucket):
             split = SplitInfo(
@@ -238,9 +245,8 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             accepted = (split, left_mask, right_mask, left_subset, right_subset,
                         left_models, right_models)
             break
-        # release the groupings shared by the tests and the split search
-        # of this node, its test workspaces and its orders (the children
-        # hold theirs); they would otherwise live while its subtree grows
+        # the split variable's grouping and the orders (the children hold
+        # their own) would otherwise live while the node's subtree grows
         subset.drop_groupings()
         if accepted is None:
             leaf(node, STOP_NO_ADMISSIBLE_SPLIT)

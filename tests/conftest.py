@@ -530,7 +530,7 @@ def dict_rows_load_csv(path, schema):
             if column not in header:
                 raise MissingColumnError(f"column {column!r} not in header {header}")
 
-        times, events, ids = [], [], []
+        times, events = [], []
         columns = {v.name: [] for v in schema.variables}
         for row in reader:
             rownum = reader.line_num
@@ -561,15 +561,7 @@ def dict_rows_load_csv(path, schema):
                         ) from None
                 else:
                     columns[spec.name].append(raw)
-            if schema.id_column is not None:
-                ids.append((row.get(schema.id_column) or "").strip())
 
     if not times:
         raise EmptyDatasetError("file has no data rows")
-    return SurvivalDataset(
-        times,
-        events,
-        schema.variables,
-        columns,
-        np.array(ids, dtype=object) if ids else None,
-    )
+    return SurvivalDataset(times, events, schema.variables, columns)

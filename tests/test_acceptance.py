@@ -22,7 +22,7 @@ from survcart import (
     SurvivalDataset,
     TreeConfig,
     TreeRecoveryDesign,
-    best_split,
+    candidate_splits,
     censor_rate_for,
     fd_cdf,
     fit,
@@ -278,7 +278,7 @@ def test_criterion_6_small_instance_oracles(capsys):
         e = rng.integers(0, 2, n).astype(bool)
         x = np.round(rng.uniform(0.0, 3.0, n), 1)
         data = one_var_dataset(t, e, x, "continuous")
-        got = best_split(data, "x", EVENT, 1)
+        got = next(iter(candidate_splits(data, "x", EVENT, 1)), None)
         want = brute_best_continuous(t, e, x, 1)
         if want is None:
             assert got is None
@@ -296,7 +296,7 @@ def test_criterion_6_small_instance_oracles(capsys):
         x = np.array([chr(ord("a") + v) for v in rng.integers(0, 4, n)],
                      object)
         data = one_var_dataset(t, e, x, "categorical")
-        got = best_split(data, "x", EVENT, 1)
+        got = next(iter(candidate_splits(data, "x", EVENT, 1)), None)
         want = brute_best_categorical(t, e, x, 1)
         if want is None:
             assert got is None

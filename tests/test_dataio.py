@@ -61,9 +61,12 @@ def test_load_csv_happy_path(demo_csv):
     data = load_csv(demo_csv, DEMO_SCHEMA)
     assert data.n == 5
     assert data.n_events == 3
-    assert data.subject_ids.tolist() == ["1", "2", "3", "4", "5"]
     assert np.isnan(data.covariate("age")).sum() == 1
     assert data.missing_mask("group").sum() == 1
+    # the id column is required, and recorded in the schema, not read
+    with pytest.raises(MissingColumnError, match="'patient'"):
+        load_csv(demo_csv, replace(DEMO_SCHEMA, id_column="patient"))
+    assert DEMO_SCHEMA.to_dict()["id"] == "id"
 
 
 def test_load_csv_event_value_comparison_is_textual(tmp_path):
@@ -237,7 +240,6 @@ def test_load_csv_equals_dict_rows_oracle(tmp_path_factory, rows, cut, with_id,
     assert not isinstance(got, Exception), got
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.events, want.events)
-    assert got.subject_ids.tolist() == want.subject_ids.tolist()
     for name in ("age", "score"):
         assert np.array_equal(got.covariate(name), want.covariate(name),
                               equal_nan=True)

@@ -148,18 +148,16 @@ def test_unorderable_labels_rejected():
         )
 
 
-def test_constructor_keeps_missing_values_and_subject_ids():
+def test_constructor_keeps_missing_values():
     ds = SurvivalDataset(
         [2.0, 4.5],
         [True, False],
         meta=(CovariateSpec("age", CONTINUOUS), CovariateSpec("arm", CATEGORICAL)),
         columns={"age": [50.0, None], "arm": ["a", "b"]},
-        subject_ids=["p1", "p2"],
     )
     assert ds.n == 2
     assert np.isnan(ds.covariate("age")[1])
     assert ds.covariate("arm").tolist() == ["a", "b"]
-    assert ds.subject_ids.tolist() == ["p1", "p2"]
 
 
 # --- Grouping.of against np.unique -----------------------------------------

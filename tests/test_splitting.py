@@ -12,7 +12,6 @@ from survcart import (
     EmptyGroupError,
     TreeConfig,
     TreeRecoveryDesign,
-    best_split,
     grow,
     logrank,
     replicate_rng,
@@ -125,11 +124,12 @@ def test_best_split_continuous_matches_brute_force():
         t, e = censored_exponential(rng, n, 0.2, 0.3)
         x = np.round(rng.uniform(0.0, 3.0, n), 1)
         data = one_var_dataset(t, e, x, "continuous")
-        got = best_split(data, "x", EVENT, 2)
+        cands = candidate_splits(data, "x", EVENT, 2)
         want = brute_best_continuous(t, e, x, 2)
         if want is None:
-            assert got is None
+            assert not cands
             continue
+        got = cands[0]
         cut, stat = want
         assert got.cutpoint == pytest.approx(cut, abs=1e-12)
         assert abs(got.statistic) == pytest.approx(abs(stat), rel=1e-9)
@@ -143,11 +143,12 @@ def test_best_split_categorical_matches_brute_force():
         levels = rng.integers(0, 4, n)
         x = np.array([chr(ord("a") + v) for v in levels], object)
         data = one_var_dataset(t, e, x, "categorical")
-        got = best_split(data, "x", EVENT, 2)
+        cands = candidate_splits(data, "x", EVENT, 2)
         want = brute_best_categorical(t, e, x, 2)
         if want is None:
-            assert got is None
+            assert not cands
             continue
+        got = cands[0]
         left, stat = want
         assert set(got.cutpoint) == set(left)
         assert abs(got.statistic) == pytest.approx(abs(stat), rel=1e-9)
@@ -163,7 +164,7 @@ def test_minbucket_filters_candidates():
         for c in cands:
             assert c.left_n >= mb and c.right_n >= mb
         assert len(cands) == 10 - 2 * mb + 1
-    assert best_split(data, "x", EVENT, 6) is None
+    assert not candidate_splits(data, "x", EVENT, 6)
 
 
 def test_tie_break_prefers_smallest_cutpoint():
@@ -175,7 +176,7 @@ def test_tie_break_prefers_smallest_cutpoint():
     cands = candidate_splits(data, "x", EVENT, 1)
     stats = [abs(c.statistic) for c in cands]
     assert stats[0] == pytest.approx(max(stats), rel=TIE_RTOL)
-    best = best_split(data, "x", EVENT, 1)
+    best = cands[0]
     tied = [c.cutpoint for c in cands
             if abs(abs(c.statistic) - abs(best.statistic))
             <= TIE_RTOL * max(1.0, abs(best.statistic))]
@@ -199,8 +200,8 @@ def test_censor_mode_flips_indicator():
     x = rng.uniform(0.0, 1.0, 50)
     data = one_var_dataset(t, e, x, "continuous")
     flipped = one_var_dataset(t, ~e, x, "continuous")
-    a = best_split(data, "x", CENSOR, 5)
-    b = best_split(flipped, "x", EVENT, 5)
+    a = candidate_splits(data, "x", CENSOR, 5)[0]
+    b = candidate_splits(flipped, "x", EVENT, 5)[0]
     assert a.cutpoint == b.cutpoint
     assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
     assert a.mode == CENSOR
@@ -218,8 +219,6 @@ def test_unknown_mode_rejected(kind, x):
     data = one_var_dataset(t, e, x, kind)
     with pytest.raises(ValueError, match="component must be"):
         candidate_splits(data, "x", "evnt", 5)
-    with pytest.raises(ValueError, match="component must be"):
-        best_split(data, "x", "evnt", 5)
 
 
 def test_categorical_split_orders_levels_by_median():
@@ -234,7 +233,7 @@ def test_categorical_split_orders_levels_by_median():
     # in median order, so one side of some candidate isolates fastest level a
     assert any(set(c.cutpoint) == {"a"} or
                set(c.cutpoint) == {"b", "c"} for c in cands)
-    best = best_split(data, "x", EVENT, 5)
+    best = cands[0]
     assert best.left_n + best.right_n == levels.size
 
 
@@ -243,7 +242,6 @@ def test_constant_variable_yields_no_candidates():
     e = np.ones(4, bool)
     data = one_var_dataset(t, e, np.full(4, 7.0), "continuous")
     assert len(candidate_splits(data, "x", EVENT, 1)) == 0
-    assert best_split(data, "x", EVENT, 1) is None
 
 
 # --- blocked variance sweep -------------------------------------------------

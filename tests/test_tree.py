@@ -477,6 +477,37 @@ def test_grow_checks_each_fitted_information_once():
     assert all(isinstance(model.info, CheckedInformation) for model in fitted)
 
 
+def test_grow_releases_each_nodes_tests_before_its_split():
+    # at each child subset, the node keeps from its tests only the split
+    # variable's grouping (and the orders the children inherit): every
+    # other grouping and every workspace is gone before the search's
+    # temporaries and the two child copies are made
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                 replicate_rng(1, 0))
+    splits, held = [], []
+    real_masks = tree_module._split_masks
+    real_subset = SurvivalDataset.subset
+
+    def recording_masks(node, split):
+        splits.append(split.variable)
+        return real_masks(node, split)
+
+    def spying_subset(node, index):
+        held.append((splits[-1], list(node._groupings), len(node._workspaces),
+                     node._orders is not None))
+        return real_subset(node, index)
+
+    with patch.object(tree_module, "_split_masks", recording_masks), \
+            patch.object(SurvivalDataset, "subset", spying_subset):
+        grown = grow(data, TreeConfig())
+    assert grown.n_leaves == 4
+    assert len(held) >= 2 * (grown.n_leaves - 1)
+    for variable, groupings, workspaces, ordered in held:
+        assert groupings == [variable]
+        assert workspaces == 0
+        assert ordered
+
+
 def test_grow_builds_only_the_candidates_it_reads():
     built, read, returned = [], [], []
     real_candidate = splitting.SplitCandidate
@@ -707,6 +738,27 @@ def test_weibull_tree_does_not_depend_on_the_time_unit():
     # read 0.0075 at x0.01 and 0.00084 at x100, and the tree was one leaf
     # at x1e-6; mu = log scale only shifts with the unit
     assert_tree_free_of_the_time_unit("weibull")
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+@pytest.mark.parametrize("family, n_leaves, stop", [
+    ("exponential", 1, {STOP_FIT_FAILURE}),
+    ("weibull", 4, {STOP_NO_SIGNIFICANT_VARIABLE}),
+    ("lognormal", 8, {STOP_NO_SIGNIFICANT_VARIABLE, STOP_TOO_SMALL}),
+    ("normal", 1, {STOP_FIT_FAILURE}),
+])
+def test_grow_at_extreme_time_units_warns_nothing(scale, family, n_leaves, stop):
+    # the exponential's information overflows (x1e-300) or its rate is 0
+    # (x1e300), and the normal starts at sigma = inf: those fits fail and
+    # the root is a fit_failure leaf; numpy's floating-point warnings
+    # from them, errors under the test settings, stay inside the fits
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                 replicate_rng(1, 0))
+    grown = grow(SurvivalDataset(scale * data.times, data.events, meta=data.meta,
+                                 columns=data.columns),
+                 TreeConfig(event_dist=family, censor_dist=family))
+    assert grown.n_leaves == n_leaves
+    assert {leaf.stop_reason for leaf in grown.leaves()} == stop
 
 
 def test_categorical_relabeling_keeps_partition():
