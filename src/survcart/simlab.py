@@ -18,22 +18,26 @@ censored fraction q fixes rate_censor = rate_event * q / (1 - q),
 because P(censored) = rate_censor / (rate_event + rate_censor).
 
 Reproducibility: every replicate draws from its own counter-based
-Philox stream keyed (seed, replicate), so results are independent of
-execution order and thread count; the generator identity is recorded
-in every result row.  Size and power cells evaluate their replicates
-in chunks: a chunk fills one block of uniforms, one row per replicate
-from that replicate's stream, and tests all its rows in one
+Philox stream keyed (seed, replicate), with seed and replicate integers
+in [0, 2**64), so results are independent of execution order and thread
+count; the generator identity is recorded in every result row.  Size
+and power cells evaluate their replicates in chunks: a chunk fills one
+block of uniforms, one row per replicate from that replicate's stream,
+and tests all its rows in one
 ``event_rate_instability_p`` call.  That call treats the rows as one
 dataset of samples: one ``fit`` and one ``score_contributions`` of the
 exponential over all rows, and one ``continuous_test``.  A row's
 p-value is the bits of the replicate's own one-row call, so the rows
-are independent of the chunking too.
+are independent of the chunking too.  A chunk builds one generator and
+re-keys it for each row: a Philox stream is its key, so a re-keyed
+generator draws the bits of a fresh one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -49,10 +53,31 @@ RNG_NAME = "philox4x64"
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """Counter-based substream for one replicate of one experiment."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(key=[seed, replicate]))
+    """Counter-based substream keyed (seed, replicate), each in [0, 2**64)."""
+    try:
+        key = [operator.index(seed), operator.index(replicate)]
+    except TypeError as exc:
+        raise ValueError(f"seed and replicate must be integers: {exc}") from None
+    if not all(0 <= word < 2**64 for word in key):
+        raise ValueError("seed and replicate must fit in an unsigned 64-bit integer")
+    # a key list holding an int >= 2**63 would pass through float64
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def _replicate_rows(seed: int, reps, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the uniforms of replicate ``reps[i]``.
+
+    One generator is re-keyed per row: setting the key resets the
+    counter and the buffer, so each row is the bits of
+    ``replicate_rng(seed, rep).random(out.shape[1])``.
+    """
+    rng = replicate_rng(seed, reps[0])
+    bits = rng.bit_generator
+    state = bits.state
+    for row, rep in zip(out, reps):
+        state["state"]["key"][1] = rep
+        bits.state = state
+        rng.random(out=row)
 
 
 def _exponential(rate: float, u) -> np.ndarray:
@@ -323,8 +348,7 @@ def _run_rejection(kind, design, seed, threads, n, cut, event_times):
         start = chunk * per_chunk
         reps = range(start, min(start + per_chunk, design.replicates))
         u = np.empty((len(reps), width))
-        for row, rep in zip(u, reps):
-            replicate_rng(seed, rep).random(out=row)
+        _replicate_rows(seed, reps, u)
         tstar = event_times(u[:, :n])
         cens = np.inf
         if rate_censor > 0:

@@ -50,6 +50,39 @@ def test_replicate_rng_rejects_out_of_range_seed():
         replicate_rng(2**64, 0)
 
 
+@pytest.mark.parametrize("seed, replicate", [(1, -1), (1.5, 0), (1, 2.0), (1, "3")])
+def test_replicate_rng_rejects_non_integer_or_negative_keys(seed, replicate):
+    # a negative replicate would wrap to 2**64 - 1, a float would truncate
+    with pytest.raises(ValueError):
+        replicate_rng(seed, replicate)
+
+
+def test_seeds_above_2_63_keep_their_own_streams():
+    # a key list holding an int >= 2**63 used to pass through float64:
+    # 2**63 and 2**63 + 5 shared a key, and 2**64 - 1 wrapped to seed 0
+    seeds = (0, 2**63, 2**63 + 5, 2**64 - 1)
+    draws = [replicate_rng(seed, 0).random(8) for seed in seeds]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1:]:
+            assert not np.array_equal(a, b)
+    for seed in seeds:
+        key = replicate_rng(seed, 3).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("width", [2 * 11, 3 * 11])
+@pytest.mark.parametrize("start, stop", [(0, 1), (5, 17), (37, 40)])
+def test_replicate_rows_are_fresh_replicate_streams(seed, width, start, stop):
+    # a chunk re-keys one generator per row: each row is the bits of the
+    # replicate's own generator, from its first draw
+    reps = range(start, stop)
+    out = np.empty((len(reps), width))
+    simlab._replicate_rows(seed, reps, out)
+    for row, rep in zip(out, reps):
+        assert np.array_equal(row, replicate_rng(seed, rep).random(width))
+
+
 def test_rng_name_recorded():
     assert RNG_NAME == "philox4x64"
 
