@@ -133,8 +133,8 @@ class SizeDesign:
     level: float = 0.05
 
     def __post_init__(self):
-        if self.rate_event <= 0:
-            raise ValueError("rate_event must be positive")
+        if not 0.0 < self.rate_event < math.inf:
+            raise ValueError("rate_event must be finite and positive")
         if not 0.0 <= self.censoring_rate < 1.0:
             raise ValueError("censoring_rate must lie in [0, 1)")
         if self.n < 2 or self.replicates < 1:
@@ -160,8 +160,11 @@ class PowerDesign:
     level: float = 0.05
 
     def __post_init__(self):
-        if min(self.rate_event_1, self.rate_event_2) <= 0 or self.rate_censor < 0:
-            raise ValueError("rates must be positive (censor rate nonnegative)")
+        for name in ("rate_event_1", "rate_event_2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 <= self.rate_censor < math.inf:
+            raise ValueError("rate_censor must be finite and nonnegative")
         if self.n1 < 1 or self.n2 < 1 or self.replicates < 1:
             raise ValueError("sample sizes and replicates must be positive")
         if not 0.0 < self.level < 1.0:
@@ -192,9 +195,8 @@ class TreeRecoveryDesign:
     def __post_init__(self):
         if len(self.rates) != 4:
             raise ValueError("exactly four subgroups are required")
-        for lam_t, lam_c in self.rates:
-            if lam_t <= 0 or lam_c <= 0:
-                raise ValueError("subgroup rates must be positive")
+        if not all(0.0 < lam < math.inf for pair in self.rates for lam in pair):
+            raise ValueError("rates must be finite and positive")
         if self.n_per_subgroup < 1 or self.replicates < 1:
             raise ValueError("n_per_subgroup and replicates must be positive")
 

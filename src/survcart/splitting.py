@@ -30,12 +30,12 @@ for N subjects and D distinct event times:
   Every other boundary lies below that floor, so the leading ranked
   positions are final, up to the tie cluster that a boundary below the
   floor could still join (``_certified_prefix``).
-* Widening.  A read past those positions runs the search again with
-  the floor at the ``want``-th largest lower bound, ``want`` at least
-  doubling each time, so the band grows until the read position is
-  certified.  Once ``want`` reaches the number of boundaries the band
-  is every boundary, so a search widens at most log2 of that many
-  times.
+* Widening.  ``Candidates`` serves that certified run.  A read past it
+  runs the search again with the floor at the ``want``-th largest lower
+  bound, ``want`` at least doubling each time, so the band grows until
+  the read position is certified.  Once ``want`` reaches the number of
+  boundaries the band is every boundary, so a search widens at most
+  log2 of that many times.
 
 Every statistic comes from ``_band_variances``, so it is the same bit
 for bit however wide the band that evaluated it.  ``grow`` reads about
@@ -54,13 +54,14 @@ from the root, and the risk table, the log-rank tallies and the
 per-level product-limit medians read them.
 
 A search ranks its candidates as arrays of cutpoints, statistics and
-left-side sizes and returns them as ``Candidates``, a read-only
-sequence of exact length that builds each ``SplitCandidate`` only when
-that position is read, and a continuous search's wider band only
-when a read passes the first one.  ``grow`` reads the ranking best
-first and stops at the first split whose children can be fitted, so
-it builds about one candidate per search instead of one per
-admissible boundary.
+left-side sizes.  ``Candidates`` holds them and the search itself: a
+read-only sequence of exact length that builds each ``SplitCandidate``
+only when that position is read, and widens by running the search
+again.  A categorical search ignores ``want`` and ranks every
+candidate, so it never widens.  ``grow`` reads the ranking best first
+and stops at the first split whose children can be fitted, so it
+builds about one candidate per search instead of one per admissible
+boundary.
 """
 
 from __future__ import annotations
@@ -108,22 +109,22 @@ class SplitCandidate:
 class Candidates(Sequence):
     """The admissible splits of one search, best |statistic| first.
 
-    Holds the ranked cutpoints, statistics and left-side sizes of a
-    leading run of the ranking and builds the ``SplitCandidate`` at a
-    position when it is read.  A read past that run calls ``complete``,
-    which returns a longer leading run and the callable that serves
-    past it (None once the run is the whole ranking), until the run
-    reaches the position.
+    ``search(want)`` returns the ranked (cutpoints, statistics, left
+    sizes) of a leading run of the ranking, the number of candidates
+    and the number of subjects with a value; it is called with want 1
+    when the sequence is built.  A read past the run searches again with
+    ``want`` = 2 max(want, served + 1), until the run reaches the read
+    position.  The ``SplitCandidate`` at a position is built when read.
     """
 
-    def __init__(self, variable, kind, mode, n, ranked, size=None, complete=None):
+    def __init__(self, variable, kind, mode, search):
         self._variable = variable
         self._kind = kind
         self._mode = mode
-        self._n = n  # subjects with a value: left_n + right_n
-        self._ranked = ranked  # (cutpoints, statistics, left sizes)
-        self._size = len(ranked[1]) if size is None else size
-        self._complete = complete
+        self._search = search
+        self._want = 1
+        # (cutpoints, statistics, left sizes); n is left_n + right_n
+        self._ranked, self._size, self._n = search(self._want)
 
     def __len__(self):
         return self._size
@@ -132,7 +133,8 @@ class Candidates(Sequence):
         if not 0 <= i < self._size:
             raise IndexError("candidate index out of range")
         while i >= len(self._ranked[1]):
-            self._ranked, self._complete = self._complete()
+            self._want = 2 * max(self._want, len(self._ranked[1]) + 1)
+            self._ranked = self._search(self._want)[0]
         cutpoints, statistics, left_n = self._ranked
         return SplitCandidate(
             variable=self._variable,
@@ -197,7 +199,7 @@ _ROUNDOFF = 2.0**-53  # unit roundoff of float64
 _NONE = ((), (), ())
 
 
-def _continuous_candidates(times, ev, by_time, grouping, minbucket, want=1):
+def _continuous_candidates(times, ev, by_time, grouping, minbucket, want):
     """Ranked midpoints: a certified leading run and their number.
 
     ``ev`` marks the times exact for the search's mode and ``by_time``
@@ -445,55 +447,35 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     grouping its instability test already made.  Each candidate is
     built when it is read.  ``mode`` must be "event" or "censor".
     """
-    spec = data.spec_for(variable)
-    grouping, times, ev, by_time = _present(data, variable, mode)
-    size = complete = None
-    if times.size == 0:
-        ranked = _NONE
-    elif spec.kind == CATEGORICAL:
+    kind = data.spec_for(variable).kind
+    return Candidates(variable, kind, mode,
+                      partial(_search, data, variable, kind, mode, minbucket))
+
+
+def _search(data, variable, kind, mode, minbucket, want):
+    """One search on ``variable``: the ranked run, the number of
+    candidates and the number of subjects with a value.
+
+    A continuous search's band floor is at the ``want``-th largest lower
+    bound; a categorical one ranks every candidate whatever ``want``.
+    Each search starts over from the node's data, so no search's arrays
+    stay alive while its ``Candidates`` is read.
+    """
+    grouping = data.grouping(variable)
+    times, events, by_time = data.times, data.events, data.time_order
+    if grouping.values.size < data.n:  # some subjects miss the variable
+        include = grouping.include
+        times, events = times[include], events[include]
+        by_time = restrict_order(by_time, include)
+    ev = exact_mask(events, mode)
+    if kind == CATEGORICAL:
         ranked = _categorical_candidates(
             times, ev, by_time, grouping, data.levels[variable], minbucket
         )
-    else:
-        ranked, size = _continuous_candidates(times, ev, by_time, grouping,
-                                              minbucket)
-        complete = _widening(data, variable, mode, minbucket, 1, ranked, size)
-    return Candidates(variable, spec.kind, mode, times.size, ranked, size, complete)
-
-
-def _present(data, variable, mode):
-    """The variable's grouping, and the times, exact-time mask and stable
-    time order of the subjects with a value."""
-    grouping = data.grouping(variable)
-    include, by_time = grouping.include, data.time_order
-    if grouping.values.size == data.n:  # nobody misses the variable
-        return grouping, data.times, exact_mask(data.events, mode), by_time
-    return (grouping, data.times[include],
-            exact_mask(data.events[include], mode),
-            restrict_order(by_time, include))
-
-
-def _widening(data, variable, mode, minbucket, want, ranked, size):
-    """What serves reads past a continuous search's run, or None when the
-    run is the whole ranking.
-
-    A wider search starts over from the node's data, so the search's
-    arrays are not kept alive while its reader runs.
-    """
-    served = len(ranked[1])
-    if served == size:
-        return None
-    return partial(_widened, data, variable, mode, minbucket,
-                   2 * max(want, served + 1))
-
-
-def _widened(data, variable, mode, minbucket, want):
-    """A continuous search run again with its floor at the ``want``-th
-    largest lower bound: its ranked run, and what serves reads past it."""
-    grouping, times, ev, by_time = _present(data, variable, mode)
+        return ranked, len(ranked[1]), times.size
     ranked, size = _continuous_candidates(times, ev, by_time, grouping,
                                           minbucket, want)
-    return ranked, _widening(data, variable, mode, minbucket, want, ranked, size)
+    return ranked, size, times.size
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at

@@ -489,7 +489,7 @@ def extreme_unit_csvs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences numpy's overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the fits silence their overflows
 @pytest.mark.parametrize("scale", EXTREME_UNITS)
 @pytest.mark.parametrize("flag", ["--time-dist", "--cens-dist"])
 @pytest.mark.parametrize("family", ["exponential", "weibull", "lognormal", "normal"])
@@ -1052,6 +1052,33 @@ def test_cli_simulate_out_of_range_level_is_spec_error(tmp_path, capsys,
     assert main(["simulate", "--spec", str(spec)]) == EXIT_SPEC
     err = capsys.readouterr().err
     assert err.startswith("error: level must lie in (0, 1)")
+    assert "Traceback" not in err
+
+
+_POWER_RATES = {"rate_event_1": "0.05", "rate_event_2": "0.025",
+                "rate_censor": "0.03"}
+_TREE_RATES = "0.05/0.03, 0.025/0.03, 0.01/0.03, 0.01/0.01"
+
+
+@pytest.mark.parametrize("kind, field, entries", [
+    ("size", "rate_event", {"rate_event": "nan"}),
+    ("size", "rate_event", {"rate_event": "inf"}),
+    ("power", "rate_event_1", {**_POWER_RATES, "rate_event_1": "inf"}),
+    ("power", "rate_censor", {**_POWER_RATES, "rate_censor": "inf"}),
+    ("tree_recovery", "rates", {"rates": _TREE_RATES.replace("0.05", "nan")}),
+    ("tree_recovery", "rates", {"rates": _TREE_RATES.replace("0.01/0.01", "0.01/inf")}),
+])
+def test_cli_simulate_non_finite_rate_is_spec_error(tmp_path, capsys, kind,
+                                                    field, entries):
+    # a rate of nan or inf is the spec's fault: exit 4 naming the field,
+    # not a data error (exit 2) from the draws it would make
+    spec = tmp_path / "rate.spec"
+    lines = [f"experiment = {kind}", "replicates = 2"]
+    lines += [f"{key} = {value}" for key, value in entries.items()]
+    spec.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--spec", str(spec)]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite")
     assert "Traceback" not in err
 
 

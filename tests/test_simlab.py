@@ -117,6 +117,30 @@ def test_censored_fraction_hits_target_empirically():
     assert np.mean(tstar > cstar) == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_designs_reject_non_finite_or_non_positive_rates(bad):
+    with pytest.raises(ValueError, match="rate_event must be finite"):
+        SizeDesign(rate_event=bad)
+    for name in ("rate_event_1", "rate_event_2"):
+        rates = {"rate_event_1": 0.05, "rate_event_2": 0.025,
+                 "rate_censor": 0.03, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PowerDesign(**rates)
+    for k in range(4):
+        for side in range(2):
+            rates = [list(pair) for pair in DEFAULT_SUBGROUP_RATES]
+            rates[k][side] = bad
+            with pytest.raises(ValueError, match="rates must be finite"):
+                TreeRecoveryDesign(rates=tuple(map(tuple, rates)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_power_design_censor_rate_is_finite_and_nonnegative(bad):
+    assert PowerDesign(0.05, 0.025, 0.0).rate_censor == 0.0  # no censoring
+    with pytest.raises(ValueError, match="rate_censor must be finite"):
+        PowerDesign(0.05, 0.025, bad)
+
+
 # --- rejection experiments -------------------------------------------------
 
 def small_size_design():

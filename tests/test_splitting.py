@@ -365,6 +365,19 @@ def test_split_search_memory_stays_bounded():
     assert peak < 128 * 2**20
 
 
+@pytest.mark.parametrize("mode", [EVENT, CENSOR])
+@pytest.mark.parametrize("kind", ["continuous", "categorical"])
+def test_variable_no_subject_has_gives_no_candidates(kind, mode):
+    t = np.arange(1.0, 9.0)
+    e = np.arange(8) % 3 != 0
+    x = np.full(8, None if kind == "categorical" else np.nan, dtype=object)
+    cands = candidate_splits(one_var_dataset(t, e, x, kind), "x", mode, 1)
+    assert isinstance(cands, Candidates)
+    assert len(cands) == 0 and list(cands) == []
+    with pytest.raises(IndexError):
+        cands[0]
+
+
 # --- ranked sweep: certified bounds, exact band, fallback --------------------
 
 def _tied_node(rng, minbucket):
@@ -395,7 +408,7 @@ def test_ranked_sweep_equals_dense_table_past_the_band(seed, minbucket, band,
     t, e, x = _tied_node(rng_for(411, seed), minbucket)
     data = one_var_dataset(t, e, x, "continuous")
     keep = ~np.isnan(x)
-    widened = splitting._widened
+    search = splitting._search
     approximate = splitting._approximate_variances
 
     def loose(*args):
@@ -411,11 +424,12 @@ def test_ranked_sweep_equals_dense_table_past_the_band(seed, minbucket, band,
         wants = []
 
         def spy(*args):
-            wants.append(args[-1])
-            return widened(*args)
+            if args[-1] > 1:  # want 1 is the first search, not a widening
+                wants.append(args[-1])
+            return search(*args)
 
         with patch.object(splitting, "_BAND_TOLS", band), \
-                patch.object(splitting, "_widened", spy), \
+                patch.object(splitting, "_search", spy), \
                 patch.object(splitting, "_approximate_variances", loose):
             cands = candidate_splits(data, "x", mode, minbucket)
             served = len(cands._ranked[1])
@@ -565,11 +579,14 @@ def test_grow_is_served_from_each_first_band():
     # first exact band and never widens
     data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=3000),
                                  replicate_rng(1, 0))
+    search = splitting._search
 
-    def widened(*args):
-        raise AssertionError("grow read a search past its first band")
+    def first_band_only(*args):
+        if args[-1] > 1:
+            raise AssertionError("grow read a search past its first band")
+        return search(*args)
 
-    with patch.object(splitting, "_widened", widened):
+    with patch.object(splitting, "_search", first_band_only):
         tree = grow(data, TreeConfig())
     assert tree.n_leaves > 1
 
