@@ -60,7 +60,7 @@ from .errors import (
 )
 from .families import CheckedInformation, FittedModel
 from .km import KMCurve, km_fit
-from .tree import SplitInfo, SurvTree, TreeConfig, TreeNode
+from .tree import SplitInfo, SurvTree, TreeConfig, TreeNode, leaf_subjects
 
 MISSING_TOKENS = ("", "NA")
 
@@ -385,7 +385,6 @@ def document_to_tree(doc: dict) -> SurvTree:
             depth=payload["depth"],
             n=payload["n"],
             d=payload["d"],
-            subject_index=np.array([], dtype=int),
             event_model=_model_from_payload(payload["event_model"]),
             censor_model=_model_from_payload(payload["censor_model"]),
             km_median_event=payload["km_median_event"],
@@ -494,19 +493,19 @@ KM_COLUMNS = ("leaf", "flavor", "time", "surv", "n.risk", "n.event")
 def km_leaf_rows(tree: SurvTree, data: SurvivalDataset) -> list:
     """Per-leaf product-limit curves as ``(leaf_id, flavor, KMCurve)``.
 
-    Leaves come in node-id order, each with its event curve and then its
-    censoring curve; a curve with no exact times is left out.  Both
-    curves of a leaf share one sort of its times.
+    Leaves come in node-id order with the subjects ``tree.leaf_subjects``
+    routes to them, each with its event curve and then its censoring
+    curve; a curve with no exact times is left out.  Both curves of a
+    leaf share one sort of its times.
     """
     curves = []
-    for node in sorted(tree.leaves(), key=lambda n: n.node_id):
-        idx = node.subject_index
+    for leaf_id, idx in leaf_subjects(tree, data).items():
         times, events = data.times[idx], data.events[idx]
         order = sort_order(times)
         for flavor in ("event", "censor"):
             curve = km_fit(times, events, flavor=flavor, order=order)
             if curve.times.size:
-                curves.append((node.node_id, flavor, curve))
+                curves.append((leaf_id, flavor, curve))
     return curves
 
 

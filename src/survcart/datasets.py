@@ -284,6 +284,11 @@ class SurvivalDataset:
         # code -1 picks the trailing None
         return np.append(self.levels[name], None)[self._stored[name]]
 
+    def stored(self, name: str) -> np.ndarray:
+        """Floats with NaN missing, or a factor's codes (-1 where missing)."""
+        self.spec_for(name)
+        return self._stored[name]
+
     def missing_mask(self, name: str) -> np.ndarray:
         """Boolean mask, True where the covariate value is missing."""
         col = self._stored[name]

@@ -82,8 +82,8 @@ def _replicate_rows(seed: int, reps, out: np.ndarray) -> None:
 
 def _exponential(rate: float, u) -> np.ndarray:
     """Inverse-CDF exponential draws, t = -ln(1 - U)/rate, on uniforms U."""
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError("rate must be finite and positive")
     return -np.log1p(-u) / rate
 
 
@@ -94,6 +94,8 @@ def gen_exponential(rate: float, n: int, rng: np.random.Generator) -> np.ndarray
 
 def censor_rate_for(rate_event: float, censored_fraction: float) -> float:
     """Censoring rate hitting a target expected censored fraction."""
+    if not 0.0 < rate_event < math.inf:
+        raise ValueError("event rate must be finite and positive")
     if not 0.0 <= censored_fraction < 1.0:
         raise ValueError("censored fraction must lie in [0, 1)")
     return rate_event * censored_fraction / (1.0 - censored_fraction)

@@ -86,7 +86,6 @@ class TreeNode:
     depth: int
     n: int
     d: int
-    subject_index: np.ndarray
     event_model: FittedModel = None
     censor_model: FittedModel = None
     km_median_event: float = None
@@ -144,19 +143,18 @@ def _fit_pair(config: TreeConfig, subset: SurvivalDataset):
     return event_model, censor_model
 
 
-def _split_masks(subset: SurvivalDataset, split: SplitInfo):
-    """Left/right membership among the node's subjects; missing joins neither."""
-    grouping = subset.grouping(split.variable)
+def _split_masks(data: SurvivalDataset, split: SplitInfo, index=slice(None)):
+    """Left/right membership of the subjects at ``index`` (all by default),
+    by the variable's floats or a factor's codes; missing joins neither."""
+    values = data.stored(split.variable)[index]
+    present = ~data.missing_mask(split.variable)[index]
     if split.kind == CATEGORICAL:
-        labels = subset.levels[split.variable]
-        left_codes = [c for c, label in enumerate(labels) if label in split.cutpoint]
-        goes_left = np.isin(grouping.values, left_codes)
+        # a side per level, and a last one (False) that code -1 picks
+        sides = [label in split.cutpoint for label in data.levels[split.variable]]
+        goes_left = np.array(sides + [False])[values]
     else:
-        goes_left = grouping.values <= split.cutpoint
-    left = np.zeros(subset.n, dtype=bool)
-    left[grouping.include] = goes_left
-    right = grouping.include & ~left
-    return left, right
+        goes_left = values <= split.cutpoint  # False where NaN
+    return goes_left, ~goes_left & present
 
 
 def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
@@ -173,16 +171,16 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
         node.stop_reason = reason
         return node
 
-    def build(node_id, depth, index, subset, models):
+    def build(node_id, depth, subset, models):
         if models is None:
             try:
                 models = _fit_pair(config, subset)
             except NonConvergenceError:
                 models = (None, None)
-                node = _make_node(node_id, depth, index, subset, models)
+                node = _make_node(node_id, depth, subset, models)
                 nodes[node_id] = leaf(node, STOP_FIT_FAILURE)
                 return
-        node = _make_node(node_id, depth, index, subset, models)
+        node = _make_node(node_id, depth, subset, models)
         nodes[node_id] = node
         event_model, censor_model = models
 
@@ -242,8 +240,7 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
                 right_models = _fit_pair(config, right_subset)
             except NonConvergenceError:
                 continue
-            accepted = (split, left_mask, right_mask, left_subset, right_subset,
-                        left_models, right_models)
+            accepted = (split, left_subset, right_subset, left_models, right_models)
             break
         # the split variable's grouping and the orders (the children hold
         # their own) would otherwise live while the node's subtree grows
@@ -252,16 +249,16 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             leaf(node, STOP_NO_ADMISSIBLE_SPLIT)
             return
 
-        split, left_mask, right_mask, left_subset, right_subset, lmod, rmod = accepted
+        split, left_subset, right_subset, lmod, rmod = accepted
         node.is_leaf = False
         node.split = split
         node.children = (2 * node_id, 2 * node_id + 1)
         children_ll = sum(m.loglik for pair in (lmod, rmod) for m in pair if m)
         improvements.append((node_id, children_ll - node.loglik))
-        build(2 * node_id, depth + 1, index[left_mask], left_subset, lmod)
-        build(2 * node_id + 1, depth + 1, index[right_mask], right_subset, rmod)
+        build(2 * node_id, depth + 1, left_subset, lmod)
+        build(2 * node_id + 1, depth + 1, right_subset, rmod)
 
-    def _make_node(node_id, depth, index, subset, models):
+    def _make_node(node_id, depth, subset, models):
         event_model, censor_model = models
         order = subset.time_order  # inherited from the root's one sort
         return TreeNode(
@@ -269,7 +266,6 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
             depth=depth,
             n=subset.n,
             d=subset.n_events,
-            subject_index=np.asarray(index),
             event_model=event_model,
             censor_model=censor_model,
             km_median_event=km_median(
@@ -278,7 +274,7 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
                 km_fit(subset.times, subset.events, CENSOR, order=order)),
         )
 
-    build(SurvTree.ROOT, 0, np.arange(data.n), data, None)
+    build(SurvTree.ROOT, 0, data, None)
     total_ll, aic = loglik_and_aic(
         (n.event_model, n.censor_model) for n in nodes.values() if n.is_leaf
     )
@@ -289,6 +285,23 @@ def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
         aic=aic,
         improvements=tuple(improvements),
     )
+
+
+def leaf_subjects(tree: SurvTree, data: SurvivalDataset) -> dict:
+    """``{leaf_id: ascending subject indices}`` of ``data``, in leaf-id order,
+    routed by the rule ``grow`` splits a node with: a subject missing a
+    split variable reaches no leaf, and a leaf no subject reaches is left out.
+    """
+    reached = {SurvTree.ROOT: np.arange(data.n)}
+    leaves = {}
+    for node_id in sorted(tree.nodes):  # a child's id exceeds its parent's
+        node, index = tree.nodes[node_id], reached.pop(node_id)
+        if not node.is_leaf:
+            left, right = _split_masks(data, node.split, index)
+            reached.update(zip(node.children, (index[left], index[right])))
+        elif index.size:
+            leaves[node_id] = index
+    return leaves
 
 
 def predict_node(tree: SurvTree, covariates: dict) -> int:
@@ -346,6 +359,8 @@ def tree_metrics(tree: SurvTree, data: SurvivalDataset, truth: TruthSpec) -> Tre
     subgroup and the subgroup means are averaged with equal weight.  The
     same measure on the perfect partition (leaves = true subgroups)
     gives the baseline, and delta is the percent increase over it.
+    A subject missing a split variable reaches no leaf and is left out of
+    the leaf-side means; a subgroup with no subject in a leaf raises.
     """
     labels = np.asarray(truth.subgroup)
     if labels.shape != data.times.shape:
@@ -355,25 +370,25 @@ def tree_metrics(tree: SurvTree, data: SurvivalDataset, truth: TruthSpec) -> Tre
         if lab not in truth.rates:
             raise TruthMismatchError(f"no true rates for subgroup {lab!r}")
 
-    fitted_event = np.empty(data.n)
-    fitted_censor = np.empty(data.n)
-    for node in tree.leaves():
-        idx = node.subject_index
-        lam_t, lam_c = _exp_rates(data.times[idx], data.events[idx])
-        fitted_event[idx] = lam_t
-        fitted_censor[idx] = lam_c
+    # each subject's leaf rates (event, censor), NaN where it reaches no leaf
+    fitted = np.full((2, data.n), np.nan)
+    for idx in leaf_subjects(tree, data).values():
+        fitted[0, idx], fitted[1, idx] = _exp_rates(data.times[idx], data.events[idx])
+    routed = ~np.isnan(fitted[0])
 
     # each subgroup's subjects, true rates and rates on the perfect
     # partition, for both components
     groups = []
     for lab in unique_labels:
         mask = labels == lab
+        if not routed[mask].any():
+            raise TruthMismatchError(f"no subject of subgroup {lab!r} reaches a leaf")
         est = _exp_rates(data.times[mask], data.events[mask])
-        groups.append((mask, truth.rates[lab], est))
+        groups.append((mask & routed, truth.rates[lab], est))
 
-    def averaged(fitted, which):
+    def averaged(which):
         return float(np.mean([
-            float((np.abs(rates[which] - fitted[mask]) / rates[which]).mean())
+            float((np.abs(rates[which] - fitted[which][mask]) / rates[which]).mean())
             for mask, rates, _ in groups
         ]))
 
@@ -383,8 +398,8 @@ def tree_metrics(tree: SurvTree, data: SurvivalDataset, truth: TruthSpec) -> Tre
             for _, rates, est in groups
         ]))
 
-    mad_event = averaged(fitted_event, 0)
-    mad_censor = averaged(fitted_censor, 1)
+    mad_event = averaged(0)
+    mad_censor = averaged(1)
     perfect_event = perfect(0)
     perfect_censor = perfect(1)
 

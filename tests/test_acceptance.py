@@ -38,6 +38,7 @@ from survcart import (
 )
 from survcart.datasets import CovariateSpec
 from survcart.stability import categorical_test, continuous_test
+from survcart.tree import leaf_subjects
 
 from conftest import (
     TIE_RTOL,
@@ -326,9 +327,9 @@ def test_criterion_6_small_instance_oracles(capsys):
     assert km_cases == 3000
 
 
-def _partition(tree):
-    return frozenset(frozenset(leaf.subject_index.tolist())
-                     for leaf in tree.leaves())
+def _partition(tree, data):
+    return frozenset(frozenset(idx.tolist())
+                     for idx in leaf_subjects(tree, data).values())
 
 
 def test_criterion_7_invariances(capsys):
@@ -347,32 +348,35 @@ def test_criterion_7_invariances(capsys):
         return SurvivalDataset(times_, events, meta=meta,
                                columns={"grp": labels_, "g": g_})
 
+    def partition(times_, labels_, g_, cfg):
+        data = dataset(times_, labels_, g_)
+        return _partition(grow(data, cfg), data)
+
     cfg = TreeConfig(minsplit=40, minbucket=20)
-    base = grow(dataset(times, lv, g), cfg)
+    base_data = dataset(times, lv, g)
+    base = grow(base_data, cfg)
+    base_partition = _partition(base, base_data)
 
     rename = {"a": "z", "b": "m", "c": "d"}
-    relabeled = grow(dataset(times, np.array([rename[v] for v in lv], object), g),
-                     cfg)
-    label_ok = _partition(base) == _partition(relabeled)
+    relabeled = partition(times, np.array([rename[v] for v in lv], object), g, cfg)
+    label_ok = base_partition == relabeled
 
-    warped = grow(dataset(times, lv, np.exp(g / 4.0)), cfg)
-    transform_ok = _partition(base) == _partition(warped)
+    transform_ok = base_partition == partition(times, lv, np.exp(g / 4.0), cfg)
 
     # a change of time unit, under every family
     rescaled = {}
     for family in ("exponential", "weibull", "lognormal", "normal"):
         family_cfg = TreeConfig(minsplit=40, minbucket=20, event_dist=family,
                                 censor_dist=family)
-        family_base = grow(dataset(times, lv, g), family_cfg)
-        scaled = grow(dataset(5.0 * times, lv, g), family_cfg)
-        rescaled[family] = _partition(family_base) == _partition(scaled)
+        rescaled[family] = (partition(times, lv, g, family_cfg)
+                            == partition(5.0 * times, lv, g, family_cfg))
     rescale_ok = all(rescaled.values())
 
     perm = rng.permutation(n)
-    reordered = grow(dataset(times, lv, g).subset(perm), cfg)
+    shuffled = dataset(times, lv, g).subset(perm)
     reorder_sig = frozenset(frozenset(perm[list(s)].tolist())
-                            for s in _partition(reordered))
-    reorder_ok = _partition(base) == reorder_sig
+                            for s in _partition(grow(shuffled, cfg), shuffled))
+    reorder_ok = base_partition == reorder_sig
 
     ok = label_ok and transform_ok and rescale_ok and reorder_ok
     report(capsys, ok, "criterion 7 (invariance suite)",

@@ -41,6 +41,7 @@ from survcart.dataio import km_curve_csv, km_leaf_rows, rows_to_csv_text, tree_t
 from survcart.datasets import CovariateSpec
 from survcart.km import KMCurve, km_fit
 from survcart.simlab import generate_tree_data
+from survcart.tree import leaf_subjects, tree_metrics
 
 from conftest import dict_rows_load_csv, rng_for
 
@@ -296,6 +297,27 @@ def test_tree_document_round_trip(tmp_path):
         assert predict_node(loaded, cov) == predict_node(tree, cov)
 
 
+def test_reloaded_tree_exports_the_curves_and_metrics_of_its_tree(tmp_path):
+    # the document holds no subject indices: a reloaded tree finds each
+    # leaf's subjects by routing the data through its factor and float splits
+    data, truth = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                     replicate_rng(1, 0))
+    tree = grow(data, TreeConfig())
+    assert {node.split.kind for node in tree.nodes.values()
+            if not node.is_leaf} == {"categorical", "continuous"}
+    path = tmp_path / "tree.json"
+    save_tree(tree, str(path))
+    loaded = load_tree(str(path))
+    grown_curves = km_leaf_rows(tree, data)
+    loaded_curves = km_leaf_rows(loaded, data)
+    assert len(grown_curves) == len(loaded_curves) == 2 * tree.n_leaves
+    for (leaf, flavor, curve), (o_leaf, o_flavor, o_curve) in zip(
+            grown_curves, loaded_curves):
+        assert (leaf, flavor) == (o_leaf, o_flavor)
+        assert km_curve_csv(leaf, flavor, curve) == km_curve_csv(leaf, flavor, o_curve)
+    assert tree_metrics(loaded, data, truth) == tree_metrics(tree, data, truth)
+
+
 def test_tree_document_shape():
     tree, _ = grown_tree()
     doc = tree_to_document(tree)
@@ -360,12 +382,11 @@ def test_km_leaf_rows_match_direct_fits():
     got = {(leaf, flavor): curve for leaf, flavor, curve in curves}
     assert len(got) == len(curves)
     expected = {}
-    for leaf in sorted(tree.leaves(), key=lambda n: n.node_id):
-        idx = leaf.subject_index
+    for leaf_id, idx in sorted(leaf_subjects(tree, data).items()):
         for flavor in ("event", "censor"):
             curve = km_fit(data.times[idx], data.events[idx], flavor=flavor)
             if curve.times.size:  # a curve with no exact times is left out
-                expected[(leaf.node_id, flavor)] = curve
+                expected[(leaf_id, flavor)] = curve
     # leaves in node-id order, each event curve before its censor curve
     assert list(got) == list(expected)
     for key, curve in expected.items():

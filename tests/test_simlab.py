@@ -108,6 +108,16 @@ def test_censor_rate_identity():
         censor_rate_for(0.05, -0.1)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_exponential_draws_and_censor_rate_need_a_finite_positive_rate(rate):
+    # a check of rate <= 0 alone let nan draw NaNs, inf draw zeros, and
+    # censor_rate_for(nan, 0.2) return nan
+    with pytest.raises(ValueError, match="finite and positive"):
+        gen_exponential(rate, 3, replicate_rng(11, 1))
+    with pytest.raises(ValueError, match="finite and positive"):
+        censor_rate_for(rate, 0.2)
+
+
 def test_censored_fraction_hits_target_empirically():
     rng = replicate_rng(12, 0)
     lam_t = 1.0 / 20.0

@@ -19,6 +19,7 @@ from survcart import (
     TreeRecoveryDesign,
     TruthMismatchError,
     TruthSpec,
+    UnknownVariableError,
     grow,
     predict_node,
     replicate_rng,
@@ -39,6 +40,7 @@ from survcart.tree import (
     STOP_TOO_SMALL,
     SplitInfo,
     _split_masks,
+    leaf_subjects,
 )
 
 from conftest import (
@@ -247,10 +249,11 @@ def grown_two_level(rng):
 def test_predict_node_routes_every_training_subject_home():
     rng = rng_for(509, 0)
     tree, data = grown_two_level(rng)
+    leaves = leaf_subjects(tree, data)
     for i in range(data.n):
         cov = {m.name: data.covariate(m.name)[i] for m in data.meta}
         nid = predict_node(tree, cov)
-        assert i in set(tree.nodes[nid].subject_index.tolist())
+        assert i in set(leaves[nid].tolist())
 
 
 def test_predict_node_missing_key_raises_schema_error():
@@ -297,17 +300,74 @@ def test_grow_treats_nan_labels_as_missing():
     t = rng.exponential(1.0 / rates)
     e = rng.random(n) < 0.8
     meta = (CovariateSpec("g", "categorical"),)
-    tree = grow(SurvivalDataset(t, e, meta=meta, columns={"g": g}),
-                TreeConfig(minsplit=20, minbucket=5, alpha=0.5))
+    nan_data = SurvivalDataset(t, e, meta=meta, columns={"g": g})
+    tree = grow(nan_data, TreeConfig(minsplit=20, minbucket=5, alpha=0.5))
     none_marked = np.array([None if v != v else v for v in g], object)
-    same = grow(SurvivalDataset(t, e, meta=meta, columns={"g": none_marked}),
-                TreeConfig(minsplit=20, minbucket=5, alpha=0.5))
+    none_data = SurvivalDataset(t, e, meta=meta, columns={"g": none_marked})
+    same = grow(none_data, TreeConfig(minsplit=20, minbucket=5, alpha=0.5))
     assert not tree.root.is_leaf
     assert tree.root.n == n
     assert tree.root.split.cutpoint == same.root.split.cutpoint
-    assert partition_signature(tree) == partition_signature(same)
+    assert partition_signature(tree, nan_data) == partition_signature(same, none_data)
     with pytest.raises(MissingValueError):
         predict_node(tree, {"g": float("nan")})
+
+
+def test_leaf_subjects_are_the_subjects_grow_fitted_each_leaf_on():
+    # a factor and a float split variable, both with missing values; the
+    # times are distinct, so the times each node's km_fit saw name its
+    # subjects, and nodes are made in pre-order
+    rng = rng_for(544, 0)
+    n = 800
+    grp = np.array([("a", "b", "c")[v] for v in rng.integers(0, 3, n)], object)
+    grp[rng.random(n) < 0.05] = None
+    x = rng.uniform(0.0, 1.0, n)
+    x[rng.random(n) < 0.05] = np.nan
+    t = rng.exponential(np.where(grp == "b", 2.0, 20.0)
+                        * np.where(x < 0.5, 1.0, 8.0))
+    e = rng.random(n) < 0.8
+
+    def dataset():
+        return SurvivalDataset(t, e, meta=(CovariateSpec("grp", "categorical"),
+                                           CovariateSpec("x", "continuous")),
+                               columns={"grp": grp, "x": x})
+
+    data = dataset()
+    position = {time: i for i, time in enumerate(t.tolist())}
+    assert len(position) == n
+    fitted = []
+    real_km = tree_module.km_fit
+
+    def recording(times, events, flavor, order=None):
+        if flavor == EVENT:
+            fitted.append(sorted(position[time] for time in times.tolist()))
+        return real_km(times, events, flavor, order=order)
+
+    with patch.object(tree_module, "km_fit", recording):
+        tree = grow(data, TreeConfig(minsplit=40, minbucket=10, alpha=0.5))
+
+    def preorder(node_id):
+        yield node_id
+        for child in tree.nodes[node_id].children or ():
+            yield from preorder(child)
+
+    grown = dict(zip(preorder(SurvTree.ROOT), fitted, strict=True))
+    assert {node.split.variable for node in tree.nodes.values()
+            if not node.is_leaf} == {"grp", "x"}
+    leaves = leaf_subjects(tree, data)
+    assert list(leaves) == sorted(leaf.node_id for leaf in tree.leaves())
+    for leaf_id, idx in leaves.items():
+        assert idx.tolist() == grown[leaf_id]
+        assert idx.size == tree.nodes[leaf_id].n
+    assert sum(idx.size for idx in leaves.values()) < n  # some miss a split
+    # routing reads the columns: it sorts nothing and caches no grouping
+    fresh = dataset()
+    routed = leaf_subjects(tree, fresh)
+    assert fresh._orders is None and not fresh._groupings
+    assert routed.keys() == leaves.keys()
+    assert all(np.array_equal(routed[k], leaves[k]) for k in leaves)
+    with pytest.raises(UnknownVariableError):
+        leaf_subjects(tree, SurvivalDataset(t, e))
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -407,7 +467,7 @@ def test_grow_sorts_each_column_once_at_the_root():
     # a search over three levels ordered them by their medians
     assert any(
         node.split.variable == "grp"
-        and len(set(grp[node.subject_index]) - {None}) == 3
+        and len(set(grp[node_subjects(tree, data, node.node_id)]) - {None}) == 3
         for node in split_on
     )
     assert sorted_sizes == [n] * 4
@@ -634,6 +694,48 @@ def test_tree_metrics_single_leaf_never_beats_perfect():
     assert m.delta_event_pct > 0.0
 
 
+def test_tree_metrics_leave_out_subjects_that_reach_no_leaf():
+    # with every 7th X2 missing, 86 of the 1,200 subjects stop at an X2
+    # split: no leaf rate is theirs, so no leaf-side mean may count them
+    data, truth = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                     replicate_rng(1, 0))
+    x2 = data.covariate("X2").copy()
+    x2[::7] = np.nan
+    data = SurvivalDataset(data.times, data.events, meta=data.meta,
+                           columns={**data.columns, "X2": x2})
+    tree = grow(data, TreeConfig())
+    # reference: each subject routed on its labels by predict_node
+    columns = data.columns
+    leaf_of = {}
+    for i in range(data.n):
+        try:
+            leaf_of[i] = predict_node(tree, {k: c[i] for k, c in columns.items()})
+        except MissingValueError:
+            pass
+    assert data.n - len(leaf_of) == 86
+    rates = {}
+    for leaf_id in set(leaf_of.values()):
+        idx = [i for i, got in leaf_of.items() if got == leaf_id]
+        d = int(np.count_nonzero(data.events[idx]))
+        s = float(data.times[idx].sum())
+        rates[leaf_id] = (d / s, (len(idx) - d) / s)
+    labels = np.asarray(truth.subgroup)
+    for which, mad in enumerate(("mad_event", "mad_censor")):
+        want = np.mean([
+            np.mean([abs(truth.rates[lab][which] - rates[leaf_of[i]][which])
+                     / truth.rates[lab][which]
+                     for i in leaf_of if labels[i] == lab])
+            for lab in np.unique(labels)
+        ])
+        assert getattr(tree_metrics(tree, data, truth), mad) == pytest.approx(
+            want, rel=1e-12)
+    # a subgroup none of whose subjects reaches a leaf has no leaf-side mean
+    with pytest.raises(TruthMismatchError, match="reaches a leaf"):
+        tree_metrics(tree, data, TruthSpec(
+            np.where(np.isin(np.arange(data.n), list(leaf_of)), "in", "out"),
+            {"in": (0.1, 0.1), "out": (0.1, 0.1)}))
+
+
 def test_tree_metrics_shape_and_label_checks():
     rng = rng_for(515, 0)
     data, g = two_group_data(rng, n=100)
@@ -647,9 +749,18 @@ def test_tree_metrics_shape_and_label_checks():
 
 # --- invariances ------------------------------------------------------------
 
-def partition_signature(tree):
-    return frozenset(frozenset(leaf.subject_index.tolist())
-                     for leaf in tree.leaves())
+def partition_signature(tree, data):
+    return frozenset(frozenset(idx.tolist())
+                     for idx in leaf_subjects(tree, data).values())
+
+
+def node_subjects(tree, data, node_id):
+    """The subjects routed to ``node_id``: the union of its leaves' subjects."""
+    depth = node_id.bit_length()
+    return np.concatenate([
+        idx for leaf, idx in leaf_subjects(tree, data).items()
+        if leaf >> (leaf.bit_length() - depth) == node_id
+    ])
 
 
 def test_subject_reorder_keeps_partition():
@@ -661,8 +772,8 @@ def test_subject_reorder_keeps_partition():
     a = grow(data, cfg)
     b = grow(shuffled, cfg)
     sig_b = frozenset(frozenset(perm[list(s)].tolist())
-                      for s in partition_signature(b))
-    assert partition_signature(a) == sig_b
+                      for s in partition_signature(b, shuffled))
+    assert partition_signature(a, data) == sig_b
     assert a.loglik == pytest.approx(b.loglik, abs=1e-8)
 
 
@@ -677,7 +788,7 @@ def test_monotone_covariate_transform_keeps_partition():
                  "noise": data.covariate("noise") ** 3},
     )
     b = grow(warped, cfg)
-    assert partition_signature(a) == partition_signature(b)
+    assert partition_signature(a, data) == partition_signature(b, warped)
 
 
 def test_time_rescaling_keeps_partition_for_exponential():
@@ -690,7 +801,7 @@ def test_time_rescaling_keeps_partition_for_exponential():
         columns={m.name: data.covariate(m.name) for m in data.meta},
     )
     b = grow(scaled, cfg)
-    assert partition_signature(a) == partition_signature(b)
+    assert partition_signature(a, data) == partition_signature(b, scaled)
     for nid in a.nodes:
         assert nid in b.nodes
         if not a.nodes[nid].is_leaf:
@@ -779,6 +890,6 @@ def test_categorical_relabeling_keeps_partition():
     a = grow(data, cfg)
     b = grow(renamed, cfg)
     # partition is invariant; left/right orientation may swap with the labels
-    assert partition_signature(a) == partition_signature(b)
+    assert partition_signature(a, data) == partition_signature(b, renamed)
     assert a.loglik == pytest.approx(b.loglik, abs=1e-8)
     assert a.n_leaves == b.n_leaves
