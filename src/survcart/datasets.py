@@ -291,10 +291,9 @@ class SurvivalDataset:
 
     def missing_mask(self, name: str) -> np.ndarray:
         """Boolean mask, True where the covariate value is missing."""
-        col = self._stored[name]
         if self.spec_for(name).kind == CONTINUOUS:
-            return np.isnan(col)
-        return col < 0
+            return np.isnan(self._stored[name])
+        return self._stored[name] < 0
 
     def _presorted(self) -> np.ndarray:
         """Stable orders of the times (row 0) and of each covariate.

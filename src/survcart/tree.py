@@ -10,7 +10,7 @@ only grows where the data contradict within-node homogeneity:
 3. if the smallest adjusted p-value clears alpha, split that variable
    at the maximally selected log-rank point, comparing event times or
    censoring times according to which component was more unstable;
-4. recurse into the children.
+4. do the same at each child, depth first and left child first.
 
 There is no pruning; size control comes from the test (alpha), from
 minsplit/minbucket, and optionally from max_depth.  AIC is computed
@@ -143,6 +143,14 @@ def _fit_pair(config: TreeConfig, subset: SurvivalDataset):
     return event_model, censor_model
 
 
+def _goes_left(split: SplitInfo, value):
+    """The one side rule: a label among the cutpoint's levels, or a float
+    (or an array of floats) at or below the cutpoint, goes left."""
+    if split.kind == CATEGORICAL:
+        return value in split.cutpoint
+    return value <= split.cutpoint
+
+
 def _split_masks(data: SurvivalDataset, split: SplitInfo, index=slice(None)):
     """Left/right membership of the subjects at ``index`` (all by default),
     by the variable's floats or a factor's codes; missing joins neither."""
@@ -150,131 +158,113 @@ def _split_masks(data: SurvivalDataset, split: SplitInfo, index=slice(None)):
     present = ~data.missing_mask(split.variable)[index]
     if split.kind == CATEGORICAL:
         # a side per level, and a last one (False) that code -1 picks
-        sides = [label in split.cutpoint for label in data.levels[split.variable]]
+        sides = [_goes_left(split, label) for label in data.levels[split.variable]]
         goes_left = np.array(sides + [False])[values]
     else:
-        goes_left = values <= split.cutpoint  # False where NaN
+        goes_left = _goes_left(split, values)  # False where NaN
     return goes_left, ~goes_left & present
 
 
+def _make_node(node_id, depth, subset, models) -> TreeNode:
+    event_model, censor_model = models or (None, None)
+    order = subset.time_order  # inherited from the root's one sort
+    return TreeNode(
+        node_id=node_id,
+        depth=depth,
+        n=subset.n,
+        d=subset.n_events,
+        event_model=event_model,
+        censor_model=censor_model,
+        km_median_event=km_median(
+            km_fit(subset.times, subset.events, EVENT, order=order)),
+        km_median_censor=km_median(
+            km_fit(subset.times, subset.events, CENSOR, order=order)),
+    )
+
+
+def _split_node(config: TreeConfig, depth: int, subset: SurvivalDataset, models):
+    """A node's fate: its stop reason, or its ``SplitInfo`` and the
+    ``(dataset, models)`` of its left and right child.  ``models`` is the
+    node's fitted pair, None where the fit failed."""
+    if models is None:
+        return STOP_FIT_FAILURE
+    if subset.n < config.minsplit:
+        return STOP_TOO_SMALL
+    if config.max_depth is not None and depth >= config.max_depth:
+        return STOP_MAX_DEPTH
+    event_model, censor_model = models
+    if event_model is None and censor_model is None:
+        return STOP_NO_TESTABLE_COMPONENT
+    var_names = [m.name for m in subset.meta]
+    if not var_names:
+        return STOP_NO_SIGNIFICANT_VARIABLE
+
+    reports = [
+        variable_test(subset, name, event_model, censor_model,
+                      censor_enabled=config.censor_heterogeneity)
+        for name in var_names
+    ]
+    per_variable = [report.variable_p for report in reports]
+    adjusted = hochberg(per_variable)
+    best = int(np.argmin(adjusted))
+    # a NaN p-value (argmin's pick when there is one) never splits
+    if not adjusted[best] <= config.alpha or not reports[best].testable:
+        return STOP_NO_SIGNIFICANT_VARIABLE
+
+    chosen = var_names[best]
+    # the rest of the tests' state goes before the search and the
+    # child copies, which read only this grouping and the orders
+    subset.drop_groupings(keep=chosen)
+    for cand in candidate_splits(subset, chosen, reports[best].more_heterogeneous,
+                                 config.minbucket):
+        split = SplitInfo(
+            variable=chosen,
+            kind=cand.kind,
+            cutpoint=cand.cutpoint,
+            mode=cand.mode,
+            statistic=cand.statistic,
+            variable_p=per_variable[best],
+            adjusted_p=float(adjusted[best]),
+        )
+        children = [subset.subset(mask) for mask in _split_masks(subset, split)]
+        try:
+            return split, *[(child, _fit_pair(config, child)) for child in children]
+        except NonConvergenceError:
+            continue
+    return STOP_NO_ADMISSIBLE_SPLIT
+
+
 def grow(data: SurvivalDataset, config: TreeConfig) -> SurvTree:
-    """Grow a tree on ``data``; node ids are heap-ordered with root 1.
-    Releases the caches of ``data`` (``SurvivalDataset.drop_groupings``)."""
+    """Grow a tree on ``data``; node ids are heap-ordered with root 1, and
+    nodes are made in pre-order.  Releases the caches of ``data``
+    (``SurvivalDataset.drop_groupings``) whatever the root's stop reason."""
     if data.times.ndim != 1:
         raise SchemaMismatchError("grow needs one sample; got a dataset of rows")
+    try:
+        models = _fit_pair(config, data)
+    except NonConvergenceError:
+        models = None
     nodes = {}
     improvements = []
-    var_names = [m.name for m in data.meta]
-
-    def leaf(node, reason):
-        node.is_leaf = True
-        node.stop_reason = reason
-        return node
-
-    def build(node_id, depth, subset, models):
-        if models is None:
-            try:
-                models = _fit_pair(config, subset)
-            except NonConvergenceError:
-                models = (None, None)
-                node = _make_node(node_id, depth, subset, models)
-                nodes[node_id] = leaf(node, STOP_FIT_FAILURE)
-                return
-        node = _make_node(node_id, depth, subset, models)
-        nodes[node_id] = node
-        event_model, censor_model = models
-
-        if subset.n < config.minsplit:
-            leaf(node, STOP_TOO_SMALL)
-            return
-        if config.max_depth is not None and depth >= config.max_depth:
-            leaf(node, STOP_MAX_DEPTH)
-            return
-        if event_model is None and censor_model is None:
-            leaf(node, STOP_NO_TESTABLE_COMPONENT)
-            return
-        if not var_names:
-            leaf(node, STOP_NO_SIGNIFICANT_VARIABLE)
-            return
-
-        reports = {
-            name: variable_test(
-                subset,
-                name,
-                event_model,
-                censor_model,
-                censor_enabled=config.censor_heterogeneity,
-            )
-            for name in var_names
-        }
-        per_variable = [reports[name].variable_p for name in var_names]
-        adjusted = hochberg(per_variable)
-        best = int(np.argmin(adjusted))
-        # a NaN p-value (argmin's pick when there is one) never splits
-        if not adjusted[best] <= config.alpha or not reports[var_names[best]].testable:
-            subset.drop_groupings()
-            leaf(node, STOP_NO_SIGNIFICANT_VARIABLE)
-            return
-
-        chosen = var_names[best]
-        mode = reports[chosen].more_heterogeneous
-        # the rest of the tests' state goes before the search and the
-        # child copies, which read only this grouping and the orders
-        subset.drop_groupings(keep=chosen)
-        accepted = None
-        for cand in candidate_splits(subset, chosen, mode, config.minbucket):
-            split = SplitInfo(
-                variable=chosen,
-                kind=cand.kind,
-                cutpoint=cand.cutpoint,
-                mode=cand.mode,
-                statistic=cand.statistic,
-                variable_p=per_variable[best],
-                adjusted_p=float(adjusted[best]),
-            )
-            left_mask, right_mask = _split_masks(subset, split)
-            left_subset = subset.subset(left_mask)
-            right_subset = subset.subset(right_mask)
-            try:
-                left_models = _fit_pair(config, left_subset)
-                right_models = _fit_pair(config, right_subset)
-            except NonConvergenceError:
-                continue
-            accepted = (split, left_subset, right_subset, left_models, right_models)
-            break
-        # the split variable's grouping and the orders (the children hold
-        # their own) would otherwise live while the node's subtree grows
+    pending = [(SurvTree.ROOT, 0, data, models)]  # last in, first out
+    while pending:
+        node_id, depth, subset, models = pending.pop()
+        node = nodes[node_id] = _make_node(node_id, depth, subset, models)
+        fate = _split_node(config, depth, subset, models)
+        # the node's groupings, workspaces and orders (the children hold
+        # their own) would otherwise live while its subtree grows
         subset.drop_groupings()
-        if accepted is None:
-            leaf(node, STOP_NO_ADMISSIBLE_SPLIT)
-            return
-
-        split, left_subset, right_subset, lmod, rmod = accepted
-        node.is_leaf = False
-        node.split = split
+        if isinstance(fate, str):
+            node.stop_reason = fate
+            continue
+        node.split, node.is_leaf = fate[0], False
         node.children = (2 * node_id, 2 * node_id + 1)
-        children_ll = sum(m.loglik for pair in (lmod, rmod) for m in pair if m)
+        children_ll = sum(m.loglik for _, pair in fate[1:] for m in pair if m)
         improvements.append((node_id, children_ll - node.loglik))
-        build(2 * node_id, depth + 1, left_subset, lmod)
-        build(2 * node_id + 1, depth + 1, right_subset, rmod)
-
-    def _make_node(node_id, depth, subset, models):
-        event_model, censor_model = models
-        order = subset.time_order  # inherited from the root's one sort
-        return TreeNode(
-            node_id=node_id,
-            depth=depth,
-            n=subset.n,
-            d=subset.n_events,
-            event_model=event_model,
-            censor_model=censor_model,
-            km_median_event=km_median(
-                km_fit(subset.times, subset.events, EVENT, order=order)),
-            km_median_censor=km_median(
-                km_fit(subset.times, subset.events, CENSOR, order=order)),
-        )
-
-    build(SurvTree.ROOT, 0, data, None)
+        # the left child on top, so the left subtree grows first; a child
+        # bound to a name here would outlive its own subtree
+        pending += reversed([(child_id, depth + 1, *child)
+                             for child_id, child in zip(node.children, fate[1:])])
     total_ll, aic = loglik_and_aic(
         (n.event_model, n.censor_model) for n in nodes.values() if n.is_leaf
     )
@@ -318,11 +308,9 @@ def predict_node(tree: SurvTree, covariates: dict) -> int:
             raise MissingValueError(
                 f"missing value for {split.variable!r}; no surrogate splits"
             )
-        if split.kind == CATEGORICAL:
-            go_left = value in split.cutpoint
-        else:
-            go_left = float(value) <= split.cutpoint
-        node = tree.nodes[node.children[0] if go_left else node.children[1]]
+        if split.kind != CATEGORICAL:
+            value = float(value)
+        node = tree.nodes[node.children[0 if _goes_left(split, value) else 1]]
     return node.node_id
 
 

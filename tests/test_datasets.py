@@ -64,6 +64,22 @@ def test_unknown_variable():
         make().spec_for("bmi")
 
 
+@pytest.mark.parametrize("read", [
+    SurvivalDataset.spec_for,
+    SurvivalDataset.covariate,
+    SurvivalDataset.stored,
+    SurvivalDataset.missing_mask,
+    SurvivalDataset.grouping,
+])
+def test_every_read_of_an_unknown_variable_names_it(read):
+    # missing_mask (and grouping through it) indexed the columns first
+    # and raised KeyError
+    with pytest.raises(UnknownVariableError, match="'bmi'"):
+        read(make(), "bmi")
+    with pytest.raises(UnknownVariableError, match="'x'"):
+        read(SurvivalDataset([1.0, 2.0], [True, False]), "x")
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDatasetError):
         SurvivalDataset(np.array([]), np.array([], dtype=bool))

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -39,6 +40,7 @@ from survcart.tree import (
     STOP_NO_TESTABLE_COMPONENT,
     STOP_TOO_SMALL,
     SplitInfo,
+    TreeNode,
     _split_masks,
     leaf_subjects,
 )
@@ -370,6 +372,33 @@ def test_leaf_subjects_are_the_subjects_grow_fitted_each_leaf_on():
         leaf_subjects(tree, SurvivalDataset(t, e))
 
 
+def test_leaf_subjects_and_predict_node_share_one_side_rule():
+    # routed by codes or by labels, a value exactly at a continuous
+    # cutpoint goes left, and a label the split never saw goes right
+    def node(node_id, split=None):
+        return TreeNode(node_id, node_id.bit_length() - 1, 4, 4,
+                        is_leaf=split is None, split=split,
+                        children=split and (2 * node_id, 2 * node_id + 1))
+
+    tree = SurvTree(TreeConfig(), {
+        1: node(1, SplitInfo("x", "continuous", 0.5, EVENT, 2.0, 0.01, 0.01)),
+        2: node(2),
+        3: node(3, SplitInfo("g", "categorical", ("a",), EVENT, 2.0, 0.01, 0.01)),
+        6: node(6),
+        7: node(7),
+    }, 0.0, 0.0, ())
+    x = [0.5, 0.75, 0.75, 0.25]
+    g = ["zz", "a", "zz", "a"]
+    data = SurvivalDataset([1.0, 2.0, 3.0, 4.0], [True] * 4,
+                           meta=(CovariateSpec("x", "continuous"),
+                                 CovariateSpec("g", "categorical")),
+                           columns={"x": x, "g": np.array(g, object)})
+    routed = {int(i): leaf for leaf, idx in leaf_subjects(tree, data).items()
+              for i in idx}
+    predicted = {i: predict_node(tree, {"x": x[i], "g": g[i]}) for i in range(4)}
+    assert routed == predicted == {0: 2, 1: 6, 2: 7, 3: 2}
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_split_masks_match_raw_values(seed):
@@ -566,6 +595,51 @@ def test_grow_releases_each_nodes_tests_before_its_split():
         assert groupings == [variable]
         assert workspaces == 0
         assert ordered
+
+
+def frame_depth():
+    """The number of frames on this thread's Python stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_grow_calls_km_fit_at_one_stack_depth_at_every_node():
+    # grow is a loop over pending nodes, not a recursion per depth
+    depths = []
+    real_km = tree_module.km_fit
+
+    def recording(times, events, flavor, order=None):
+        depths.append(frame_depth())
+        return real_km(times, events, flavor, order=order)
+
+    with patch.object(tree_module, "km_fit", recording):
+        grown = grow(four_subgroup_data(), TreeConfig())
+    assert max(node.depth for node in grown.nodes.values()) >= 2
+    assert len(depths) == 2 * len(grown.nodes)
+    assert len(set(depths)) == 1
+
+
+@pytest.mark.parametrize("config, scale, covariates, stop", [
+    (TreeConfig(max_depth=0), 1.0, True, STOP_MAX_DEPTH),
+    (TreeConfig(minsplit=2000, minbucket=25), 1.0, True, STOP_TOO_SMALL),
+    (TreeConfig(), 1.0, False, STOP_NO_SIGNIFICANT_VARIABLE),
+    (TreeConfig(), 1e300, True, STOP_FIT_FAILURE),
+])
+def test_grow_releases_the_callers_caches_whatever_the_roots_stop(
+        config, scale, covariates, stop):
+    # a root that stopped before its tests kept its sort orders and the
+    # fits' weight workspaces on the caller's dataset
+    data, _ = generate_tree_data(TreeRecoveryDesign(n_per_subgroup=300),
+                                 replicate_rng(1, 0))
+    data = SurvivalDataset(scale * data.times, data.events,
+                           meta=data.meta if covariates else (),
+                           columns=data.columns if covariates else None)
+    grown = grow(data, config)
+    assert grown.n_leaves == 1 and grown.root.stop_reason == stop
+    assert data._orders is None
+    assert not data._groupings and not data._workspaces
 
 
 def test_grow_builds_only_the_candidates_it_reads():
