@@ -47,6 +47,7 @@ from . import __version__
 from .datasets import (
     CATEGORICAL,
     CONTINUOUS,
+    MISSING_TOKENS,
     CovariateSpec,
     SurvivalDataset,
     number_labels,
@@ -61,8 +62,6 @@ from .errors import (
 from .families import CheckedInformation, FittedModel
 from .km import KMCurve, km_fit
 from .tree import SplitInfo, SurvTree, TreeConfig, TreeNode, leaf_subjects
-
-MISSING_TOKENS = ("", "NA")
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ tests and the split search of a tree node to share, and ``workspace``
 keeps what those tests derive from a fitted model at the node, and what
 a fit and its scores share (``families``), until ``drop_groupings``.
 
-Who sorts: a dataset makes one stable sort of its times and of each
-covariate (a factor by its codes), together and only when one of them
-is first needed.  ``subset`` with a boolean mask hands the child its
-parent's orders, each partitioned stably in O(n) by ``restrict_order``,
-so below the root no node sorts again; an integer-index ``subset``
-sorts afresh on first use.  ``grouping`` drops the missing values from
-the covariate's order with the same helper, ``Grouping.of`` and
-``km.risk_table`` take those orders instead of sorting, and every sort
-of a data column goes through ``sort_order``.
+Who sorts: ``sort_order``, numpy's stable argsort at quicksort speed,
+makes every sort of a data column.  A dataset sorts its times and each
+covariate (a factor by its codes) together, when one is first needed.
+``subset`` with a boolean mask hands the child its parent's orders, each
+partitioned stably in O(n) by ``restrict_order``, so below the root no
+node sorts again; an integer-index ``subset`` sorts afresh on first use.
+``grouping`` drops the missing values from the covariate's order with
+the same helper, and ``Grouping.of`` and ``km.risk_table`` take those
+orders instead of sorting.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import EmptyDatasetError, SchemaMismatchError, UnknownVariableError
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
+MISSING_TOKENS = ("", "NA")  # a stripped CSV cell that holds no value
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,27 @@ class CovariateSpec:
             )
 
 
-def sort_order(values, kind="stable") -> np.ndarray:
-    """Indices that sort the array ``values``: every sort of a data column
-    goes here.  ``kind=None`` is numpy's default quicksort, as in
-    ``np.unique``."""
-    return values.argsort(kind=kind)
+def sort_order(values) -> np.ndarray:
+    """Exactly ``np.argsort(values, kind="stable")``, along the last axis:
+    codes that fit int16 by numpy's radix sort, the rest ``_sorted_runs``."""
+    if values.dtype.kind in "iu" and values.size and (
+            -32768 <= values.min() and values.max() <= 32767):
+        return values.astype(np.int16).argsort(kind="stable")
+    return _sorted_runs(values)[0]
+
+
+def _sorted_runs(values):
+    """``sort_order(values)``, the values in it and their ``group_starts``:
+    numpy's quicksort, then, only where equal values (ties, -0.0 and 0.0,
+    the NaNs) form runs, one more sort by run rank * n + subject."""
+    order = values.argsort()
+    ordered = np.take_along_axis(values, order, axis=-1)
+    starts = group_starts(ordered)
+    if not starts.all():
+        shift = np.cumsum(starts, axis=-1) * values.shape[-1]
+        order = np.sort(order + shift, axis=-1) - shift
+        ordered = np.take_along_axis(values, order, axis=-1)
+    return order, ordered, starts
 
 
 def restrict_order(order, mask) -> np.ndarray:
@@ -93,12 +110,12 @@ def group_starts(ordered) -> np.ndarray:
     flat = ordered.reshape(-1)
     starts = np.empty(flat.size, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    last = ordered.T[-1]  # each row's last value; a scalar for one row
+    last = ordered.T[-1:]  # each row's last value, none for no values
     if flat.dtype.kind == "f" and np.count_nonzero(last != last):
         before = flat[:-1]
         starts[1:] &= before == before
     starts = starts.reshape(ordered.shape)
-    starts.T[0] = True
+    starts.T[:1] = True
     return starts
 
 
@@ -111,37 +128,35 @@ class Grouping:
     distinct: np.ndarray  # distinct values, ascending
     inverse: np.ndarray   # index into distinct of each present value
     counts: np.ndarray    # group sizes
-    order: np.ndarray     # the stable order ``of`` was given; None without one
+    order: np.ndarray     # the stable order of values
 
     @classmethod
     def of(cls, values, include=None, order=None) -> "Grouping":
         """Group a 1-d array of floats, integer codes or orderable labels.
 
-        Without ``order`` the result is exactly ``np.unique(values,
-        return_inverse=True, return_counts=True)``, built from the same
-        single argsort (the default quicksort, so even which of -0.0 and
-        0.0 stands for their group agrees): ``group_starts`` flags where
-        the sorted values change, the gaps between flagged positions are
-        the counts, and each group's index repeated by its count and
-        scattered back through the sort order is the inverse (an integer
-        repeat costs about half a running count of the boolean flags).
-        As in ``np.unique``, all float NaNs form one group, the last.  A
-        given ``order``, the stable sort of ``values``, replaces the
-        argsort; it gives the same groups, but the first of -0.0 and 0.0
-        in subject order stands for their group.
+        The groups are those of ``np.unique(values, return_inverse=True,
+        return_counts=True)``: all float NaNs form one, the last, and the
+        first of -0.0 and 0.0 in subject order stands for theirs.  ``order``
+        is the stable sort of ``values`` (``_sorted_runs`` makes it without).
+        The gaps between ``group_starts`` are the counts, and each group's
+        index repeated by its count (half the cost of a running count of
+        the flags) and scattered back through the order is the inverse.
         """
-        by = sort_order(values, kind=None) if order is None else order
-        ordered = values[by]
+        if order is None:
+            order, ordered, starts = _sorted_runs(values)
+        else:
+            ordered = values[order]
+            starts = group_starts(ordered)
         n = ordered.size
         if n == 0:
             empty = np.empty(0, dtype=np.intp)
             return cls(include, values, ordered, empty, empty, order)
-        starts = group_starts(ordered).nonzero()[0]
+        starts = starts.nonzero()[0]
         counts = np.empty(starts.size, dtype=np.intp)
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
         counts[-1] = n - starts[-1]
         inverse = np.empty(n, dtype=np.intp)
-        inverse[by] = np.arange(starts.size).repeat(counts)
+        inverse[order] = np.arange(starts.size).repeat(counts)
         return cls(include, values, ordered[starts], inverse, counts, order)
 
 

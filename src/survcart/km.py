@@ -9,13 +9,14 @@ log-rank statistic and the split search read it too.
 Both take the times' stable order when the caller has it: a tree node
 inherits its times' order from the root (``SurvivalDataset.time_order``),
 so neither sorts inside ``grow``.  Without one they sort through
-``datasets.sort_order``.  A node's two medians are one ``km_fit`` per
-flavor on that order and a ``km_median`` of each: the running product
-is one ``multiply.accumulate`` (the steps of ``np.cumprod``) and the
-median the first grid time whose survival is at most one half.  One
-pass that read both medians off the node's order took 29 us against
-32 us for the two calls at 300 subjects (timeit, 2-core x86-64 VM),
-too little to keep a second product-limit path for.
+``datasets.sort_order``, which makes the same stable order.  A node's
+two medians are one ``km_fit`` per flavor on that order and a
+``km_median`` of each: the running product is one
+``multiply.accumulate`` (the steps of ``np.cumprod``) and the median
+the first grid time whose survival is at most one half.  One pass that
+read both medians off the node's order took 29 us against 32 us for
+the two calls at 300 subjects (timeit, 2-core x86-64 VM), too little
+to keep a second product-limit path for.
 """
 
 from __future__ import annotations

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import CATEGORICAL, SurvivalDataset, is_missing_value
+from .datasets import (
+    CATEGORICAL,
+    MISSING_TOKENS,
+    SurvivalDataset,
+    is_missing_value,
+)
 from .errors import (
     DegenerateComponentError,
     MissingValueError,
@@ -303,15 +308,32 @@ def predict_node(tree: SurvTree, covariates: dict) -> int:
             raise SchemaMismatchError(
                 f"covariate {split.variable!r} absent from input"
             )
-        value = covariates[split.variable]
-        if is_missing_value(value):
-            raise MissingValueError(
-                f"missing value for {split.variable!r}; no surrogate splits"
-            )
-        if split.kind != CATEGORICAL:
-            value = float(value)
+        value = _read_cell(split, covariates[split.variable])
         node = tree.nodes[node.children[0 if _goes_left(split, value) else 1]]
     return node.node_id
+
+
+def _read_cell(split: SplitInfo, value):
+    """One subject's value of the split variable, read as ``load_csv``
+    reads a cell: a string is stripped, a missing token, None or a NaN
+    is missing, and a continuous value must convert to one float."""
+    if isinstance(value, str):
+        value = None if value.strip() in MISSING_TOKENS else value.strip()
+    if np.ndim(value) != 0:
+        raise SchemaMismatchError(
+            f"value for {split.variable!r} is not a scalar: {value!r}")
+    if split.kind != CATEGORICAL and value is not None:
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise SchemaMismatchError(
+                f"value for {split.variable!r} is not a number: {value!r}"
+            ) from None
+    if is_missing_value(value):
+        raise MissingValueError(
+            f"missing value for {split.variable!r}; no surrogate splits"
+        )
+    return value
 
 
 @dataclass(frozen=True)

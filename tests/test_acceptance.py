@@ -143,13 +143,18 @@ def test_criterion_4_distributional_oracle(capsys):
     paths_per_chunk = 200
     chunks = 50
     frac = np.arange(1, nsteps + 1) / nsteps
+    # one buffer holds a chunk's steps, then its walks, bridges and their
+    # magnitudes, each made in place with the bits of a fresh array
+    walks = np.empty((paths_per_chunk, nsteps))
     sups = []
     for chunk in range(chunks):
         rng = np.random.Generator(np.random.Philox(key=[BRIDGE_SEED, chunk]))
-        steps = rng.standard_normal((paths_per_chunk, nsteps))
-        walks = np.cumsum(steps, axis=1)
-        bridges = (walks - np.outer(walks[:, -1], frac)) / np.sqrt(nsteps)
-        sups.append(np.abs(bridges).max(axis=1))
+        rng.standard_normal(out=walks)
+        np.cumsum(walks, axis=1, out=walks)
+        for walk in walks:  # the walk minus its end point times t
+            walk -= walk[-1] * frac
+        np.divide(walks, np.sqrt(nsteps), out=walks)
+        sups.append(np.abs(walks, out=walks).max(axis=1))
     sups = np.sort(np.concatenate(sups))
     n = sups.size
     cdf_vals = np.array([fd_cdf(s) for s in sups])

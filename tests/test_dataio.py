@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -717,6 +718,38 @@ def test_cli_fit_signed_zero_golden_bytes(tmp_path):
     assert not np.signbit(distinct[1])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIGNED_ZERO_JSON_SHA256
     assert hashlib.sha256(km.read_bytes()).hexdigest() == SIGNED_ZERO_KM_SHA256
+
+
+# 240 subjects with integer times, a continuous x on a 0.5 grid (both
+# signs of zero among its ties), a continuous z on a 0.25 grid and a
+# factor g, with "NA", "nan", "" and padded cells among the covariates
+TIED_MISSING_CSV = Path(__file__).parent / "data" / "tied_missing.csv"
+
+# sha256 of the --deterministic tree JSON and the --km-out file on
+# TIED_MISSING_CSV, recorded while every column was sorted by numpy's
+# stable merge sort
+TIED_MISSING_SHA256 = {
+    "exponential": (
+        "bdfc0b12e82ba58982258521f99817c9ffd9e98f48a35332addba312bf51d31b",
+        "745e023dcfdf5825c349cc3d426526d59d1868e184adde54cabc2e5065d40e4c"),
+    "weibull": (
+        "8bb81e21981b1781de864d1633f5a500b51aa9f19961278ab7abb44487e718ba",
+        "b9f941ba3d3f98e83e93c66a58d04ffe2d56d17f5ffed0b1f1eaade2345797be"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TIED_MISSING_SHA256))
+def test_cli_fit_tied_missing_golden_bytes(tmp_path, family):
+    out, km = tmp_path / "tree.json", tmp_path / "km.csv"
+    code = main(["fit", "--data", str(TIED_MISSING_CSV), "--time", "time",
+                 "--event", "status", "--id", "id",
+                 "--vars", "x:cont,z:cont,g:cat", "--minsplit", "20",
+                 "--minbucket", "10", "--time-dist", family,
+                 "--out", str(out), "--km-out", str(km), "--deterministic"])
+    assert code == EXIT_OK
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, km))
+    assert digests == TIED_MISSING_SHA256[family]
 
 
 # sha256 of save_tree(..., deterministic=True) for the four-subgroup

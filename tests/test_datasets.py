@@ -184,12 +184,13 @@ def assert_groups_like_unique(values):
         values, return_inverse=True, return_counts=True
     )
     assert got.values is values
-    assert got.order is None  # no stable order was given
+    assert np.array_equal(got.order, np.argsort(values, kind="stable"))
     assert got.distinct.dtype == distinct.dtype
     if distinct.dtype.kind == "f":
         assert np.array_equal(got.distinct, distinct, equal_nan=True)
-        # which of -0.0 and 0.0 stands for their group agrees too
-        assert np.array_equal(np.signbit(got.distinct), np.signbit(distinct))
+        # the first of -0.0 and 0.0 in subject order stands for their group
+        first = [values[inverse == g][0] for g in range(distinct.size)]
+        assert np.array_equal(np.signbit(got.distinct), np.signbit(first))
     else:
         assert list(got.distinct) == list(distinct)
     for mine, theirs in ((got.inverse, inverse), (got.counts, counts)):
@@ -239,6 +240,63 @@ def test_grouping_of_large_tied_floats_match_unique():
     assert_groups_like_unique(rng.random(5000))
 
 
+# --- sort_order against numpy's stable argsort --------------------------------
+
+def assert_sorts_like_stable_argsort(values):
+    got = datasets.sort_order(values)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(values, axis=-1, kind="stable"))
+
+
+# factor codes with -1 for missing, and codes beyond int16 either way
+CODE_POOL = (-1, 0, 1, 2, 5, 32767, 32768, -32769, 70000)
+
+
+@st.composite
+def sortable_arrays(draw):
+    """A 1-d column or 2-d rows of floats, integer codes or object labels."""
+    kind = draw(st.sampled_from(("float", "code", "label")))
+    element, dtype = {
+        "float": (st.sampled_from(FLOAT_POOL) | st.floats(), float),
+        "code": (st.integers(-1, 6) | st.sampled_from(CODE_POOL), np.intp),
+        "label": (st.sampled_from(["b", "a", "Z", "a1", ""]), object),
+    }[kind]
+    rows = draw(st.sampled_from((None, 1, 3)))
+    n = draw(st.integers(0, 40))
+    values = draw(st.lists(element, min_size=n * (rows or 1),
+                           max_size=n * (rows or 1)))
+    values = np.array(values, dtype=dtype)
+    return values if rows is None else values.reshape(rows, n)
+
+
+@given(sortable_arrays())
+@settings(max_examples=400, deadline=None)
+def test_sort_order_is_the_stable_argsort(values):
+    assert_sorts_like_stable_argsort(values)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=float), np.array([-0.0]), np.array([0.0, -0.0]),
+    np.array([np.nan, np.nan]), np.array([], dtype=np.intp),
+    np.array([-1]), np.array([40000, -1]), np.array(["b", "a"], dtype=object),
+    np.empty((2, 0)), np.array([[1.0, 1.0], [np.nan, -0.0]]),
+])
+def test_sort_order_of_zero_one_and_two_values(values):
+    assert_sorts_like_stable_argsort(values)
+
+
+def test_sort_order_of_large_tied_columns_and_rows():
+    # long enough for the vectorized quicksort and the radix sort
+    rng = np.random.default_rng(112)
+    floats = np.round(rng.normal(0.0, 2.0, 6000))
+    floats[rng.random(6000) < 0.1] = -0.0
+    floats[rng.random(6000) < 0.05] = np.nan
+    codes = rng.integers(-1, 12, 6000)
+    for values in (floats, rng.random(6000), codes, codes * 5000,
+                   floats.reshape(4, 1500), codes.reshape(3, 2000)):
+        assert_sorts_like_stable_argsort(values)
+
+
 # --- sort orders inherited through subset ------------------------------------
 
 def stable_codes(ds, name):
@@ -262,9 +320,10 @@ def assert_grouping_matches_unordered(grouped):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     # the given order is the stable sort of the groups
     assert np.array_equal(grouped.order, np.argsort(fresh.inverse, kind="stable"))
-    # equal as numbers: only which of -0.0 and 0.0 stands for a group differs
+    # both orders are the stable sort, so even the signs of zero agree
     assert grouped.distinct.dtype == fresh.distinct.dtype
     assert np.array_equal(grouped.distinct, fresh.distinct)
+    assert np.array_equal(np.signbit(grouped.distinct), np.signbit(fresh.distinct))
 
 
 @st.composite
@@ -298,9 +357,9 @@ def test_subset_children_inherit_stable_orders(chain):
     ds.time_order  # the root sorts
     sorted_sizes = []
 
-    def counting(values, kind="stable"):
+    def counting(values):
         sorted_sizes.append(values.size)
-        return np.argsort(values, kind=kind)
+        return np.argsort(values, kind="stable")
 
     with patch.object(datasets, "sort_order", counting):
         for mask in masks:

@@ -372,21 +372,26 @@ def test_leaf_subjects_are_the_subjects_grow_fitted_each_leaf_on():
         leaf_subjects(tree, SurvivalDataset(t, e))
 
 
-def test_leaf_subjects_and_predict_node_share_one_side_rule():
-    # routed by codes or by labels, a value exactly at a continuous
-    # cutpoint goes left, and a label the split never saw goes right
+def two_split_tree():
+    """x <= 0.5 goes to leaf 2; the rest split on g in {"a"} into 6 and 7."""
     def node(node_id, split=None):
         return TreeNode(node_id, node_id.bit_length() - 1, 4, 4,
                         is_leaf=split is None, split=split,
                         children=split and (2 * node_id, 2 * node_id + 1))
 
-    tree = SurvTree(TreeConfig(), {
+    return SurvTree(TreeConfig(), {
         1: node(1, SplitInfo("x", "continuous", 0.5, EVENT, 2.0, 0.01, 0.01)),
         2: node(2),
         3: node(3, SplitInfo("g", "categorical", ("a",), EVENT, 2.0, 0.01, 0.01)),
         6: node(6),
         7: node(7),
     }, 0.0, 0.0, ())
+
+
+def test_leaf_subjects_and_predict_node_share_one_side_rule():
+    # routed by codes or by labels, a value exactly at a continuous
+    # cutpoint goes left, and a label the split never saw goes right
+    tree = two_split_tree()
     x = [0.5, 0.75, 0.75, 0.25]
     g = ["zz", "a", "zz", "a"]
     data = SurvivalDataset([1.0, 2.0, 3.0, 4.0], [True] * 4,
@@ -397,6 +402,26 @@ def test_leaf_subjects_and_predict_node_share_one_side_rule():
               for i in idx}
     predicted = {i: predict_node(tree, {"x": x[i], "g": g[i]}) for i in range(4)}
     assert routed == predicted == {0: 2, 1: 6, 2: 7, 3: 2}
+
+
+@pytest.mark.parametrize("x, g, expected", [
+    # cells as load_csv reads them: stripped, with "" and "NA" missing
+    (" 0.25 ", "a", 2), ("0.75", " a ", 6), ("0.75", "nan", 7),
+    ("nan", "a", MissingValueError), ("NA", "a", MissingValueError),
+    ("", "a", MissingValueError), (" NA ", "a", MissingValueError),
+    (0.75, "NA", MissingValueError), (0.75, "", MissingValueError),
+    (0.75, float("nan"), MissingValueError),
+    ("abc", "a", SchemaMismatchError), ([1], "a", SchemaMismatchError),
+    (np.array([0.25]), "a", SchemaMismatchError),
+    (0.75, ["a"], SchemaMismatchError),
+])
+def test_predict_node_reads_string_cells_as_the_loader(x, g, expected):
+    tree = two_split_tree()
+    if isinstance(expected, int):
+        assert predict_node(tree, {"x": x, "g": g}) == expected
+    else:
+        with pytest.raises(expected):
+            predict_node(tree, {"x": x, "g": g})
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -482,9 +507,9 @@ def test_grow_sorts_each_column_once_at_the_root():
     sorted_sizes = []
     real = datasets.sort_order
 
-    def counting(values, kind="stable"):
+    def counting(values):
         sorted_sizes.append(values.size)
-        return real(values, kind)
+        return real(values)
 
     with patch.object(datasets, "sort_order", counting), \
             patch.object(km, "sort_order", counting), \
