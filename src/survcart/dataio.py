@@ -433,10 +433,11 @@ def _edge_labels(split: SplitInfo):
 
 
 def render_text(tree: SurvTree) -> str:
-    """Indented listing of the tree, one node per line."""
+    """Indented listing of the tree, one node per line, in pre-order."""
     lines = []
-
-    def visit(node: TreeNode, prefix: str, edge: str):
+    pending = [(tree.root, "", "")]  # a stack: the left child pops first
+    while pending:
+        node, prefix, edge = pending.pop()
         med_t = _format_median(node.km_median_event)
         med_c = _format_median(node.km_median_censor)
         head = f"{prefix}[{node.node_id}]"
@@ -444,20 +445,17 @@ def render_text(tree: SurvTree) -> str:
             head += f" {edge}:"
         head += f" n={node.n} d={node.d} medT={med_t} medC={med_c}"
         if node.is_leaf:
-            head += f" <leaf:{node.stop_reason}>"
-            lines.append(head)
-            return
+            lines.append(head + f" <leaf:{node.stop_reason}>")
+            continue
         split = node.split
-        head += (
+        lines.append(head + (
             f" | split {split.variable} ({split.mode}) "
             f"LR={split.statistic:.3f} p={split.adjusted_p:.4g}"
-        )
-        lines.append(head)
+        ))
         left_label, right_label = _edge_labels(split)
-        visit(tree.nodes[node.children[0]], prefix + "  ", left_label)
-        visit(tree.nodes[node.children[1]], prefix + "  ", right_label)
-
-    visit(tree.root, "", "")
+        left, right = (tree.nodes[child] for child in node.children)
+        pending.append((right, prefix + "  ", right_label))
+        pending.append((left, prefix + "  ", left_label))
     return "\n".join(lines)
 
 

@@ -23,14 +23,16 @@ keeps what those tests derive from a fitted model at the node, and what
 a fit and its scores share (``families``), until ``drop_groupings``.
 
 Who sorts: ``sort_order``, numpy's stable argsort at quicksort speed,
-makes every sort of a data column.  A dataset sorts its times and each
-covariate (a factor by its codes) together, when one is first needed.
-``subset`` with a boolean mask hands the child its parent's orders, each
-partitioned stably in O(n) by ``restrict_order``, so below the root no
-node sorts again; an integer-index ``subset`` sorts afresh on first use.
-``grouping`` drops the missing values from the covariate's order with
-the same helper, and ``Grouping.of`` and ``km.risk_table`` take those
-orders instead of sorting.
+makes every sort of a data column.  Only the rows of a Monte Carlo
+chunk (``stability._row_cells``) are grouped by a plain quicksort: a
+subject's group does not depend on the order of ties.  A dataset sorts
+its times and each covariate (a factor by its codes) together, when one
+is first needed.  ``subset`` with a boolean mask hands the child its
+parent's orders, each partitioned stably in O(n) by ``restrict_order``,
+so below the root no node sorts again; an integer-index ``subset``
+sorts afresh on first use.  ``grouping`` drops the missing values from
+the covariate's order with the same helper, and ``Grouping.of`` and
+``km.risk_table`` take those orders instead of sorting.
 """
 
 from __future__ import annotations
@@ -63,26 +65,19 @@ class CovariateSpec:
 
 
 def sort_order(values) -> np.ndarray:
-    """Exactly ``np.argsort(values, kind="stable")``, along the last axis:
-    codes that fit int16 by numpy's radix sort, the rest ``_sorted_runs``."""
+    """Exactly ``np.argsort(values, kind="stable")`` of a 1-d array: codes
+    that fit int16 by numpy's radix sort, the rest by numpy's quicksort
+    and then, only where equal values (ties, -0.0 and 0.0, the NaNs) form
+    runs, one more sort by run rank * n + subject."""
     if values.dtype.kind in "iu" and values.size and (
             -32768 <= values.min() and values.max() <= 32767):
         return values.astype(np.int16).argsort(kind="stable")
-    return _sorted_runs(values)[0]
-
-
-def _sorted_runs(values):
-    """``sort_order(values)``, the values in it and their ``group_starts``:
-    numpy's quicksort, then, only where equal values (ties, -0.0 and 0.0,
-    the NaNs) form runs, one more sort by run rank * n + subject."""
     order = values.argsort()
-    ordered = np.take_along_axis(values, order, axis=-1)
-    starts = group_starts(ordered)
+    starts = group_starts(values[order])
     if not starts.all():
-        shift = np.cumsum(starts, axis=-1) * values.shape[-1]
-        order = np.sort(order + shift, axis=-1) - shift
-        ordered = np.take_along_axis(values, order, axis=-1)
-    return order, ordered, starts
+        shift = np.cumsum(starts) * values.size
+        order = np.sort(order + shift) - shift
+    return order
 
 
 def restrict_order(order, mask) -> np.ndarray:
@@ -137,16 +132,15 @@ class Grouping:
         The groups are those of ``np.unique(values, return_inverse=True,
         return_counts=True)``: all float NaNs form one, the last, and the
         first of -0.0 and 0.0 in subject order stands for theirs.  ``order``
-        is the stable sort of ``values`` (``_sorted_runs`` makes it without).
+        is the stable sort of ``values`` (``sort_order`` makes it without).
         The gaps between ``group_starts`` are the counts, and each group's
         index repeated by its count (half the cost of a running count of
         the flags) and scattered back through the order is the inverse.
         """
         if order is None:
-            order, ordered, starts = _sorted_runs(values)
-        else:
-            ordered = values[order]
-            starts = group_starts(ordered)
+            order = sort_order(values)
+        ordered = values[order]
+        starts = group_starts(ordered)
         n = ordered.size
         if n == 0:
             empty = np.empty(0, dtype=np.intp)

@@ -20,22 +20,25 @@ because P(censored) = rate_censor / (rate_event + rate_censor).
 Reproducibility: every replicate draws from its own counter-based
 Philox stream keyed (seed, replicate), with seed and replicate integers
 in [0, 2**64), so results are independent of execution order and thread
-count; the generator identity is recorded in every result row.  Size
-and power cells evaluate their replicates in chunks: a chunk fills one
-block of uniforms, one row per replicate from that replicate's stream,
-and tests all its rows in one
-``event_rate_instability_p`` call.  That call treats the rows as one
-dataset of samples: one ``fit`` and one ``score_contributions`` of the
-exponential over all rows, and one ``continuous_test``.  A row's
-p-value is the bits of the replicate's own one-row call, so the rows
-are independent of the chunking too.  A chunk builds one generator and
-re-keys it for each row: a Philox stream is its key, so a re-keyed
-generator draws the bits of a fresh one.
+count; the generator identity is recorded in every result row.  The
+work of a replicate, or of a chunk of them, is a module-level function
+with its arguments bound by ``functools.partial``, so it pickles.  A
+size or power cell lists its subjects as arms, (event rate, size) pairs
+in subject order, and evaluates its replicates in chunks: a chunk fills
+one block of uniforms, one row per replicate from that replicate's
+stream, and tests all its rows in one ``event_rate_instability_p``
+call.  That call treats the rows as one dataset of samples: one ``fit``
+and one ``score_contributions`` of the exponential over all rows, and
+one ``continuous_test``.  A row's p-value is the bits of the replicate's
+own one-row call, so the rows are independent of the chunking too.  A
+chunk builds one generator and re-keys it for each row: a Philox stream
+is its key, so a re-keyed generator draws the bits of a fresh one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 import os
@@ -327,42 +330,47 @@ class RejectionResult:
 _CHUNK_SUBJECTS = 16384
 
 
-def _run_rejection(kind, design, seed, threads, n, cut, event_times):
+def _rejection_hits(design, seed, rates, cut, per_chunk, chunk) -> int:
+    """Rejections among the replicates of chunk ``chunk`` of a cell.
+
+    ``rates`` holds each subject's event rate.  Each replicate draws one
+    row of uniforms from its own stream: n for the latent event times,
+    then n for the censoring times when the design's ``rate_censor`` is
+    positive (none are censored otherwise), then n for the covariate,
+    uniform on (0, 10) before subject ``cut`` and on (10, 20) from it.
+    The chunk fills one block of uniforms, row by row, and makes one
+    ``event_rate_instability_p`` call, so the rows do not depend on the
+    chunking or the thread count.
+    """
+    n = rates.size
+    start = chunk * per_chunk
+    reps = range(start, min(start + per_chunk, design.replicates))
+    rate_censor = design.rate_censor
+    u = np.empty((len(reps), (3 if rate_censor > 0 else 2) * n))
+    _replicate_rows(seed, reps, u)
+    tstar = -np.log1p(-u[:, :n]) / rates
+    cens = np.inf
+    if rate_censor > 0:
+        cens = _exponential(rate_censor, u[:, n:2 * n])
+    covariate = u[:, -n:]
+    x = np.where(np.arange(n) < cut, 10.0 * covariate, 10.0 + 10.0 * covariate)
+    p = event_rate_instability_p(np.minimum(tstar, cens), tstar <= cens, x)
+    return int(np.count_nonzero(p < design.level))
+
+
+def _run_rejection(kind, design, seed, threads, arms, cut):
     """Rejection rate of the event-rate test over one cell's replicates.
 
-    Each replicate draws one row of uniforms from its own stream: n for
-    the latent event times, then n for the censoring times when the
-    design's ``rate_censor`` is positive (none are censored otherwise),
-    then n for the covariate, uniform on (0, 10) before subject ``cut``
-    and on (10, 20) from it.  ``event_times(u)`` maps a block of event
-    uniforms, one row per replicate, to latent event times.  The
-    replicates run in chunks of at most ``_CHUNK_SUBJECTS`` subjects
-    (and at least one replicate): each chunk fills one block of
-    uniforms, row by row, and makes one ``event_rate_instability_p``
-    call, so the rows do not depend on the chunking or the thread count.
+    ``arms`` lists the cell's (event rate, size) pairs in subject order.
+    The replicates run in chunks of at most ``_CHUNK_SUBJECTS`` subjects
+    (and at least one replicate), each a ``_rejection_hits`` call.
     """
-    threshold = fd_quantile(1.0 - design.level)
-    rate_censor = design.rate_censor
-    width = (3 if rate_censor > 0 else 2) * n
-    first = np.arange(n) < cut
-    per_chunk = max(1, _CHUNK_SUBJECTS // n)
+    rates = np.repeat(*zip(*arms))  # each subject's event rate
+    per_chunk = max(1, _CHUNK_SUBJECTS // rates.size)
     chunks = -(-design.replicates // per_chunk)
-
-    def one(chunk: int) -> int:
-        start = chunk * per_chunk
-        reps = range(start, min(start + per_chunk, design.replicates))
-        u = np.empty((len(reps), width))
-        _replicate_rows(seed, reps, u)
-        tstar = event_times(u[:, :n])
-        cens = np.inf
-        if rate_censor > 0:
-            cens = _exponential(rate_censor, u[:, n:2 * n])
-        covariate = u[:, -n:]
-        x = np.where(first, 10.0 * covariate, 10.0 + 10.0 * covariate)
-        p = event_rate_instability_p(np.minimum(tstar, cens), tstar <= cens, x)
-        return int(np.count_nonzero(p < design.level))
-
-    hits = _map_replicates(one, chunks, threads)
+    work = functools.partial(_rejection_hits, design, seed, rates, cut, per_chunk)
+    hits = _map_replicates(work, chunks, threads)
+    threshold = fd_quantile(1.0 - design.level)
     return RejectionResult(
         kind, design, seed, design.replicates, sum(hits), threshold
     )
@@ -370,29 +378,14 @@ def _run_rejection(kind, design, seed, threads, n, cut, event_times):
 
 def run_size(design: SizeDesign, seed: int, threads: int = 1) -> RejectionResult:
     """Rejection rate of the event-rate test under homogeneity."""
-
-    def event_times(u):
-        return _exponential(design.rate_event, u)
-
-    return _run_rejection(
-        "size", design, seed, threads, design.n, design.n // 2, event_times
-    )
+    arms = [(design.rate_event, design.n)]
+    return _run_rejection("size", design, seed, threads, arms, design.n // 2)
 
 
 def run_power(design: PowerDesign, seed: int, threads: int = 1) -> RejectionResult:
     """Rejection rate of the event-rate test across two true subgroups."""
-    n1 = design.n1
-
-    def event_times(u):
-        return np.concatenate(
-            [_exponential(design.rate_event_1, u[:, :n1]),
-             _exponential(design.rate_event_2, u[:, n1:])],
-            axis=1,
-        )
-
-    return _run_rejection(
-        "power", design, seed, threads, n1 + design.n2, n1, event_times
-    )
+    arms = [(design.rate_event_1, design.n1), (design.rate_event_2, design.n2)]
+    return _run_rejection("power", design, seed, threads, arms, design.n1)
 
 
 @dataclass(frozen=True)
@@ -450,6 +443,27 @@ class TreeRecoveryResult:
         }
 
 
+def _recovery_replicate(design, configs, seed, rep) -> list:
+    """Replicate ``rep``'s (leaves, first split, delta event pct, delta
+    censor pct), one tuple per config in ``configs`` order."""
+    rng = replicate_rng(seed, rep)
+    data, truth = generate_tree_data(design, rng)
+    # grow releases its root's sort orders once the root is split, so
+    # each config grows a copy that inherits them: the replicate's
+    # columns are sorted once, not once per config
+    data.time_order
+    everyone = np.ones(data.n, dtype=bool)
+    rows = []
+    for config in configs.values():
+        tree = grow(data.subset(everyone), config)
+        root = tree.root
+        first = root.split.variable if not root.is_leaf else None
+        metrics = tree_metrics(tree, data, truth)
+        rows.append((metrics.n_leaves, first, metrics.delta_event_pct,
+                     metrics.delta_censor_pct))
+    return rows
+
+
 def run_tree_recovery(
     design: TreeRecoveryDesign,
     configs: dict,
@@ -461,40 +475,12 @@ def run_tree_recovery(
     ``configs`` maps a short name to a TreeConfig; all configs see the
     same replicate data so the comparison is paired.
     """
-
-    def one(rep: int):
-        rng = replicate_rng(seed, rep)
-        data, truth = generate_tree_data(design, rng)
-        # grow releases its root's sort orders once the root is split, so
-        # each config grows a copy that inherits them: the replicate's
-        # columns are sorted once, not once per config
-        data.time_order
-        everyone = np.ones(data.n, dtype=bool)
-        out = {}
-        for name, config in configs.items():
-            tree = grow(data.subset(everyone), config)
-            root = tree.root
-            first = root.split.variable if not root.is_leaf else None
-            metrics = tree_metrics(tree, data, truth)
-            out[name] = (metrics.n_leaves, first, metrics.delta_event_pct,
-                         metrics.delta_censor_pct)
-        return out
-
-    per_rep = _map_replicates(one, design.replicates, threads)
-    results = {}
-    for name in configs:
-        rows = [r[name] for r in per_rep]
-        results[name] = TreeRecoveryResult(
-            config_name=name,
-            design=design,
-            seed=seed,
-            replicates=design.replicates,
-            leaf_counts=tuple(r[0] for r in rows),
-            first_split=tuple(r[1] for r in rows),
-            delta_event_pct=tuple(r[2] for r in rows),
-            delta_censor_pct=tuple(r[3] for r in rows),
-        )
-    return results
+    work = functools.partial(_recovery_replicate, design, configs, seed)
+    per_rep = _map_replicates(work, design.replicates, threads)
+    return {
+        name: TreeRecoveryResult(name, design, seed, design.replicates, *zip(*rows))
+        for name, rows in zip(configs, zip(*per_rep))
+    }
 
 
 # --- experiment spec files -------------------------------------------------
@@ -614,6 +600,8 @@ def parse_spec(text: str) -> ExperimentSpec:
             seed = int(entries.pop("seed"))
         except ValueError as exc:
             raise SpecParseError("seed must be an integer") from exc
+        if not 0 <= seed < 2**64:
+            raise SpecParseError(f"seed must lie in [0, 2**64), got {seed}")
 
     fields = {
         f.name: _FIELD_PARSERS[f.type] for f in dataclasses.fields(design_cls)

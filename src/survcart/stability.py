@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import CATEGORICAL, Grouping, _sorted_runs
+from .datasets import CATEGORICAL, Grouping, group_starts
 from .errors import EmptyInputError, TooFewGroupsError
 from .families import (
     CENSOR,
@@ -231,14 +231,15 @@ def _row_cells(x):
     Returns each subject's cell (in subject order), the rows' group
     counts G_r and the width, the largest G_r.  Row r's groups,
     ascending, are the G_r cells that end at (r + 1) * width, so the
-    cells before its first group stay empty.  The rows share one sort,
-    ``_sorted_runs``, as ``Grouping.of`` makes for one.
+    cells before its first group stay empty.  A subject's cell depends
+    on the value groups only, not on the order of ties, so the rows are
+    sorted by one plain quicksort and gathered by one flat ``take``.
     """
     rows, n = x.shape
-    order, _, starts = _sorted_runs(x)
     # each row's sort order as indices into the flattened rows
+    order = x.argsort()
     order += np.arange(0, rows * n, n)[:, None]
-    codes = np.cumsum(starts, axis=1)
+    codes = np.cumsum(group_starts(x.take(order)), axis=1)
     n_groups = codes[:, -1].copy()  # codes shift below
     width = int(n_groups.max())
     codes += (np.arange(1, rows + 1) * width - n_groups - 1)[:, None]

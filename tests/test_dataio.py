@@ -42,7 +42,9 @@ from survcart.dataio import km_curve_csv, km_leaf_rows, rows_to_csv_text, tree_t
 from survcart.datasets import CovariateSpec
 from survcart.km import KMCurve, km_fit
 from survcart.simlab import generate_tree_data
-from survcart.tree import leaf_subjects, tree_metrics
+from survcart.tree import (
+    SplitInfo, SurvTree, TreeNode, leaf_subjects, tree_metrics,
+)
 
 from conftest import dict_rows_load_csv, rng_for
 
@@ -365,6 +367,34 @@ def test_render_text_mentions_structure():
     assert "g <=" in text
     assert "n=" in text and "d=" in text
     assert text.count("\n") >= tree.n_leaves
+
+
+def test_render_text_lists_a_chain_deeper_than_the_recursion_limit():
+    # 1,500 splits, each with a leaf on the left and the chain on the
+    # right: one line per node, a child two spaces under its parent
+    depth = 1500
+    nodes = {}
+    for level in range(depth):
+        node_id = 2 ** (level + 1) - 1
+        split = SplitInfo("x", "continuous", float(level), families.EVENT,
+                          2.0, 0.01, 0.01)
+        nodes[node_id] = TreeNode(node_id, level, depth - level + 1, 1,
+                                  is_leaf=False, split=split,
+                                  children=(2 * node_id, 2 * node_id + 1))
+        nodes[2 * node_id] = TreeNode(2 * node_id, level + 1, 1, 1,
+                                      stop_reason="minsplit")
+    last = 2 ** (depth + 1) - 1
+    nodes[last] = TreeNode(last, depth, 1, 1, stop_reason="minsplit")
+    tree = SurvTree(TreeConfig(), nodes, 0.0, 0.0, ())
+    lines = render_text(tree).split("\n")
+    assert len(lines) == 2 * depth + 1 == 3001
+    assert lines[0].startswith("[1] n=1501 d=1 ")
+    assert lines[1] == "  [2] x <= 0: n=1 d=1 medT=none medC=none <leaf:minsplit>"
+    assert lines[2].startswith("  [3] x > 0: n=1500 ")
+    assert lines[-1].startswith(" " * 2 * depth + f"[{last}] x > 1499: n=1 ")
+    assert tree_to_dot(tree).count("->") == 2 * depth
+    doc = json.loads(json.dumps(tree_to_document(tree)))
+    assert render_text(document_to_tree(doc)) == "\n".join(lines)
 
 
 def test_tree_to_dot_is_valid_digraph():
@@ -1106,6 +1136,19 @@ def test_cli_simulate_out_of_range_level_is_spec_error(tmp_path, capsys,
     assert main(["simulate", "--spec", str(spec)]) == EXIT_SPEC
     err = capsys.readouterr().err
     assert err.startswith("error: level must lie in (0, 1)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_cli_simulate_spec_seed_outside_the_streams_is_spec_error(
+        tmp_path, capsys, seed):
+    # a seed no replicate stream can use is the spec file's fault: exit
+    # 4, as for any malformed spec, not 3 (a bad flag)
+    spec = tmp_path / "seed.spec"
+    spec.write_text(f"experiment = size\nn = 100\nreplicates = 2\nseed = {seed}\n")
+    assert main(["simulate", "--spec", str(spec)]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must lie in [0, 2**64)")
     assert "Traceback" not in err
 
 

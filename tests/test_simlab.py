@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -461,6 +463,14 @@ def test_parse_spec_rejects_malformed(text):
         parse_spec(text)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_parse_spec_rejects_seed_outside_the_streams(seed):
+    # replicate streams are keyed by a seed in [0, 2**64)
+    with pytest.raises(SpecParseError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        parse_spec(f"experiment = size\nseed = {seed}\n")
+    assert parse_spec(f"experiment = size\nseed = {2**64 - 1}\n").seed == 2**64 - 1
+
+
 def test_format_rates_round_trips():
     rates = DEFAULT_SUBGROUP_RATES
     assert _parse_rates(format_rates(rates)) == rates
@@ -626,3 +636,68 @@ def test_rejection_cell_draws_each_replicate_from_its_stream(monkeypatch):
         assert np.array_equal(times[rep], np.minimum(tstar, cens))
         assert np.array_equal(events[rep], tstar <= cens)
         assert np.array_equal(x[rep], want_x)
+
+
+# --- replicate work as plain data --------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "experiment = size\nn = 40\nreplicates = 5\n",
+    "experiment = power\nrate_event_1 = 0.1\nrate_event_2 = 0.02\n"
+    "rate_censor = 0.01\nn1 = 12\nn2 = 9\nreplicates = 5\n",
+    "experiment = tree_recovery\n"
+    "rates = 0.05/0.0333, 0.025/0.0333, 0.01/0.0333, 0.01/0.0111\n"
+    "n_per_subgroup = 30\nreplicates = 2\nminsplit = 30\nminbucket = 15\n",
+], ids=["size", "power", "tree_recovery"])
+def test_replicate_work_pickles(monkeypatch, text):
+    # every work item mapped over replicates or chunks is module-level
+    # work with bound arguments: it pickles, and the unpickled item
+    # computes what the original does (a process pool needs both)
+    work = []
+    real = simlab._map_replicates
+
+    def spy(fn, count, threads):
+        work.append(fn)
+        return real(fn, count, threads)
+
+    monkeypatch.setattr(simlab, "_map_replicates", spy)
+    run_spec(parse_spec(text), seed=6)
+    assert len(work) == 1
+    clone = pickle.loads(pickle.dumps(work[0]))
+    assert clone(0) == work[0](0)
+
+
+# rows recorded before the cells listed their subjects as arms: unequal
+# arms, and an odd n that n // 2 splits unevenly; the hashes are of every
+# replicate's p-value, chunk after chunk
+GOLDEN_CELLS = [
+    (run_power, PowerDesign(0.1, 0.04, 0.02, n1=30, n2=70, replicates=400), 31,
+     {"experiment": "power", "rate_event_1": 0.1, "rate_event_2": 0.04,
+      "rate_censor": 0.02, "n1": 30, "n2": 70, "replicates": 400,
+      "level": 0.05, "estimate": 0.8175, "ci_low": 0.7766870404912806,
+      "ci_high": 0.8522726526064411, "threshold": 1.3580986393571948,
+      "seed": 31, "rng": "philox4x64"},
+     "76e3c34374ca15197a535605fd72be2f2b0866a5708f4a56f36abfd6a4f6847b"),
+    (run_size, SizeDesign(rate_event=0.05, censoring_rate=0.25, n=75,
+                          replicates=500), 32,
+     {"experiment": "size", "rate_event": 0.05, "censoring_rate": 0.25,
+      "n": 75, "replicates": 500, "level": 0.05, "estimate": 0.036,
+      "ci_low": 0.02289106098029272, "ci_high": 0.056184326968027755,
+      "threshold": 1.3580986393571948, "seed": 32, "rng": "philox4x64"},
+     "4c2e89c78fca959e23ae30d593b4308bead21956340c882f71acc3e01da11a12"),
+]
+
+
+@pytest.mark.parametrize("runner, design, seed, row, p_sha256", GOLDEN_CELLS)
+def test_rejection_cells_keep_their_golden_rows(monkeypatch, runner, design,
+                                                seed, row, p_sha256):
+    pvalues = []
+
+    def recording(times, events, x):
+        p = event_rate_instability_p(times, events, x)
+        pvalues.append(p)
+        return p
+
+    monkeypatch.setattr(simlab, "event_rate_instability_p", recording)
+    assert runner(design, seed=seed).to_row() == row
+    digest = hashlib.sha256(np.concatenate(pvalues).tobytes()).hexdigest()
+    assert digest == p_sha256
