@@ -36,7 +36,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 from operator import eq, itemgetter
@@ -74,6 +74,14 @@ class SchemaSpec:
     variables: tuple = ()
     id_column: str = None
 
+    def __post_init__(self):
+        # event cells are read as stripped strings, and a missing one is
+        # a parse error
+        value = self.event_value
+        if (not isinstance(value, str) or value != value.strip()
+                or value in MISSING_TOKENS):
+            raise ValueError(f"event value {value!r} can match no event cell")
+
     def to_dict(self) -> dict:
         return {
             "time": self.time_column,
@@ -95,6 +103,8 @@ def parse_variable_flags(text: str) -> tuple:
         if len(parts) != 2:
             raise ValueError(f"variable {token!r} is not name:cat or name:cont")
         name, kind = parts[0].strip(), parts[1].strip().lower()
+        if any(spec.name == name for spec in specs):
+            raise ValueError(f"variable {name!r} is given twice")
         if kind in ("cat", "categorical"):
             specs.append(CovariateSpec(name, CATEGORICAL))
         elif kind in ("cont", "continuous"):
@@ -329,20 +339,11 @@ def tree_to_document(
     tree: SurvTree, schema: SchemaSpec = None, deterministic: bool = False
 ) -> dict:
     """Serializable dict capturing config, schema, and all nodes."""
-    config = tree.config
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "package_version": __version__,
-        "config": {
-            "alpha": config.alpha,
-            "minsplit": config.minsplit,
-            "minbucket": config.minbucket,
-            "event_dist": config.event_dist,
-            "censor_dist": config.censor_dist,
-            "censor_heterogeneity": config.censor_heterogeneity,
-            "max_depth": config.max_depth,
-        },
+        "config": asdict(tree.config),
         "schema": schema.to_dict() if schema is not None else None,
         "loglik": float(tree.loglik),
         "aic": float(tree.aic),
@@ -476,10 +477,10 @@ def tree_to_dot(tree: SurvTree) -> str:
         node = tree.nodes[node_id]
         if node.is_leaf:
             continue
-        left_label, right_label = _edge_labels(node.split)
-        left, right = node.children
-        lines.append(f'  n{node.node_id} -> n{left} [label="{left_label}"];')
-        lines.append(f'  n{node.node_id} -> n{right} [label="{right_label}"];')
+        for child, text in zip(node.children, _edge_labels(node.split)):
+            # a name or level may hold the quote or backslash of DOT's strings
+            text = text.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{node.node_id} -> n{child} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

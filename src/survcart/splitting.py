@@ -53,11 +53,11 @@ order with the node (``SurvivalDataset.time_order``), both inherited
 from the root, and the risk table, the log-rank tallies and the
 per-level product-limit medians read them.
 
-A search ranks its candidates as arrays of cutpoints, statistics and
-left-side sizes.  ``Candidates`` holds them and the search itself: a
-read-only sequence of exact length that builds each ``SplitCandidate``
-only when that position is read, and widens by running the search
-again.  A categorical search ignores ``want`` and ranks every
+A search ranks its candidates as lists of cutpoints and statistics.
+``Candidates`` holds them and the search itself: a read-only sequence
+of exact length that builds each ``SplitCandidate`` (cutpoint,
+statistic) pair only when that position is read, and widens by running
+the search again.  A categorical search ignores ``want`` and ranks every
 candidate, so it never widens.  ``grow`` reads the ranking best first
 and stops at the first split whose children can be fitted, so it
 builds about one candidate per search instead of one per admissible
@@ -70,6 +70,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,38 +94,28 @@ class LogrankResult:
     defined: bool  # False when there are no events or zero variance
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
+class SplitCandidate(NamedTuple):
     """One admissible binary split, ranked by |statistic|."""
 
-    variable: str
-    kind: str
     cutpoint: object   # float threshold, or tuple of left-side levels
-    mode: str
     statistic: float
-    left_n: int
-    right_n: int
 
 
 class Candidates(Sequence):
     """The admissible splits of one search, best |statistic| first.
 
-    ``search(want)`` returns the ranked (cutpoints, statistics, left
-    sizes) of a leading run of the ranking, the number of candidates
-    and the number of subjects with a value; it is called with want 1
-    when the sequence is built.  A read past the run searches again with
-    ``want`` = 2 max(want, served + 1), until the run reaches the read
-    position.  The ``SplitCandidate`` at a position is built when read.
+    ``search(want)`` returns the ranked (cutpoints, statistics) of a
+    leading run of the ranking and the number of candidates; it is
+    called with want 1 when the sequence is built.  A read past the run
+    searches again with ``want`` = 2 max(want, served + 1), until the
+    run reaches the read position.  The ``SplitCandidate`` at a position
+    is built when read.
     """
 
-    def __init__(self, variable, kind, mode, search):
-        self._variable = variable
-        self._kind = kind
-        self._mode = mode
+    def __init__(self, search):
         self._search = search
         self._want = 1
-        # (cutpoints, statistics, left sizes); n is left_n + right_n
-        self._ranked, self._size, self._n = search(self._want)
+        self._ranked, self._size = search(self._want)
 
     def __len__(self):
         return self._size
@@ -135,16 +126,8 @@ class Candidates(Sequence):
         while i >= len(self._ranked[1]):
             self._want = 2 * max(self._want, len(self._ranked[1]) + 1)
             self._ranked = self._search(self._want)[0]
-        cutpoints, statistics, left_n = self._ranked
-        return SplitCandidate(
-            variable=self._variable,
-            kind=self._kind,
-            cutpoint=cutpoints[i],
-            mode=self._mode,
-            statistic=statistics[i],
-            left_n=left_n[i],
-            right_n=self._n - left_n[i],
-        )
+        cutpoints, statistics = self._ranked
+        return SplitCandidate(cutpoints[i], statistics[i])
 
 
 def logrank(times, events, group, order=None) -> LogrankResult:
@@ -195,8 +178,8 @@ _BAND_TOLS = 2.0
 
 _ROUNDOFF = 2.0**-53  # unit roundoff of float64
 
-# no admissible split: ranked (cutpoints, statistics, left sizes)
-_NONE = ((), (), ())
+# no admissible split: ranked (cutpoints, statistics)
+_NONE = ((), ())
 
 
 def _continuous_candidates(times, ev, by_time, grouping, minbucket, want):
@@ -204,8 +187,8 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, want):
 
     ``ev`` marks the times exact for the search's mode and ``by_time``
     is the times' stable order.  Returns the ranked (cutpoints,
-    statistics, left sizes) of a leading run of the ranking and the
-    number of candidates.  The band's floor is the ``want``-th largest
+    statistics) of a leading run of the ranking and the number of
+    candidates.  The band's floor is the ``want``-th largest
     lower bound, so a larger ``want`` certifies a longer run; from the
     number of candidates on it is the whole ranking.
     """
@@ -266,8 +249,7 @@ def _continuous_candidates(times, ev, by_time, grouping, minbucket, want):
         cuts = 0.5 * (lower + upper)
     cuts = np.where(cuts < upper, cuts, lower)
     best_first = _tolerance_order(stats, cuts)
-    ranked = (cuts[best_first].tolist(), stats[best_first].tolist(),
-              bounds[band][best_first].tolist())
+    ranked = cuts[best_first].tolist(), stats[best_first].tolist()
     if band.size == g.size:
         return ranked, g.size
     served = _certified_prefix(sorted(map(abs, ranked[1]), reverse=True), floor)
@@ -419,7 +401,7 @@ def _categorical_candidates(times, ev, by_time, grouping, labels, minbucket):
         ordered = _median_order(times, ev, by_time, grouping.inverse, n_groups)
     group_labels = labels[grouping.distinct]
     on_left = np.zeros(n_groups, dtype=bool)
-    cuts, stats, left = [], [], []
+    cuts, stats = [], []
     for i, idx in enumerate(ordered[:-1]):
         on_left[idx] = True
         mask = on_left[grouping.inverse]
@@ -431,11 +413,9 @@ def _categorical_candidates(times, ev, by_time, grouping, labels, minbucket):
             continue
         cuts.append(tuple(group_labels[ordered[: i + 1]]))
         stats.append(res.statistic)
-        left.append(left_n)
     # prefix order breaks ties
     ranked = _tolerance_order(np.array(stats), range(len(stats)))
-    return ([cuts[i] for i in ranked], [stats[i] for i in ranked],
-            [left[i] for i in ranked])
+    return [cuts[i] for i in ranked], [stats[i] for i in ranked]
 
 
 def candidate_splits(data, variable, mode, minbucket) -> Candidates:
@@ -444,17 +424,17 @@ def candidate_splits(data, variable, mode, minbucket) -> Candidates:
     Ties go to the smaller cutpoint (earlier prefix for factors).
     Subjects missing the variable are left out of the tally.  The
     variable's values come grouped from ``data``, which keeps the
-    grouping its instability test already made.  Each candidate is
-    built when it is read.  ``mode`` must be "event" or "censor".
+    grouping its instability test already made.  Each candidate is a
+    ``SplitCandidate`` (cutpoint, statistic) pair, built when it is
+    read.  ``mode`` must be "event" or "censor".
     """
     kind = data.spec_for(variable).kind
-    return Candidates(variable, kind, mode,
-                      partial(_search, data, variable, kind, mode, minbucket))
+    return Candidates(partial(_search, data, variable, kind, mode, minbucket))
 
 
 def _search(data, variable, kind, mode, minbucket, want):
-    """One search on ``variable``: the ranked run, the number of
-    candidates and the number of subjects with a value.
+    """One search on ``variable``: the ranked run and the number of
+    candidates.
 
     A continuous search's band floor is at the ``want``-th largest lower
     bound; a categorical one ranks every candidate whatever ``want``.
@@ -472,10 +452,8 @@ def _search(data, variable, kind, mode, minbucket, want):
         ranked = _categorical_candidates(
             times, ev, by_time, grouping, data.levels[variable], minbucket
         )
-        return ranked, len(ranked[1]), times.size
-    ranked, size = _continuous_candidates(times, ev, by_time, grouping,
-                                          minbucket, want)
-    return ranked, size, times.size
+        return ranked, len(ranked[1])
+    return _continuous_candidates(times, ev, by_time, grouping, minbucket, want)
 
 
 # Exact |LR| ties are common (complementary partitions, or singletons at

@@ -216,21 +216,15 @@ def _split_node(config: TreeConfig, depth: int, subset: SurvivalDataset, models)
     if not adjusted[best] <= config.alpha or not reports[best].testable:
         return STOP_NO_SIGNIFICANT_VARIABLE
 
-    chosen = var_names[best]
+    chosen, report = var_names[best], reports[best]
     # the rest of the tests' state goes before the search and the
     # child copies, which read only this grouping and the orders
     subset.drop_groupings(keep=chosen)
-    for cand in candidate_splits(subset, chosen, reports[best].more_heterogeneous,
-                                 config.minbucket):
-        split = SplitInfo(
-            variable=chosen,
-            kind=cand.kind,
-            cutpoint=cand.cutpoint,
-            mode=cand.mode,
-            statistic=cand.statistic,
-            variable_p=per_variable[best],
-            adjusted_p=float(adjusted[best]),
-        )
+    mode = report.more_heterogeneous
+    for cutpoint, statistic in candidate_splits(subset, chosen, mode,
+                                                config.minbucket):
+        split = SplitInfo(chosen, report.kind, cutpoint, mode, statistic,
+                          per_variable[best], float(adjusted[best]))
         children = [subset.subset(mask) for mask in _split_masks(subset, split)]
         try:
             return split, *[(child, _fit_pair(config, child)) for child in children]

@@ -166,7 +166,7 @@ def brute_best_continuous(times, events, x, minbucket):
     return ties[0]
 
 
-def dense_continuous_candidates(variable, times, events, x, mode, minbucket):
+def dense_continuous_candidates(times, events, x, mode, minbucket):
     """Unsorted continuous candidates from a full N x D at-risk table.
 
     The split search before it was blocked, kept verbatim: the blocked
@@ -208,17 +208,7 @@ def dense_continuous_candidates(variable, times, events, x, mode, minbucket):
             continue
         stat = numer[g] / np.sqrt(variance[g])
         cut = 0.5 * (values[g] + values[g + 1])
-        out.append(
-            SplitCandidate(
-                variable=variable,
-                kind="continuous",
-                cutpoint=float(cut),
-                mode=mode,
-                statistic=float(stat),
-                left_n=int(bounds[g]),
-                right_n=int(n - bounds[g]),
-            )
-        )
+        out.append(SplitCandidate(float(cut), float(stat)))
     return out
 
 
@@ -317,7 +307,7 @@ def missing_labels(labels):
     )
 
 
-def label_categorical_candidates(variable, times, events, x, mode, minbucket):
+def label_categorical_candidates(times, events, x, mode, minbucket):
     """Unsorted factor candidates grouped by np.unique on the labels x."""
     levels = np.unique(x)
     if levels.size < 2:
@@ -344,17 +334,7 @@ def label_categorical_candidates(variable, times, events, x, mode, minbucket):
         res = logrank(times, ev, mask)
         if not res.defined:
             continue
-        out.append(
-            SplitCandidate(
-                variable=variable,
-                kind="categorical",
-                cutpoint=left_levels,
-                mode=mode,
-                statistic=res.statistic,
-                left_n=left_n,
-                right_n=right_n,
-            )
-        )
+        out.append(SplitCandidate(left_levels, res.statistic))
     return out
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -262,6 +263,8 @@ def test_parse_variable_flags():
         parse_variable_flags("age:ordinal")
     with pytest.raises(ValueError):
         parse_variable_flags(" , ")
+    with pytest.raises(ValueError, match="'x' is given twice"):
+        parse_variable_flags("x:cont, x :cat")
 
 
 # --- tree documents --------------------------------------------------------
@@ -397,14 +400,44 @@ def test_render_text_lists_a_chain_deeper_than_the_recursion_limit():
     assert render_text(document_to_tree(doc)) == "\n".join(lines)
 
 
+def quoted_name_tree():
+    """Two splits whose variable names and factor levels hold the quote
+    and the backslash of DOT's strings."""
+    cat = SplitInfo('x "q"', "categorical", ('a "b"', "c\\d"),
+                    families.EVENT, 2.0, 0.01, 0.01)
+    cont = SplitInfo("y\\", "continuous", 0.5, families.EVENT, 2.0, 0.01, 0.01)
+    nodes = {
+        1: TreeNode(1, 0, 10, 5, is_leaf=False, split=cat, children=(2, 3)),
+        2: TreeNode(2, 1, 6, 3, is_leaf=False, split=cont, children=(4, 5)),
+        3: TreeNode(3, 1, 4, 2, stop_reason="minsplit"),
+        4: TreeNode(4, 2, 3, 1, stop_reason="minsplit"),
+        5: TreeNode(5, 2, 3, 2, stop_reason="minsplit"),
+    }
+    return SurvTree(TreeConfig(), nodes, 0.0, 0.0, ())
+
+
 def test_tree_to_dot_is_valid_digraph():
-    tree, _ = grown_tree()
-    dot = tree_to_dot(tree)
-    assert dot.startswith("digraph")
-    assert dot.rstrip().endswith("}")
-    for node in tree.nodes.values():
-        assert f"n{node.node_id}" in dot
-    assert dot.count("->") == len(tree.nodes) - 1
+    # every label is one quoted DOT string: no bare quote, no dangling
+    # backslash; an edge's unescapes to the rule's own text
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    for tree in (grown_tree()[0], quoted_name_tree()):
+        dot = tree_to_dot(tree)
+        assert dot.startswith("digraph")
+        assert dot.rstrip().endswith("}")
+        for node in tree.nodes.values():
+            assert f"n{node.node_id}" in dot
+        assert dot.count("->") == len(tree.nodes) - 1
+        edges = {}
+        for line in dot.splitlines()[2:-1]:
+            match = re.fullmatch(
+                rf"  n(\d+)(?: -> n(\d+))? \[label={quoted}\];", line)
+            assert match, line
+            if match[2] is not None:
+                edges[int(match[2])] = re.sub(r"\\(.)", r"\1", match[3])
+        for node in tree.nodes.values():
+            if not node.is_leaf:
+                want = dataio._edge_labels(node.split)
+                assert (edges[node.children[0]], edges[node.children[1]]) == want
 
 
 def test_km_leaf_rows_match_direct_fits():
@@ -610,6 +643,30 @@ def test_cli_fit_bad_flag_value_is_config_error(demo_csv, capsys):
                  "--event", "status", "--vars", "age:cont",
                  "--alpha", "2.0"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["fit", "stabtest"])
+@pytest.mark.parametrize("flags", [
+    ["--vars", "age:cont,age:cat"],
+    ["--vars", "age:cont", "--event-value", " 1"],
+    ["--vars", "age:cont", "--event-value", "1 "],
+    ["--vars", "age:cont", "--event-value", ""],
+    ["--vars", "age:cont", "--event-value", "NA"],
+])
+def test_cli_bad_schema_flag_is_config_error_before_loading(
+        demo_csv, capsys, command, flags):
+    # a repeated variable, and an event value that no stripped, present
+    # event cell can equal, are flag errors: no file is read for them
+    argv = [command, "--data", demo_csv, "--time", "time",
+            "--event", "status", *flags]
+    if command == "stabtest":
+        argv += ["--var", "age"]
+    with patch("survcart.cli.load_csv", side_effect=AssertionError("loaded")):
+        code = main(argv)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_fit_unknown_column_is_data_error(demo_csv, capsys):

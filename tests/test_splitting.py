@@ -162,7 +162,8 @@ def test_minbucket_filters_candidates():
     for mb in (1, 3, 5):
         cands = candidate_splits(data, "x", EVENT, mb)
         for c in cands:
-            assert c.left_n >= mb and c.right_n >= mb
+            left = int(np.count_nonzero(x <= c.cutpoint))
+            assert left >= mb and x.size - left >= mb
         assert len(cands) == 10 - 2 * mb + 1
     assert not candidate_splits(data, "x", EVENT, 6)
 
@@ -204,7 +205,6 @@ def test_censor_mode_flips_indicator():
     b = candidate_splits(flipped, "x", EVENT, 5)[0]
     assert a.cutpoint == b.cutpoint
     assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
-    assert a.mode == CENSOR
 
 
 @pytest.mark.parametrize("kind, x", [
@@ -233,8 +233,6 @@ def test_categorical_split_orders_levels_by_median():
     # in median order, so one side of some candidate isolates fastest level a
     assert any(set(c.cutpoint) == {"a"} or
                set(c.cutpoint) == {"b", "c"} for c in cands)
-    best = cands[0]
-    assert best.left_n + best.right_n == levels.size
 
 
 def test_constant_variable_yields_no_candidates():
@@ -271,7 +269,7 @@ def test_blocked_split_search_equals_dense_table(rows, blocks, extra,
     keep = ~np.isnan(x)
     for mode in (EVENT, CENSOR):
         want = dense_continuous_candidates(
-            "x", t[keep], e[keep], x[keep], mode, minbucket)
+            t[keep], e[keep], x[keep], mode, minbucket)
         ev = e[keep] if mode == EVENT else ~e[keep]
         width = np.unique(t[keep][ev]).size  # distinct event times
         with patch.object(splitting, "_BLOCK_CELLS", rows * width):
@@ -293,13 +291,13 @@ def test_coded_split_search_equals_label_oracle(seed, minbucket):
     for mode in (EVENT, CENSOR):
         want = sort_ranked(
             label_categorical_candidates(
-                "g", t[present], e[present], labels[present], mode, minbucket),
+                t[present], e[present], labels[present], mode, minbucket),
             lambda item: item[0],
         )
         assert list(candidate_splits(node, "g", mode, minbucket)) == want
         want = sort_ranked(
             dense_continuous_candidates(
-                "x", t[finite], e[finite], x[finite], mode, minbucket),
+                t[finite], e[finite], x[finite], mode, minbucket),
             lambda item: item[1].cutpoint,
         )
         assert list(candidate_splits(node, "x", mode, minbucket)) == want
@@ -315,8 +313,7 @@ def test_tolerance_order_equals_sorted_ranking(seed):
     jitter = rng.choice([0.0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8], size=n)
     stats = (base + jitter * np.maximum(1.0, base)) * rng.choice([-1, 1], n)
     cuts = np.round(rng.uniform(0.0, 3.0, n), 1)
-    cands = [SplitCandidate("x", "continuous", float(c), EVENT, float(s), 1, 1)
-             for c, s in zip(cuts, stats)]
+    cands = [SplitCandidate(float(c), float(s)) for c, s in zip(cuts, stats)]
     want = sort_ranked(cands, lambda item: item[1].cutpoint)
     assert [cands[i] for i in splitting._tolerance_order(stats, cuts)] == want
 
@@ -331,10 +328,10 @@ def test_candidates_read_as_their_ranked_list(seed, minbucket):
     t, e = node.times, node.events
     for name, want in (
         ("g", sort_ranked(label_categorical_candidates(
-            "g", t[present], e[present], labels[present], EVENT, minbucket),
+            t[present], e[present], labels[present], EVENT, minbucket),
             lambda item: item[0])),
         ("x", sort_ranked(dense_continuous_candidates(
-            "x", t[finite], e[finite], x[finite], EVENT, minbucket),
+            t[finite], e[finite], x[finite], EVENT, minbucket),
             lambda item: item[1].cutpoint)),
     ):
         cands = candidate_splits(node, name, EVENT, minbucket)
@@ -418,7 +415,7 @@ def test_ranked_sweep_equals_dense_table_past_the_band(seed, minbucket, band,
     for mode in (EVENT, CENSOR):
         want = sort_ranked(
             dense_continuous_candidates(
-                "x", t[keep], e[keep], x[keep], mode, minbucket),
+                t[keep], e[keep], x[keep], mode, minbucket),
             lambda item: item[1].cutpoint,
         )
         wants = []
@@ -485,7 +482,7 @@ def test_search_cuts_its_run_at_a_tie_cluster_crossing_the_floor(seed):
     data = one_var_dataset(t, e, x, "continuous")
     with patch.object(splitting, "_TIE_RTOL", 0.02):
         for mode in (EVENT, CENSOR):
-            cands = dense_continuous_candidates("x", t, e, x, mode, 1)
+            cands = dense_continuous_candidates(t, e, x, mode, 1)
             stats = np.array([c.statistic for c in cands])
             cuts = np.array([c.cutpoint for c in cands])
             want = [cands[i] for i in splitting._tolerance_order(stats, cuts)]
@@ -520,7 +517,7 @@ def test_candidate_count_equals_dense_count_with_zero_variance(minbucket):
     for t, e, x in _zero_variance_nodes():
         data = one_var_dataset(t, e, x, "continuous")
         for mode in (EVENT, CENSOR):
-            want = dense_continuous_candidates("x", t, e, x, mode, minbucket)
+            want = dense_continuous_candidates(t, e, x, mode, minbucket)
             cands = candidate_splits(data, "x", mode, minbucket)
             assert len(cands) == len(want)
             assert sorted(cands, key=lambda c: c.cutpoint) == want
@@ -533,7 +530,7 @@ def test_candidate_count_equals_dense_count_with_zero_variance(minbucket):
             assert read == list(cands)
     # the layouts do have admissible boundaries with zero variance
     t, e, x = next(_zero_variance_nodes())
-    assert len(dense_continuous_candidates("x", t, e, x, EVENT, 1)) < x.size - 1
+    assert len(dense_continuous_candidates(t, e, x, EVENT, 1)) < x.size - 1
 
 
 def _variance_inputs(rng):

@@ -12,6 +12,7 @@ from survcart import (
     EVENT,
     FAMILY_NAMES,
     MissingValueError,
+    NonConvergenceError,
     SchemaMismatchError,
     SurvTree,
     SurvivalDataset,
@@ -46,10 +47,12 @@ from survcart.tree import (
 )
 
 from conftest import (
+    dense_continuous_candidates,
     factor_child_node,
     missing_labels,
     rng_for,
     small_random_dataset,
+    sort_ranked,
 )
 
 
@@ -432,8 +435,9 @@ def test_split_masks_match_raw_values(seed):
     node, labels, x = factor_child_node(seed)
     present = {"g": ~missing_labels(labels), "x": ~np.isnan(x)}
     for name in ("g", "x"):
+        kind = node.spec_for(name).kind
         for cand in candidate_splits(node, name, EVENT, 1):
-            split = SplitInfo(name, cand.kind, cand.cutpoint, cand.mode,
+            split = SplitInfo(name, kind, cand.cutpoint, EVENT,
                               cand.statistic, 0.0, 0.0)
             left, right = _split_masks(node, split)
             if name == "g":
@@ -443,7 +447,6 @@ def test_split_masks_match_raw_values(seed):
             want &= present[name]
             assert np.array_equal(left, want)
             assert np.array_equal(right, present[name] & ~want)
-            assert left.sum() == cand.left_n and right.sum() == cand.right_n
 
 
 def test_grow_groups_each_covariate_once_per_node():
@@ -693,6 +696,46 @@ def test_grow_builds_only_the_candidates_it_reads():
     assert grown.n_leaves > 2
     assert len(built) == len(read)
     assert grown.n_leaves - 1 <= len(read) < sum(returned)
+
+
+@pytest.mark.parametrize("skipped", [3, 12])
+def test_grow_reads_past_the_first_served_run(skipped):
+    # the first fits of ``skipped`` children fail, so the root takes the
+    # ranking's next candidate, which lies past the first served run
+    rng = rng_for(518, skipped)
+    n = 2000
+    x = np.round(rng.uniform(0.0, 10.0, n), 2)
+    t = rng.exponential(np.where(x < 4.0, 1.0, 3.0) * (1.0 + 0.05 * x))
+    c = rng.exponential(6.0, n)
+    data = SurvivalDataset(np.minimum(t, c), t <= c,
+                           meta=(CovariateSpec("x", "continuous"),),
+                           columns={"x": x})
+    config = TreeConfig(max_depth=1)
+    fit_pair, search = tree_module._fit_pair, splitting._search
+    fits, wants = [], []
+
+    def failing(*args):
+        fits.append(1)
+        if 1 < len(fits) <= skipped + 1:  # the root's own fit is the first
+            raise NonConvergenceError("injected")
+        return fit_pair(*args)
+
+    def spy(*args):
+        wants.append(args[-1])
+        return search(*args)
+
+    with patch.object(tree_module, "_fit_pair", failing), \
+            patch.object(splitting, "_search", spy):
+        grown = grow(data, config)
+    split = grown.root.split
+    ranked = sort_ranked(
+        dense_continuous_candidates(data.times, data.events, x, split.mode,
+                                    config.minbucket),
+        lambda item: item[1].cutpoint,
+    )
+    assert split.cutpoint == ranked[skipped].cutpoint
+    assert split.statistic == ranked[skipped].statistic
+    assert max(wants) > 1
 
 
 def test_grow_survives_weibull_fits_on_tied_times():
